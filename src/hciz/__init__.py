@@ -35,8 +35,6 @@ from .symfn import (
     vandermonde,
 )
 from .invariant import (
-    AltPoly,
-    SymPoly,
     TracePoly,
     chi_lambda,
     e_lambda,
@@ -67,7 +65,6 @@ from .numeric import (
 
 __all__ = [
     "__version__",
-    "AltPoly",
     "DegenerateExponentError",
     "DegenerateSpectrumError",
     "DimensionMismatchError",
@@ -84,7 +81,6 @@ __all__ = [
     "Scaled",
     "SeriesResult",
     "Spectrum",
-    "SymPoly",
     "TracePoly",
     "alternant",
     "alternating_projection",

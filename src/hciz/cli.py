@@ -12,6 +12,7 @@ nothing is lost to binary floating point in the output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import platform
@@ -29,7 +30,7 @@ from .errors import (
     NotAlternatingError,
     NotInImageError,
 )
-from .invariant import TracePoly, fourier_coefficients, verify_fourier_reconstruction
+from .invariant import TracePoly, verify_fourier_reconstruction
 from .numeric import (
     Spectrum,
     hciz_determinant,
@@ -60,6 +61,10 @@ RNG_NAME = "philox"
 
 class UsageError(Exception):
     """Bad command-line input; maps to exit code 64."""
+
+
+class NonFiniteValueError(ArithmeticError):
+    """An evaluator returned inf or nan; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,6 +256,10 @@ def cmd_eval(args) -> int:
             "last_shell_magnitude": res.last_shell_magnitude,
         }
 
+    bad = [m for m in methods if not cmath.isfinite(values[m])]
+    if bad:
+        raise NonFiniteValueError(f"non-finite value from {', '.join(bad)}")
+
     mc = report.results.get("mc", {})
     stderr, rounding = mc.get("stderr", 0.0), mc.get("rounding", 0.0)
 
@@ -354,7 +363,7 @@ def cmd_schur(args) -> int:
         lines.append(f"s[{lam}] in {args.n} variables: {report.results['exact']}")
     if args.power_sums:
         ps = schur_to_power_sums(lam)
-        report.results["power_sums"] = ps.to_text()
+        report.results["power_sums"] = ps.to_text(var_symbol="p")
         lines.append(f"s[{lam}] in power sums: {report.results['power_sums']}")
     report.passed = True
     report.timing_seconds = time.perf_counter() - t0
@@ -462,14 +471,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"hciz: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (
         DegenerateSpectrumError,
         DimensionMismatchError,
         NotAlternatingError,
         NotInImageError,
+        NonFiniteValueError,
     ) as exc:
         payload = {
             "schema": 1,
@@ -477,6 +484,12 @@ def main(argv=None) -> int:
         }
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return EXIT_DOMAIN
+    except (UsageError, ValueError) as exc:
+        # a bare ValueError is input the library rejects (a sample count, a
+        # non-finite eigenvalue, a size out of range); the domain errors
+        # above subclass it, so they must be caught first
+        print(f"hciz: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

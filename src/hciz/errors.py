@@ -26,7 +26,7 @@ class DegenerateSpectrumError(ValueError):
 
 
 class NotAlternatingError(ValueError):
-    """A polynomial tagged alternating fails the transposition check."""
+    """A polynomial required to be alternating fails the transposition check."""
 
 
 class NotInImageError(ValueError):

@@ -461,8 +461,3 @@ def bargmann_inner(f: ExactPoly, g: ExactPoly) -> GaussianRational:
             a, b = (cs, cb) if not flip else (cb, cs)
             total = total + a.conjugate() * b * mi.factorial()
     return total
-
-
-def diff_at_zero(f: ExactPoly, g: ExactPoly) -> GaussianRational:
-    """Value of F(d)G at the origin; equals <F*, G> exactly."""
-    return f.apply_diff(g).coefficient(MultiIndex.EMPTY)

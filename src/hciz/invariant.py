@@ -19,7 +19,6 @@ invariants), never coefficientwise in the t_k.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,56 +30,18 @@ from .errors import (
 from .exactpoly import ExactPoly, MultiIndex, bargmann_inner
 from .scalars import GaussianRational, RadicalScalar
 from .symfn import (
-    GeneratorPoly,
     Partition,
     Scaled,
+    TracePoly,
     alternant_delta,
     divide_by_alternant_delta,
     is_alternating,
-    is_symmetric,
     norm_const_c,
     enumerate_partitions,
     schur_to_power_sums,
     staircase,
     vector_factorial,
 )
-
-
-class TracePoly(GeneratorPoly):
-    """Polynomial in the trace generators t_1, t_2, ... with deg t_k = k."""
-
-    symbol = "t"
-    __slots__ = ()
-
-
-class SymPoly(ExactPoly):
-    """ExactPoly verified symmetric on construction."""
-
-    __slots__ = ()
-
-    @classmethod
-    def tag(cls, p: ExactPoly) -> "SymPoly":
-        if not is_symmetric(p):
-            raise NotAlternatingError("polynomial is not symmetric")
-        self = object.__new__(cls)
-        object.__setattr__(self, "n_vars", p.n_vars)
-        object.__setattr__(self, "terms", p.terms)
-        return self
-
-
-class AltPoly(ExactPoly):
-    """ExactPoly verified alternating on construction."""
-
-    __slots__ = ()
-
-    @classmethod
-    def tag(cls, p: ExactPoly) -> "AltPoly":
-        if not is_alternating(p):
-            raise NotAlternatingError("polynomial is not alternating")
-        self = object.__new__(cls)
-        object.__setattr__(self, "n_vars", p.n_vars)
-        object.__setattr__(self, "terms", p.terms)
-        return self
 
 
 def entry_var(i: int, j: int, n: int) -> int:
@@ -110,9 +71,9 @@ def expand_to_entries(f: TracePoly, n: int) -> ExactPoly:
     return f.substitute_gens(images, n * n)
 
 
-def restrict_to_diagonal(f: TracePoly, n: int) -> SymPoly:
-    """Substitute t_k -> x_1^k + ... + x_n^k; the diagonal picture F|_D."""
-    return SymPoly.tag(f.substitute_powers(n))
+def restrict_to_diagonal(f: TracePoly, n: int) -> ExactPoly:
+    """Substitute t_k -> x_1^k + ... + x_n^k; the diagonal picture F|_D, symmetric."""
+    return f.substitute_powers(n)
 
 
 def entry_to_diagonal(e: ExactPoly, n: int) -> ExactPoly:
@@ -126,8 +87,8 @@ def entry_to_diagonal(e: ExactPoly, n: int) -> ExactPoly:
 
 
 def psi_map(f: TracePoly, n: int) -> Scaled:
-    """psi(F) = c * a_delta * F|_D, the scale c kept exact."""
-    return Scaled(norm_const_c(n), AltPoly.tag(alternant_delta(n) * restrict_to_diagonal(f, n)))
+    """psi(F) = c * a_delta * F|_D, the scale c kept exact; alternating by construction."""
+    return Scaled(norm_const_c(n), alternant_delta(n) * restrict_to_diagonal(f, n))
 
 
 # -- rewriting symmetric polynomials in the trace generators -----------------------------
@@ -208,8 +169,8 @@ def psi_inverse(g, n: int) -> Scaled:
 
 
 def chi_lambda(lam: Partition) -> TracePoly:
-    """The character polynomial: s_lambda with power sums realized as traces."""
-    return TracePoly(schur_to_power_sums(lam).poly)
+    """The character polynomial: s_lambda with power sums read as traces."""
+    return schur_to_power_sums(lam)
 
 
 def e_lambda(lam: Partition, n: int) -> Scaled:
@@ -223,11 +184,6 @@ def e_lambda(lam: Partition, n: int) -> Scaled:
 def invariant_inner(f: TracePoly, g: TracePoly, n: int) -> GaussianRational:
     """Gaussian inner product of invariants, via the entry picture."""
     return bargmann_inner(expand_to_entries(f, n), expand_to_entries(g, n))
-
-
-def scaled_invariant_inner(a: Scaled, b: Scaled, n: int) -> RadicalScalar:
-    """invariant_inner extended to exact radical multiples of trace polynomials."""
-    return a.scale.conjugate() * b.scale * invariant_inner(a.poly, b.poly, n)
 
 
 # -- identity verifiers ---------------------------------------------------------------

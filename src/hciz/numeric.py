@@ -35,13 +35,12 @@ from .errors import (
 )
 from .exactpoly import ExactPoly, bargmann_inner
 from .symfn import (
-    Partition,
     d_lambda,
     enumerate_partitions,
     homogeneous_values,
     is_alternating,
-    jacobi_trudi_indices,
     partitions_of_weight,
+    schur_values,
     staircase,
     vector_factorial,
 )
@@ -339,27 +338,6 @@ def hciz_determinant(a, b, gap_tol: float = GAP_TOL_DEFAULT) -> complex:
     return prefactor * complex(np.linalg.det(mat)) / (_vdm_product(av) * _vdm_product(bv))
 
 
-def _schur_values_shell(partitions, h: np.ndarray) -> np.ndarray:
-    """Schur values for same-weight partitions via stacked Jacobi-Trudi determinants."""
-    vals = np.empty(len(partitions), dtype=complex)
-    by_len: dict[int, list] = {}
-    for pos, lam in enumerate(partitions):
-        by_len.setdefault(lam.length, []).append(pos)
-    for ell, idxs in by_len.items():
-        if ell == 0:
-            vals[idxs] = 1.0
-            continue
-        stack = np.array(
-            [jacobi_trudi_indices(partitions[pos]) for pos in idxs], dtype=int
-        )
-        entries = np.where(stack >= 0, h[np.clip(stack, 0, None)], 0j)
-        if ell == 1:
-            vals[idxs] = entries[:, 0, 0]
-        else:
-            vals[idxs] = np.linalg.det(entries)
-    return vals
-
-
 def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult:
     """Truncated expansion sum_lambda delta!/(lambda+delta)! s_lambda(x) conj(s_lambda(y)).
 
@@ -376,8 +354,11 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
     n = x.n
     delta_fact = vector_factorial(staircase(n))
     kmax = max_weight + n - 1
-    hx = np.array(homogeneous_values(x.eigs, kmax))
-    hy = np.array(homogeneous_values([e.conjugate() for e in y.eigs], kmax))
+    # x and y share one batch, so each shell builds its index stacks once
+    h = np.stack([
+        np.array(homogeneous_values(x.eigs, kmax)),
+        np.array(homogeneous_values([e.conjugate() for e in y.eigs], kmax)),
+    ])
     total = 0j
     shell_mag = 0.0
     used = 0
@@ -390,8 +371,7 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
                 for lam in shell
             ]
         )
-        sx = _schur_values_shell(shell, hx)
-        sy = _schur_values_shell(shell, hy)
+        sx, sy = schur_values(shell, h)
         terms = coeffs * sx * sy
         total += complex(terms.sum())
         shell_mag = float(np.abs(terms).sum())

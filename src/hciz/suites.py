@@ -297,7 +297,7 @@ def suite_haar(n: int = 3, n_samples: int = 100000, seed: int = 0) -> SuiteRepor
             cases.append(
                 SuiteCase(
                     label=f"E|u_{i + 1}{j + 1}|^2",
-                    passed=dev <= 4 * se,
+                    passed=bool(dev <= 4 * se),
                     detail=f"estimate {second[i, j]:.6f}, expected {1 / n:.6f}, 4se {4 * se:.2e}",
                 )
             )

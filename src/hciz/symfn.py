@@ -1,7 +1,8 @@
 """Partitions, alternants, Schur polynomials and their normalizations.
 
-Exact throughout.  The only floating point lives in `schur_numeric`, the
-evaluation path used by the truncated character series; everything else
+Exact throughout, except for `schur_values` and `schur_numeric`: the one
+floating-point Schur evaluator (Jacobi-Trudi determinants of Newton-identity
+h-values), which the truncated character series also uses.  Everything else
 returns ExactPoly values or exact scalars.
 
 Conventions.  The staircase is delta = (n-1, n-2, ..., 0).  Two signed
@@ -324,25 +325,38 @@ def jacobi_trudi_indices(lam: Partition):
     ]
 
 
+def schur_values(partitions, h):
+    """s_lambda for each partition, via stacked det[h_{lambda_i - i + j}].
+
+    `h` holds h_0, h_1, ... on its last axis (see `homogeneous_values`);
+    leading axes are a batch of points, which share each index stack.
+    Returns shape h.shape[:-1] + (len(partitions),).
+    """
+    import numpy as np
+
+    h = np.asarray(h, dtype=complex)
+    vals = np.empty(h.shape[:-1] + (len(partitions),), dtype=complex)
+    by_len: dict[int, list] = {}
+    for pos, lam in enumerate(partitions):
+        by_len.setdefault(lam.length, []).append(pos)
+    for ell, idxs in by_len.items():
+        if ell == 0:
+            vals[..., idxs] = 1.0
+            continue
+        stack = np.array([jacobi_trudi_indices(partitions[pos]) for pos in idxs], dtype=int)
+        entries = np.where(stack >= 0, h[..., np.clip(stack, 0, None)], 0j)
+        vals[..., idxs] = entries[..., 0, 0] if ell == 1 else np.linalg.det(entries)
+    return vals
+
+
 def schur_numeric(lam: Partition, eigs) -> complex:
     """s_lambda at complex points, via det[h_{lambda_i - i + j}]."""
     if lam.length > len(eigs):
         raise DimensionMismatchError(
             f"partition {lam} needs more than {len(eigs)} variables"
         )
-    ell = lam.length
-    if ell == 0:
-        return 1.0 + 0j
-    h = homogeneous_values(eigs, lam.parts[0] + ell - 1)
-    if ell == 1:
-        return h[lam.parts[0]]
-    import numpy as np
-
-    m = np.array(
-        [[h[idx] if idx >= 0 else 0j for idx in row] for row in jacobi_trudi_indices(lam)],
-        dtype=complex,
-    )
-    return complex(np.linalg.det(m))
+    h = homogeneous_values(eigs, max(lam.part(0) + lam.length - 1, 0))
+    return complex(schur_values([lam], h)[0])
 
 
 # -- power-sum expansion -------------------------------------------------------------
@@ -387,15 +401,16 @@ def character(shape: tuple, rho: tuple) -> int:
     return total
 
 
-class GeneratorPoly:
-    """Polynomial in abstract weighted generators g_1, g_2, ... (deg g_k = k).
+class TracePoly:
+    """Polynomial in weighted generators t_1, t_2, ... (deg t_k = k).
 
-    Thin wrapper over ExactPoly with variable id k-1 standing for g_k; the
+    One ring, two readings: on matrices t_k = Tr(z^k), on eigenvalues
+    t_k = p_k = x_1^k + ... + x_n^k, which `substitute_powers` realizes.
+    Thin wrapper over ExactPoly with variable id k-1 standing for t_k; the
     stored polynomial is always trimmed to the highest generator in use, so
     equal values compare and hash equal regardless of how they were built.
     """
 
-    symbol = "g"
     __slots__ = ("poly",)
 
     def __init__(self, poly: ExactPoly):
@@ -418,7 +433,7 @@ class GeneratorPoly:
 
     @classmethod
     def gen(cls, k: int):
-        """The generator g_k, k >= 1."""
+        """The generator t_k, k >= 1."""
         if k < 1:
             raise ValueError("generator index must be >= 1")
         return cls(ExactPoly.variable(k, k - 1))
@@ -437,10 +452,6 @@ class GeneratorPoly:
         return cls(ExactPoly(top, acc))
 
     @property
-    def n_gens(self) -> int:
-        return self.poly.n_vars
-
-    @property
     def terms(self):
         return self.poly.terms
 
@@ -453,7 +464,7 @@ class GeneratorPoly:
         return max((mi.max_var() + 1 for mi in self.poly.terms), default=0)
 
     def weighted_degree(self) -> int:
-        """Total degree with g_k weighing k; -1 for the zero value."""
+        """Total degree with t_k weighing k; -1 for the zero value."""
         if self.poly.is_zero:
             return -1
         return max(
@@ -470,7 +481,7 @@ class GeneratorPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = type(self).const(other)
-        if not isinstance(other, GeneratorPoly):
+        if not isinstance(other, TracePoly):
             return NotImplemented
         a, b = self._aligned(other)
         return type(self)(a + b)
@@ -483,7 +494,7 @@ class GeneratorPoly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = type(self).const(other)
-        if not isinstance(other, GeneratorPoly):
+        if not isinstance(other, TracePoly):
             return NotImplemented
         return self + (-other)
 
@@ -493,7 +504,7 @@ class GeneratorPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return type(self)(self.poly * other)
-        if not isinstance(other, GeneratorPoly):
+        if not isinstance(other, TracePoly):
             return NotImplemented
         a, b = self._aligned(other)
         return type(self)(a * b)
@@ -506,7 +517,7 @@ class GeneratorPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = type(self).const(other)
-        if not isinstance(other, GeneratorPoly):
+        if not isinstance(other, TracePoly):
             return NotImplemented
         return self.poly.terms == other.poly.terms
 
@@ -517,13 +528,13 @@ class GeneratorPoly:
         return bool(self.poly)
 
     def substitute_gens(self, images: dict, n_vars_out: int) -> ExactPoly:
-        """Substitute g_k by images[k] (ExactPoly values over the target space)."""
+        """Substitute t_k by images[k] (ExactPoly values over the target space)."""
         return self.poly.substitute(
             {k - 1: img for k, img in images.items()}, n_vars_out
         )
 
     def substitute_powers(self, n: int) -> ExactPoly:
-        """Realize g_k as the power sum x_1^k + ... + x_n^k."""
+        """Realize t_k as the power sum x_1^k + ... + x_n^k."""
         images = {
             k: ExactPoly(
                 n, {MultiIndex.single(i, k): QQI_ONE for i in range(n)}
@@ -542,14 +553,14 @@ class GeneratorPoly:
 
         return sorted(self.poly.terms.items(), key=key, reverse=True)
 
-    def to_text(self) -> str:
-        """Canonical text form, e.g. `(3/2, 0) t1^2 t3`."""
+    def to_text(self, var_symbol: str = "t") -> str:
+        """Canonical text form, e.g. `(3/2, 0) t1^2 t3`; `var_symbol="p"` for power sums."""
         if self.poly.is_zero:
             return "0"
         parts = []
         for mi, c in self.items_canonical():
             mono = " ".join(
-                f"{self.symbol}{v + 1}^{e}" if e > 1 else f"{self.symbol}{v + 1}"
+                f"{var_symbol}{v + 1}^{e}" if e > 1 else f"{var_symbol}{v + 1}"
                 for v, e in mi.exps
             )
             parts.append(f"{c.pair_str()} {mono}".rstrip())
@@ -559,19 +570,12 @@ class GeneratorPoly:
         return f"{type(self).__name__}({self.to_text()!r})"
 
 
-class PowerSumPoly(GeneratorPoly):
-    """Polynomial in the power-sum generators p_1, p_2, ..."""
-
-    symbol = "p"
-    __slots__ = ()
-
-
 @lru_cache(maxsize=None)
-def _schur_to_power_sums(parts: tuple) -> PowerSumPoly:
+def _schur_to_power_sums(parts: tuple) -> TracePoly:
     lam = Partition(parts)
     w = lam.weight
     if w == 0:
-        return PowerSumPoly.one()
+        return TracePoly.one()
     terms = []
     for rho in partitions_of_weight(w, w):
         chi = character(lam.parts, rho.parts)
@@ -581,10 +585,10 @@ def _schur_to_power_sums(parts: tuple) -> PowerSumPoly:
         for p in rho.parts:
             mult[p] = mult.get(p, 0) + 1
         terms.append((mult, Fraction(chi, zee(rho))))
-    return PowerSumPoly.from_terms(terms)
+    return TracePoly.from_terms(terms)
 
 
-def schur_to_power_sums(lam: Partition) -> PowerSumPoly:
+def schur_to_power_sums(lam: Partition) -> TracePoly:
     """s_lambda = sum_rho chi^lambda(rho) p_rho / z_rho over classes rho of |lambda|."""
     return _schur_to_power_sums(lam.parts)
 

@@ -174,6 +174,12 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
+    def test_haar_report_to_stdout(self, capsys):
+        code = main(["verify", "haar", "--n", "2", "--samples", "2000", "--output", "-"])
+        assert code == EXIT_OK
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["results"] == {"cases": 5, "failed": 0}
+
     def test_unknown_suite_exits_64(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
@@ -260,6 +266,32 @@ class TestReport:
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["eval", "--n", "2", "--a", "1,2", "--b", "1,3", "--samples", "1"], EXIT_USAGE),
+            (["eval", "--n", "2", "--a", "nan,2", "--b", "1,3"], EXIT_USAGE),
+            (["eval", "--n", "25", "--a", "r", "--b", "r"], EXIT_USAGE),
+            (
+                ["eval", "--n", "2", "--a", "1,2", "--b", "1,3", "--methods", "series",
+                 "--max-weight", "-1"],
+                EXIT_USAGE,
+            ),
+            (["verify", "ginibre", "--n", "9"], EXIT_USAGE),
+            (["eval", "--n", "2", "--a", "1e200,2", "--b", "1,3", "--methods", "det"], EXIT_DOMAIN),
+        ],
+        ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
+             "det-nan"],
+    )
+    def test_invalid_input_gets_its_exit_code(self, argv, code, capsys):
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--quiet"]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_USAGE:
+            assert err.startswith("hciz: error: ")
+        else:
+            assert json.loads(err)["error"]["type"] == "NonFiniteValueError"
+
     def test_failed_check_exits_1(self, tmp_path):
         # an absurdly tight tolerance forces the det-vs-series check to fail
         code, rep = run(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hciz.errors import DimensionMismatchError
-from hciz.exactpoly import ExactPoly, MultiIndex, bargmann_inner, diff_at_zero
+from hciz.exactpoly import ExactPoly, MultiIndex, bargmann_inner
 from hciz.scalars import GaussianRational, QQI_I
 
 
@@ -159,7 +159,8 @@ class TestApplyDiff:
         rng = random.Random(6)
         for _ in range(20):
             f, g = random_poly(rng, 2), random_poly(rng, 2)
-            assert diff_at_zero(f, g) == bargmann_inner(f.conj_coeffs(), g)
+            at_zero = f.apply_diff(g).coefficient(MultiIndex.EMPTY)
+            assert at_zero == bargmann_inner(f.conj_coeffs(), g)
 
 
 class TestBargmannInner:

@@ -24,7 +24,14 @@ from hciz.numeric import (
     sample_ginibre,
     sample_haar_unitary,
 )
-from hciz.symfn import alternant
+from hciz.symfn import (
+    alternant,
+    homogeneous_values,
+    jacobi_trudi_indices,
+    partitions_of_weight,
+    staircase,
+    vector_factorial,
+)
 
 
 def det_n2_by_hand(a, b):
@@ -219,7 +226,58 @@ class TestClosedForm:
         assert GAP_TOL_DEFAULT == 1e-8
 
 
+def _jt_det(lam, h):
+    """s_lambda from one Jacobi-Trudi matrix, built entry by entry."""
+    if lam.length == 0:
+        return 1.0 + 0j
+    m = [[h[k] if k >= 0 else 0j for k in row] for row in jacobi_trudi_indices(lam)]
+    return m[0][0] if lam.length == 1 else complex(np.linalg.det(np.array(m)))
+
+
+def series_reference(x, y, max_weight, tol):
+    """kernel_series evaluated one spectrum and one partition at a time."""
+    n = len(x)
+    delta_fact = vector_factorial(staircase(n))
+    kmax = max_weight + n - 1
+    hx = homogeneous_values(x, kmax)
+    hy = homogeneous_values([complex(e).conjugate() for e in y], kmax)
+    total, shell_mag, small_run = 0j, 0.0, 0
+    for w in range(max_weight + 1):
+        shell = list(partitions_of_weight(w, n))
+        coeffs = np.array([delta_fact / vector_factorial(lam.plus_staircase(n)) for lam in shell])
+        sx = np.array([_jt_det(lam, hx) for lam in shell])
+        sy = np.array([_jt_det(lam, hy) for lam in shell])
+        terms = coeffs * sx * sy
+        total += complex(terms.sum())
+        shell_mag = float(np.abs(terms).sum())
+        small_run = small_run + 1 if shell_mag < 1e-3 * tol else 0
+        if small_run >= n:
+            break
+    return total, w, shell_mag
+
+
 class TestKernelSeries:
+    def test_matches_per_spectrum_reference_bitwise(self):
+        # x and y share one batched evaluation; it must not change a bit of
+        # the value, the shells used or the last shell's mass
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 4, 6):
+            for mag in (0.5, 1.0, 2.0, 4.0):
+                for coincident in (False, True):
+                    for tol in (1e-8, 0.0):
+                        x = rng.uniform(-mag, mag, n) + 1j * rng.uniform(-mag, mag, n)
+                        if coincident:
+                            x[:] = x[0]
+                        y = rng.uniform(-mag, mag, n) + 1j * rng.uniform(-mag, mag, n)
+                        mw = 24 if tol else 10
+                        got = kernel_series(tuple(x), tuple(y), max_weight=mw, tol=tol)
+                        value, used, shell_mag = series_reference(tuple(x), tuple(y), mw, tol)
+                        assert np.array(got.value).tobytes() == np.array(value).tobytes()
+                        assert got.max_weight_used == used
+                        assert np.array(got.last_shell_magnitude).tobytes() == (
+                            np.array(shell_mag).tobytes()
+                        )
+
     def test_weight_zero_is_one(self):
         r = kernel_series((0.4, -0.2), (0.3, 0.1), max_weight=0)
         assert r.value == 1.0 + 0j

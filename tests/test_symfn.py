@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hciz.errors import (
@@ -9,12 +10,12 @@ from hciz.errors import (
     DimensionMismatchError,
     ExactDivisionError,
 )
-from hciz.exactpoly import ExactPoly, MultiIndex, diff_at_zero
+from hciz.exactpoly import ExactPoly, MultiIndex
 from hciz.scalars import GaussianRational, RadicalScalar
 from hciz.symfn import (
     Partition,
-    PowerSumPoly,
     Scaled,
+    TracePoly,
     alternant,
     alternant_delta,
     alternant_vandermonde_sign,
@@ -27,6 +28,7 @@ from hciz.symfn import (
     homogeneous_values,
     is_alternating,
     is_symmetric,
+    jacobi_trudi_indices,
     norm_const_c,
     partitions_of_weight,
     scaled_bargmann,
@@ -219,7 +221,8 @@ class TestAlternant:
         # the staircase alternant paired with itself under F(d)G|_0 gives
         # n! * delta! = prod_{p=1}^{n} p!
         for n in range(1, 5):
-            got = diff_at_zero(alternant_delta(n), alternant_delta(n))
+            a = alternant_delta(n)
+            got = a.apply_diff(a).coefficient(MultiIndex.EMPTY)
             assert got == GaussianRational(superfactorial(n))
 
 
@@ -371,6 +374,28 @@ class TestSchurNumeric:
             got = schur_numeric(Partition(lam), pt)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
+    def test_matches_hand_built_determinant_bitwise(self):
+        # schur_numeric is det[h_{lambda_i - i + j}] built entry by entry, to
+        # the last bit, at random and at coincident points
+        rng = random.Random(7)
+        for n in (1, 2, 3, 4, 6):
+            for mag in (0.5, 2.0, 4.0):
+                pt = [complex(rng.uniform(-mag, mag), rng.uniform(-mag, mag)) for _ in range(n)]
+                for eigs in (pt, [pt[0]] * n):
+                    for lam in enumerate_partitions(6, n):
+                        ell = lam.length
+                        h = homogeneous_values(eigs, max(lam.part(0) + ell - 1, 0))
+                        if ell == 0:
+                            want = 1.0 + 0j
+                        elif ell == 1:
+                            want = h[lam.part(0)]
+                        else:
+                            m = [[h[k] if k >= 0 else 0j for k in row]
+                                 for row in jacobi_trudi_indices(lam)]
+                            want = complex(np.linalg.det(np.array(m, dtype=complex)))
+                        got = schur_numeric(lam, eigs)
+                        assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 # -- characters and power sums -----------------------------------------------------
 
@@ -425,10 +450,10 @@ class TestZee:
 class TestSchurToPowerSums:
     def test_goldens(self):
         half = Fraction(1, 2)
-        p1, p2 = PowerSumPoly.gen(1), PowerSumPoly.gen(2)
+        p1, p2 = TracePoly.gen(1), TracePoly.gen(2)
         assert schur_to_power_sums(Partition((2,))) == (p1 * p1 + p2) * half
         assert schur_to_power_sums(Partition((1, 1))) == (p1 * p1 - p2) * half
-        p3 = PowerSumPoly.gen(3)
+        p3 = TracePoly.gen(3)
         third = Fraction(1, 3)
         assert schur_to_power_sums(Partition((2, 1))) == (p1**3 - p3) * third
 
@@ -445,7 +470,7 @@ class TestSchurToPowerSums:
                     assert ps.substitute_powers(n) == schur_exact(lam, n)
 
     def test_power_substitution_golden(self):
-        p2 = PowerSumPoly.gen(2)
+        p2 = TracePoly.gen(2)
         assert p2.substitute_powers(2) == ExactPoly.monomial(2, (2, 0)) + ExactPoly.monomial(2, (0, 2))
 
 
