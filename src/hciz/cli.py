@@ -351,8 +351,11 @@ def cmd_schur(args) -> int:
     )
     lines = []
     if args.eigs is not None:
-        eigs = [parse_complex(p) for p in args.eigs.split(",")]
+        # Spectrum rejects a non-finite point as a usage error, as in eval
+        eigs = Spectrum(tuple(parse_complex(p) for p in args.eigs.split(","))).eigs
         value = schur_numeric(lam, eigs)
+        if not cmath.isfinite(value):
+            raise NonFiniteValueError(f"non-finite value of s[{lam}]")
         report.results["value"] = _cj(value)
         lines.append(f"s[{lam}]({args.eigs}) = {value!r}")
     if args.exact:

@@ -38,6 +38,7 @@ from .symfn import (
     is_alternating,
     norm_const_c,
     enumerate_partitions,
+    scaled_bargmann,
     schur_to_power_sums,
     staircase,
     vector_factorial,
@@ -189,30 +190,45 @@ def invariant_inner(f: TracePoly, g: TracePoly, n: int) -> GaussianRational:
 # -- identity verifiers ---------------------------------------------------------------
 
 
-def verify_unitarity(f: TracePoly, g: TracePoly, n: int):
-    """<F, G> against c^2 <a_delta F|_D, a_delta G|_D>; returns (equal, lhs, rhs)."""
-    lhs = invariant_inner(f, g, n)
-    a_delta = alternant_delta(n)
-    pf = a_delta * restrict_to_diagonal(f, n)
-    pg = a_delta * restrict_to_diagonal(g, n)
-    c2 = norm_const_c(n).squared()
-    rhs = c2 * bargmann_inner(pf, pg)
-    return lhs == rhs, lhs, rhs
+def _gram(size: int, lhs, rhs) -> dict:
+    """{(i, j): (lhs == rhs, lhs, rhs)} over every ordered pair, row-major."""
+    out = {}
+    for i, j in itertools.product(range(size), repeat=2):
+        left, right = lhs(i, j), rhs(i, j)
+        out[i, j] = (left == right, left, right)
+    return out
 
 
-def verify_diffop_identity(f: TracePoly, g: TracePoly, n: int):
-    """a_delta * (F(d)G)|_D  against  F|_D(d) (a_delta * G|_D); returns (equal, lhs, rhs).
+def verify_unitarity(fs, n: int) -> dict:
+    """The Gram identity <F_i, F_j> == <psi F_i, psi F_j> on a basis, each F imaged once.
 
-    Both sides are computed as exact polynomials in the n diagonal variables,
-    so equality here is equality for every x at once.
+    Returns {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
     """
-    fe = expand_to_entries(f, n)
-    ge = expand_to_entries(g, n)
-    lhs = alternant_delta(n) * entry_to_diagonal(fe.apply_diff(ge), n)
-    fd = restrict_to_diagonal(f, n)
-    gd = restrict_to_diagonal(g, n)
-    rhs = fd.apply_diff(alternant_delta(n) * gd)
-    return lhs == rhs, lhs, rhs
+    entries = [expand_to_entries(f, n) for f in fs]
+    images = [psi_map(f, n) for f in fs]
+    return _gram(
+        len(fs),
+        lambda i, j: bargmann_inner(entries[i], entries[j]),
+        lambda i, j: scaled_bargmann(images[i], images[j]),
+    )
+
+
+def verify_diffop_identity(fs, n: int) -> dict:
+    """a_delta * (F_i(d)F_j)|_D  against  F_i|_D(d) (a_delta * F_j|_D) on a basis.
+
+    Both sides are exact polynomials in the n diagonal variables, so equality
+    is equality for every x at once.  Each F is imaged once; returns
+    {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
+    """
+    entries = [expand_to_entries(f, n) for f in fs]
+    diagonals = [restrict_to_diagonal(f, n) for f in fs]
+    images = [psi_map(f, n).poly for f in fs]
+    a_delta = alternant_delta(n)
+    return _gram(
+        len(fs),
+        lambda i, j: a_delta * entry_to_diagonal(entries[i].apply_diff(entries[j]), n),
+        lambda i, j: diagonals[i].apply_diff(images[j]),
+    )
 
 
 def fourier_coefficients(f: TracePoly, n: int, max_weight: int | None = None) -> dict:
@@ -222,7 +238,7 @@ def fourier_coefficients(f: TracePoly, n: int, max_weight: int | None = None) ->
     """
     if max_weight is None:
         max_weight = max(f.weighted_degree(), 0)
-    h = alternant_delta(n) * restrict_to_diagonal(f, n)
+    h = psi_map(f, n).poly
     out = {}
     for lam in enumerate_partitions(max_weight, n):
         c = h.coefficient(MultiIndex.from_dense(lam.plus_staircase(n)))

@@ -42,6 +42,7 @@ from .symfn import (
     partitions_of_weight,
     schur_values,
     staircase,
+    superfactorial,
     vector_factorial,
 )
 
@@ -332,10 +333,8 @@ def hciz_determinant(a, b, gap_tol: float = GAP_TOL_DEFAULT) -> complex:
     av = np.array(a.eigs)
     bv = np.array(b.eigs)
     mat = np.exp(np.outer(av, bv))
-    prefactor = 1
-    for p in range(1, n):
-        prefactor *= math.factorial(p)
-    return prefactor * complex(np.linalg.det(mat)) / (_vdm_product(av) * _vdm_product(bv))
+    vdm = _vdm_product(av) * _vdm_product(bv)
+    return superfactorial(n - 1) * complex(np.linalg.det(mat)) / vdm
 
 
 def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult:
@@ -491,6 +490,8 @@ def random_real_spectrum(
     min_gap: float = 0.1,
 ) -> Spectrum:
     """Sorted uniform draw from [low, high]^n, rejected until the gap clears min_gap."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if n * min_gap >= (high - low):
         raise ValueError("gap constraint cannot be met on this interval")
     while True:

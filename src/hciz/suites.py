@@ -19,13 +19,14 @@ import numpy as np
 
 from .invariant import (
     TracePoly,
+    _gram,
     e_lambda,
     expand_to_entries,
     verify_diffop_identity,
     verify_fourier_reconstruction,
     verify_unitarity,
 )
-from .exactpoly import ExactPoly, bargmann_inner
+from .exactpoly import ExactPoly
 from .numeric import (
     _haar_batch,
     coherent_reproducing_check,
@@ -68,49 +69,39 @@ def _report(suite: str, params: dict, cases) -> SuiteReport:
     return SuiteReport(suite=suite, params=dict(params), cases=tuple(cases))
 
 
-def _kron(l1: Partition, l2: Partition) -> GaussianRational:
-    return GaussianRational(1 if l1 == l2 else 0)
+def _pair_cases(keys, label: str, results: dict, detail) -> list:
+    """One SuiteCase per ordered pair (i, j) of keys, from {(i, j): (passed, lhs, rhs)}."""
+    return [
+        SuiteCase(label.format(keys[i], keys[j]), res[0], detail(*res))
+        for (i, j), res in results.items()
+    ]
+
+
+def _orthonormal(suite: str, letter: str, n: int, max_weight: int, image) -> SuiteReport:
+    """<b_lambda, b_mu> = delta_{lambda mu} exactly, each b_lambda = image(lambda) built once."""
+    lams = enumerate_partitions(max_weight, n)
+    images = [image(lam) for lam in lams]
+    results = _gram(
+        len(lams),
+        lambda i, j: scaled_bargmann(images[i], images[j]),
+        lambda i, j: GaussianRational(int(i == j)),
+    )
+    label = f"<{letter}[{{}}], {letter}[{{}}]>"
+    cases = _pair_cases(lams, label, results, lambda ok, got, want: f"value {got}")
+    return _report(suite, {"n": n, "max_weight": max_weight}, cases)
 
 
 def suite_alt_orthonormal(n: int, max_weight: int = 6) -> SuiteReport:
     """<d_lambda, d_mu> = delta_{lambda mu}, exactly, on the alternating side."""
-    lams = enumerate_partitions(max_weight, n)
-    ds = [(lam, d_lambda(lam, n)) for lam in lams]
-    cases = []
-    for l1, d1 in ds:
-        for l2, d2 in ds:
-            got = scaled_bargmann(d1, d2)
-            ok = got == _kron(l1, l2)
-            cases.append(
-                SuiteCase(
-                    label=f"<d[{l1}], d[{l2}]>",
-                    passed=ok,
-                    detail=f"value {got}",
-                )
-            )
-    return _report("alt-orthonormal", {"n": n, "max_weight": max_weight}, cases)
+    return _orthonormal("alt-orthonormal", "d", n, max_weight, lambda lam: d_lambda(lam, n))
 
 
 def suite_inv_orthonormal(n: int, max_weight: int = 4) -> SuiteReport:
     """<e_lambda, e_mu> = delta_{lambda mu}, exactly, via entry expansion."""
-    lams = enumerate_partitions(max_weight, n)
-    basis = []
-    for lam in lams:
-        el = e_lambda(lam, n)
-        basis.append((lam, el.scale, expand_to_entries(el.poly, n)))
-    cases = []
-    for l1, s1, p1 in basis:
-        for l2, s2, p2 in basis:
-            got = s1.conjugate() * s2 * bargmann_inner(p1, p2)
-            ok = got == _kron(l1, l2)
-            cases.append(
-                SuiteCase(
-                    label=f"<e[{l1}], e[{l2}]>",
-                    passed=ok,
-                    detail=f"value {got}",
-                )
-            )
-    return _report("inv-orthonormal", {"n": n, "max_weight": max_weight}, cases)
+    return _orthonormal(
+        "inv-orthonormal", "e", n, max_weight,
+        lambda lam: e_lambda(lam, n).map_poly(lambda p: expand_to_entries(p, n)),
+    )
 
 
 def trace_monomials(max_degree: int, max_gen: int | None = None) -> list:
@@ -129,31 +120,24 @@ def trace_monomials(max_degree: int, max_gen: int | None = None) -> list:
 
 
 def suite_unitarity(n: int, max_degree: int = 4) -> SuiteReport:
-    """<F, G> == c^2 <a_delta F|_D, a_delta G|_D> on all trace monomial pairs."""
+    """<F, G> == <psi F, psi G> on all trace monomial pairs, each monomial imaged once."""
     monos = trace_monomials(max_degree)
-    cases = []
-    for r1, f in monos:
-        for r2, g in monos:
-            ok, lhs, rhs = verify_unitarity(f, g, n)
-            cases.append(
-                SuiteCase(
-                    label=f"t[{r1}] vs t[{r2}]",
-                    passed=ok,
-                    detail=f"lhs {lhs}, rhs {rhs}",
-                )
-            )
+    results = verify_unitarity([f for _, f in monos], n)
+    cases = _pair_cases(
+        [rho for rho, _ in monos], "t[{}] vs t[{}]", results,
+        lambda ok, lhs, rhs: f"lhs {lhs}, rhs {rhs}",
+    )
     return _report("unitarity", {"n": n, "max_degree": max_degree}, cases)
 
 
 def suite_diffop(n: int, max_degree: int = 4, max_gen: int = 3) -> SuiteReport:
     """The alternant-conjugation identity for derivative operators, exactly."""
     monos = trace_monomials(max_degree, max_gen)
-    cases = []
-    for r1, f in monos:
-        for r2, g in monos:
-            ok, lhs, rhs = verify_diffop_identity(f, g, n)
-            detail = "" if ok else f"lhs {lhs.to_text()} != rhs {rhs.to_text()}"
-            cases.append(SuiteCase(label=f"t[{r1}] on t[{r2}]", passed=ok, detail=detail))
+    results = verify_diffop_identity([f for _, f in monos], n)
+    cases = _pair_cases(
+        [rho for rho, _ in monos], "t[{}] on t[{}]", results,
+        lambda ok, lhs, rhs: "" if ok else f"lhs {lhs.to_text()} != rhs {rhs.to_text()}",
+    )
     return _report("diffop", {"n": n, "max_degree": max_degree, "max_gen": max_gen}, cases)
 
 
@@ -182,6 +166,8 @@ def random_trace_poly(
 
 def suite_fourier(n: int, count: int = 10, max_weight: int = 5, seed: int = 0) -> SuiteReport:
     """Reconstruction F == sum_lambda f_lambda chi_lambda on random trace polynomials."""
+    if count < 1:
+        raise ValueError("count must be positive")
     rng = random.Random(seed)
     cases = []
     for k in range(count):
@@ -202,23 +188,13 @@ def suite_fourier(n: int, count: int = 10, max_weight: int = 5, seed: int = 0) -
 def suite_ginibre(n: int, n_samples: int = 100000, seed: int = 0, threads: int = 1) -> SuiteReport:
     """E|Tr z|^2 = n and E|det z|^2 = n! within four standard errors."""
     rep = ginibre_moment_suite(n, n_samples, seed, threads)
+    moments = [
+        ("E|Tr z|^2", rep.trace_ok, rep.trace_estimate, rep.trace_expected),
+        ("E|det z|^2", rep.det_ok, rep.det_estimate, rep.det_expected),
+    ]
     cases = [
-        SuiteCase(
-            label="E|Tr z|^2",
-            passed=rep.trace_ok,
-            detail=(
-                f"estimate {rep.trace_estimate.mean.real:.6f} "
-                f"+/- {rep.trace_estimate.stderr:.6f}, expected {rep.trace_expected}"
-            ),
-        ),
-        SuiteCase(
-            label="E|det z|^2",
-            passed=rep.det_ok,
-            detail=(
-                f"estimate {rep.det_estimate.mean.real:.6f} "
-                f"+/- {rep.det_estimate.stderr:.6f}, expected {rep.det_expected}"
-            ),
-        ),
+        SuiteCase(label, ok, f"estimate {est.mean.real:.6f} +/- {est.stderr:.6f}, expected {want}")
+        for label, ok, est, want in moments
     ]
     return _report("ginibre", {"n": n, "n_samples": n_samples, "seed": seed}, cases)
 
@@ -242,6 +218,8 @@ def suite_reproducing(
     n: int, count: int = 10, max_weight: int = 8, seed: int = 0, tol: float = 1e-10
 ) -> SuiteReport:
     """Truncated kernel sections reproduce point evaluation of alternating polynomials."""
+    if count < 1:
+        raise ValueError("count must be positive")
     rng = random.Random(seed)
     cases = []
     done = 0
@@ -268,6 +246,8 @@ def suite_reproducing(
 
 def suite_haar(n: int = 3, n_samples: int = 100000, seed: int = 0) -> SuiteReport:
     """Haar sampler statistics: E|u_ij|^2 = 1/n entrywise, unitarity to 1e-12."""
+    if n < 1:
+        raise ValueError("n must be positive")
     rng = np.random.Generator(np.random.Philox(seed))
     second = np.zeros((n, n))
     max_resid = 0.0

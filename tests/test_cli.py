@@ -267,26 +267,48 @@ class TestReport:
 
 class TestExitCodeContract:
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, message",
         [
-            (["eval", "--n", "2", "--a", "1,2", "--b", "1,3", "--samples", "1"], EXIT_USAGE),
-            (["eval", "--n", "2", "--a", "nan,2", "--b", "1,3"], EXIT_USAGE),
-            (["eval", "--n", "25", "--a", "r", "--b", "r"], EXIT_USAGE),
+            (["eval", "--n", "2", "--a", "1,2", "--b", "1,3", "--samples", "1"], EXIT_USAGE, ""),
+            (["eval", "--n", "2", "--a", "nan,2", "--b", "1,3"], EXIT_USAGE, ""),
+            (["eval", "--n", "25", "--a", "r", "--b", "r"], EXIT_USAGE, ""),
             (
                 ["eval", "--n", "2", "--a", "1,2", "--b", "1,3", "--methods", "series",
                  "--max-weight", "-1"],
                 EXIT_USAGE,
+                "",
             ),
-            (["verify", "ginibre", "--n", "9"], EXIT_USAGE),
-            (["eval", "--n", "2", "--a", "1e200,2", "--b", "1,3", "--methods", "det"], EXIT_DOMAIN),
+            (["verify", "ginibre", "--n", "9"], EXIT_USAGE, ""),
+            (
+                ["eval", "--n", "2", "--a", "1e200,2", "--b", "1,3", "--methods", "det"],
+                EXIT_DOMAIN,
+                "",
+            ),
+            (["schur", "--lambda", "2", "--eigs", "nan,1"], EXIT_USAGE, "non-finite"),
+            (["schur", "--lambda", "2", "--eigs", "1e200,1"], EXIT_DOMAIN, ""),
+            (
+                ["verify", "fourier", "--n", "2", "--count", "0"],
+                EXIT_USAGE,
+                "count must be positive",
+            ),
+            (
+                ["verify", "reproducing", "--n", "2", "--count", "-1"],
+                EXIT_USAGE,
+                "count must be positive",
+            ),
+            (["eval", "--n", "0", "--a", "r", "--b", "r"], EXIT_USAGE, "n must be positive"),
+            (["verify", "haar", "--n", "0"], EXIT_USAGE, "n must be positive"),
+            (["verify", "unitarity", "--n", "0"], EXIT_USAGE, "n >= 1"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
-             "det-nan"],
+             "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
+             "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0"],
     )
-    def test_invalid_input_gets_its_exit_code(self, argv, code, capsys):
+    def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):
             assert main(argv + ["--quiet"]) == code
         err = capsys.readouterr().err
+        assert message in err
         if code == EXIT_USAGE:
             assert err.startswith("hciz: error: ")
         else:

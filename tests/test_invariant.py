@@ -286,7 +286,7 @@ class TestInvariantInner:
 
 class TestUnitarity:
     def test_hand_case(self):
-        ok, lhs, rhs = verify_unitarity(t(1), t(1), 2)
+        ok, lhs, rhs = verify_unitarity([t(1)], 2)[0, 0]
         assert ok and lhs == GaussianRational(2) and rhs == GaussianRational(2)
 
     def test_random_invariants(self):
@@ -295,29 +295,32 @@ class TestUnitarity:
             for _ in range(4):
                 f = random_trace_poly(rng, max_weight=3, n_terms=2)
                 g = random_trace_poly(rng, max_weight=3, n_terms=2)
-                ok, lhs, rhs = verify_unitarity(f, g, n)
-                assert ok and lhs == rhs
+                results = verify_unitarity([f, g], n)
+                assert len(results) == 4
+                for ok, lhs, rhs in results.values():
+                    assert ok and lhs == rhs
 
 
 class TestDiffOpIdentity:
     def test_hand_case_traces(self):
-        ok, lhs, rhs = verify_diffop_identity(t(1), t(1), 2)
+        ok, lhs, rhs = verify_diffop_identity([t(1)], 2)[0, 0]
         assert ok
         assert lhs == alternant_delta(2) * 2
 
     def test_monomial_pairs_small(self):
-        for rf, f in trace_monomials(3, max_gen=3):
-            for rg, g in trace_monomials(3, max_gen=3):
-                ok, lhs, rhs = verify_diffop_identity(f, g, 2)
-                assert ok, f"failed at {rf} , {rg}"
+        monos = trace_monomials(3, max_gen=3)
+        results = verify_diffop_identity([f for _, f in monos], 2)
+        assert len(results) == len(monos) ** 2
+        for (i, j), (ok, lhs, rhs) in results.items():
+            assert ok, f"failed at {monos[i][0]} , {monos[j][0]}"
 
     def test_random_polys(self):
         rng = random.Random(9)
         for _ in range(3):
             f = random_trace_poly(rng, max_weight=3, n_terms=2)
             g = random_trace_poly(rng, max_weight=3, n_terms=2)
-            ok, _, _ = verify_diffop_identity(f, g, 3)
-            assert ok
+            for ok, _, _ in verify_diffop_identity([f, g], 3).values():
+                assert ok
 
 
 class TestFourier:

@@ -1,5 +1,6 @@
 import random
 
+from hciz import invariant
 from hciz.suites import (
     SuiteCase,
     SuiteReport,
@@ -88,6 +89,22 @@ class TestExactSuites:
     def test_fourier_small(self):
         rep = suite_fourier(2, count=4, max_weight=4, seed=0)
         assert rep.passed and len(rep.cases) == 4
+
+    def test_pair_suites_image_each_element_once(self, monkeypatch):
+        expand = invariant.expand_to_entries
+        monos = sorted(f.to_text() for _, f in trace_monomials(3))
+        assert len(monos) == 7
+        seen = []
+
+        def counting(f, n):
+            seen.append(f.to_text())
+            return expand(f, n)
+
+        monkeypatch.setattr(invariant, "expand_to_entries", counting)
+        for suite in (suite_unitarity, suite_diffop):
+            seen.clear()
+            assert suite(2, 3).passed
+            assert sorted(seen) == monos
 
     def test_params_recorded(self):
         rep = suite_diffop(2, max_degree=2)
