@@ -297,14 +297,20 @@ def cmd_eval(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def _given(args, name: str) -> dict:
+    """{name: value} if the option was given, else {}, so the suite's own default holds."""
+    return {} if getattr(args, name) is None else {name: getattr(args, name)}
+
+
 _SUITES = {
-    "alt-orthonormal": lambda a: suite_alt_orthonormal(a.n, a.max_weight or 6),
-    "inv-orthonormal": lambda a: suite_inv_orthonormal(a.n, a.max_weight or 4),
-    "unitarity": lambda a: suite_unitarity(a.n, a.max_degree or 4),
-    "diffop": lambda a: suite_diffop(a.n, a.max_degree or 4),
-    "fourier": lambda a: suite_fourier(a.n, a.count, a.max_weight or 5, a.seed),
+    "alt-orthonormal": lambda a: suite_alt_orthonormal(a.n, **_given(a, "max_weight")),
+    "inv-orthonormal": lambda a: suite_inv_orthonormal(a.n, **_given(a, "max_weight")),
+    "unitarity": lambda a: suite_unitarity(a.n, **_given(a, "max_degree")),
+    "diffop": lambda a: suite_diffop(a.n, **_given(a, "max_degree")),
+    "fourier": lambda a: suite_fourier(a.n, a.count, seed=a.seed, **_given(a, "max_weight")),
     "ginibre": lambda a: suite_ginibre(a.n, a.samples, a.seed, a.threads),
-    "reproducing": lambda a: suite_reproducing(a.n, a.count, a.max_weight or 8, a.seed),
+    "reproducing": lambda a: suite_reproducing(
+        a.n, a.count, seed=a.seed, **_given(a, "max_weight")),
     "haar": lambda a: suite_haar(a.n, a.samples, a.seed),
 }
 
@@ -377,15 +383,14 @@ def cmd_schur(args) -> int:
 def cmd_fourier(args) -> int:
     f = parse_trace_poly(args.f)
     t0 = time.perf_counter()
-    max_weight = args.max_weight if args.max_weight else max(f.weighted_degree(), 0)
-    ok, coeffs = verify_fourier_reconstruction(f, args.n, max_weight)
+    ok, coeffs = verify_fourier_reconstruction(f, args.n, args.max_weight)
     report = Report(
         command="fourier",
         inputs={
             "f": args.f,
             "canonical": f.to_text(),
             "n": args.n,
-            "max_weight": max_weight,
+            "max_weight": args.max_weight,
         },
         results={
             "coefficients": {lam.to_text(): str(c) for lam, c in coeffs.items()},
@@ -444,8 +449,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--max-weight", type=int, default=0, dest="max_weight")
-    p.add_argument("--max-degree", type=int, default=0, dest="max_degree")
+    p.add_argument("--max-weight", type=int, help="default: the suite's")
+    p.add_argument("--max-degree", type=int, help="default: the suite's")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--count", type=int, default=10)
     p.set_defaults(fn=cmd_verify)
@@ -463,7 +468,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--f", required=True, help="trace polynomial, e.g. 't1^2 - 1/2 t2'")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-weight", type=int, default=0, dest="max_weight")
+    p.add_argument("--max-weight", type=int, help="default: f's weighted degree")
     p.set_defaults(fn=cmd_fourier)
 
     return top
@@ -473,7 +478,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # the finiteness checks decide exit 2; numpy's warnings would garble stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (
         DegenerateSpectrumError,
         DimensionMismatchError,

@@ -25,6 +25,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -207,23 +208,29 @@ def _sum_depth(count: int) -> int:
 
 def _mc_mean(
     sample_values, n_samples: int, seed: int, threads: int, rel_rounding: float = 0.0
-) -> MCEstimate:
+) -> list:
     """Average `sample_values(rng, count)` over deterministic worker substreams.
 
-    `rel_rounding` bounds each value's own rounding error relative to its
-    magnitude (see `_sample_rounding`); the estimate's `rounding` adds to
-    it the error of each batch sum, its division, and every merge.
+    The values come as shape (count,) or (k, count); the result is one
+    MCEstimate per component, all from the same draws.  `rel_rounding`
+    bounds each value's own rounding error relative to its magnitude (see
+    `_sample_rounding`); each estimate's `rounding` adds to it the error of
+    each batch sum, its division, and every merge.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if n_samples < 2:
+        raise ValueError("need n_samples >= 2")
     threads = max(1, int(threads))
     workers = min(threads, n_samples)
     quota, extra = divmod(n_samples, workers)
+    empty = (0, 0j, 0.0, 0.0, 0.0)
 
     def merge(acc, chunk):
         # Chan's parallel update of (count, mean, sum of squared deviations);
         # no large-term cancellation, so near-constant integrands report
-        # their true tiny variance instead of rounding junk
+        # their true tiny variance instead of rounding junk.  It runs on
+        # Python scalars, one component at a time: numpy's x**2 (a multiply)
+        # and np.abs (not hypot) differ from Python's pow and abs by an ulp
+        # on some inputs, as does `m2r = m2r + a + b` (grouped differently).
         cnt, mean, m2r, m2i, err = acc
         ccnt, cmean, cm2r, cm2i, cerr = chunk
         tot = cnt + ccnt
@@ -242,18 +249,23 @@ def _mc_mean(
     def run(worker: int):
         rng = _substream(seed, worker)
         todo = quota + (1 if worker < extra else 0)
-        acc = (0, 0j, 0.0, 0.0, 0.0)
+        accs = None
         while todo:
             count = min(todo, _BATCH)
-            vals = np.asarray(sample_values(rng, count), dtype=complex)
-            bmean = complex(vals.mean())
-            bm2r = float(np.sum((vals.real - bmean.real) ** 2))
-            bm2i = float(np.sum((vals.imag - bmean.imag) ** 2))
-            abs_mean = float(np.abs(vals).sum()) / count
-            berr = (rel_rounding + _U * _sum_depth(count)) * abs_mean + _U * abs(bmean)
-            acc = merge(acc, (count, bmean, bm2r, bm2i, berr))
+            # components on contiguous complex rows, summed as `_sum_depth`
+            # bounds (real rows and strided axes are summed differently)
+            vals = np.ascontiguousarray(sample_values(rng, count), dtype=complex)
+            vals = vals.reshape(-1, count)
+            bmean = vals.mean(axis=1)
+            bm2r = np.sum((vals.real - bmean.real[:, None]) ** 2, axis=1)
+            bm2i = np.sum((vals.imag - bmean.imag[:, None]) ** 2, axis=1)
+            abs_mean = np.abs(vals).sum(axis=1) / count
+            berr = (rel_rounding + _U * _sum_depth(count)) * abs_mean
+            berr += _U * np.hypot(bmean.real, bmean.imag)
+            stats = zip(bmean.tolist(), bm2r.tolist(), bm2i.tolist(), berr.tolist())
+            accs = [merge(a, (count, *st)) for a, st in zip(accs or [empty] * len(bmean), stats)]
             todo -= count
-        return acc
+        return accs
 
     if workers == 1:
         partials = [run(0)]
@@ -261,17 +273,12 @@ def _mc_mean(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run, range(workers)))
 
-    acc = (0, 0j, 0.0, 0.0, 0.0)
-    for p in partials:
-        acc = merge(acc, p)
-    _, mean, m2r, m2i, rounding = acc
-    if n_samples > 1:
+    out = []
+    for parts in zip(*partials):
+        _, mean, m2r, m2i, rounding = reduce(merge, parts, empty)
         stderr = math.sqrt((m2r + m2i) / (n_samples - 1) / n_samples)
-    else:
-        stderr = math.inf
-    return MCEstimate(
-        mean=mean, stderr=stderr, n_samples=n_samples, seed=seed, rounding=rounding
-    )
+        out.append(MCEstimate(mean, stderr, n_samples, seed, rounding))
+    return out
 
 
 # -- the three evaluators ---------------------------------------------------------------
@@ -290,8 +297,6 @@ def hciz_mc(a, b, n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     a, b = as_spectrum(a), as_spectrum(b)
     if a.n != b.n:
         raise DimensionMismatchError(f"spectra of lengths {a.n} and {b.n}")
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
     n = a.n
     av = np.array(a.eigs)
     bv = np.array(b.eigs)
@@ -304,7 +309,7 @@ def hciz_mc(a, b, n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     aa, ab = np.abs(av), np.abs(bv)
     gain = float(min(aa.max() * ab.sum(), ab.max() * aa.sum()))
     rel = _sample_rounding(gain, gain, n * n + 5)
-    return _mc_mean(values, n_samples, seed, threads, rel)
+    return _mc_mean(values, n_samples, seed, threads, rel)[0]
 
 
 def _vdm_product(v: np.ndarray) -> complex:
@@ -407,7 +412,7 @@ def kernel_q_mc(x, y, n_samples: int, seed: int, threads: int = 1) -> MCEstimate
 
     gain = float(np.linalg.norm(x) * np.linalg.norm(y))
     rel = _sample_rounding(gain, n * gain, 2 * n * n + 7)
-    return _mc_mean(values, n_samples, seed, threads, rel)
+    return _mc_mean(values, n_samples, seed, threads, rel)[0]
 
 
 # -- statistical checks -----------------------------------------------------------------
@@ -451,8 +456,8 @@ def ginibre_moment_suite(
 
     return GinibreMomentReport(
         n=n,
-        trace_estimate=_mc_mean(trace_vals, n_samples, seed, threads),
-        det_estimate=_mc_mean(det_vals, n_samples, seed + 1, threads),
+        trace_estimate=_mc_mean(trace_vals, n_samples, seed, threads)[0],
+        det_estimate=_mc_mean(det_vals, n_samples, seed + 1, threads)[0],
         trace_expected=float(n),
         det_expected=float(math.factorial(n)),
     )

@@ -5,12 +5,11 @@ Exact suites (orthonormality, unitarity, the differential-operator
 identity, Schur-coefficient reconstruction) decide equality in rational
 arithmetic and their pass/fail is unconditional; statistical suites
 (Ginibre moments, Haar moments) pass when estimates land within four
-standard errors of the exact values.
+standard errors, plus a rounding bound, of the exact values.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .invariant import (
 from .exactpoly import ExactPoly
 from .numeric import (
     _haar_batch,
+    _mc_mean,
     coherent_reproducing_check,
     ginibre_moment_suite,
 )
@@ -106,6 +106,8 @@ def suite_inv_orthonormal(n: int, max_weight: int = 4) -> SuiteReport:
 
 def trace_monomials(max_degree: int, max_gen: int | None = None) -> list:
     """Monomials in the t_k of weighted degree <= max_degree, via partitions."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     out = []
     for w in range(max_degree + 1):
         cap = max_gen if max_gen is not None else w
@@ -185,17 +187,22 @@ def suite_fourier(n: int, count: int = 10, max_weight: int = 5, seed: int = 0) -
     )
 
 
+def _moment_cases(moments) -> list:
+    """One SuiteCase per (label, MCEstimate, expected value), decided by `within`."""
+    return [
+        SuiteCase(label, est.within(want),
+                  f"estimate {est.mean.real:.6f} +/- {est.stderr:.6f}, expected {want}")
+        for label, est, want in moments
+    ]
+
+
 def suite_ginibre(n: int, n_samples: int = 100000, seed: int = 0, threads: int = 1) -> SuiteReport:
-    """E|Tr z|^2 = n and E|det z|^2 = n! within four standard errors."""
+    """E|Tr z|^2 = n and E|det z|^2 = n! within four standard errors plus rounding."""
     rep = ginibre_moment_suite(n, n_samples, seed, threads)
-    moments = [
-        ("E|Tr z|^2", rep.trace_ok, rep.trace_estimate, rep.trace_expected),
-        ("E|det z|^2", rep.det_ok, rep.det_estimate, rep.det_expected),
-    ]
-    cases = [
-        SuiteCase(label, ok, f"estimate {est.mean.real:.6f} +/- {est.stderr:.6f}, expected {want}")
-        for label, ok, est, want in moments
-    ]
+    cases = _moment_cases([
+        ("E|Tr z|^2", rep.trace_estimate, rep.trace_expected),
+        ("E|det z|^2", rep.det_estimate, rep.det_expected),
+    ])
     return _report("ginibre", {"n": n, "n_samples": n_samples, "seed": seed}, cases)
 
 
@@ -248,37 +255,18 @@ def suite_haar(n: int = 3, n_samples: int = 100000, seed: int = 0) -> SuiteRepor
     """Haar sampler statistics: E|u_ij|^2 = 1/n entrywise, unitarity to 1e-12."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.Generator(np.random.Philox(seed))
-    second = np.zeros((n, n))
-    max_resid = 0.0
-    eye = np.eye(n)
-    todo = n_samples
-    while todo:
-        cnt = min(todo, 32768)
-        u = _haar_batch(cnt, n, rng)
-        second += (np.abs(u) ** 2).sum(axis=0)
-        resid = np.abs(np.einsum("bki,bkj->bij", u.conj(), u) - eye).max()
-        max_resid = max(max_resid, float(resid))
-        todo -= cnt
-    second /= n_samples
-    # |u_ij|^2 has mean 1/n and second moment 2/(n(n+1)) under Haar measure
-    var = 2.0 / (n * (n + 1)) - 1.0 / n**2
-    se = math.sqrt(var / n_samples)
-    cases = [
-        SuiteCase(
-            label="unitarity residual",
-            passed=max_resid < 1e-12,
-            detail=f"max over samples {max_resid:.3e}",
-        )
-    ]
-    for i in range(n):
-        for j in range(n):
-            dev = abs(second[i, j] - 1.0 / n)
-            cases.append(
-                SuiteCase(
-                    label=f"E|u_{i + 1}{j + 1}|^2",
-                    passed=bool(dev <= 4 * se),
-                    detail=f"estimate {second[i, j]:.6f}, expected {1 / n:.6f}, 4se {4 * se:.2e}",
-                )
-            )
+    resids = []
+
+    def second_moments(rng, count):
+        u = _haar_batch(count, n, rng)
+        resids.append(float(np.abs(np.einsum("bki,bkj->bij", u.conj(), u) - np.eye(n)).max()))
+        return (np.abs(u) ** 2).reshape(count, n * n).T
+
+    # one worker, whose substream Philox(seed).jumped(0) is Philox(seed) itself
+    ests = _mc_mean(second_moments, n_samples, seed, 1)
+    # the residual is a safety check on every draw, so its max, not a mean
+    cases = [SuiteCase("unitarity residual", max(resids) < 1e-12,
+                       f"max over samples {max(resids):.3e}")]
+    labels = [f"E|u_{i + 1}{j + 1}|^2" for i in range(n) for j in range(n)]
+    cases += _moment_cases(zip(labels, ests, [1.0 / n] * (n * n)))
     return _report("haar", {"n": n, "n_samples": n_samples, "seed": seed}, cases)

@@ -174,6 +174,18 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "suite, option",
+        [("alt-orthonormal", "--max-weight"), ("inv-orthonormal", "--max-weight"),
+         ("unitarity", "--max-degree"), ("diffop", "--max-degree")],
+    )
+    def test_zero_bound_is_taken_as_given(self, tmp_path, suite, option):
+        # 0 is a bound like any other, not "use the suite default"
+        code, rep = run(tmp_path, ["verify", suite, "--n", "2", option, "0"])
+        assert code == EXIT_OK
+        assert rep["inputs"][option[2:].replace("-", "_")] == 0
+        assert rep["results"]["cases"] == 1
+
     def test_haar_report_to_stdout(self, capsys):
         code = main(["verify", "haar", "--n", "2", "--samples", "2000", "--output", "-"])
         assert code == EXIT_OK
@@ -299,10 +311,17 @@ class TestExitCodeContract:
             (["eval", "--n", "0", "--a", "r", "--b", "r"], EXIT_USAGE, "n must be positive"),
             (["verify", "haar", "--n", "0"], EXIT_USAGE, "n must be positive"),
             (["verify", "unitarity", "--n", "0"], EXIT_USAGE, "n >= 1"),
+            (
+                ["verify", "unitarity", "--n", "2", "--max-degree", "-1"],
+                EXIT_USAGE,
+                "max_degree must be nonnegative",
+            ),
+            (["verify", "haar", "--n", "2", "--samples", "1"], EXIT_USAGE, "n_samples >= 2"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
-             "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0"],
+             "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0",
+             "unitarity-degree-1", "haar-samples-1"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):
@@ -313,6 +332,20 @@ class TestExitCodeContract:
             assert err.startswith("hciz: error: ")
         else:
             assert json.loads(err)["error"]["type"] == "NonFiniteValueError"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [["schur", "--lambda", "2", "--eigs", "1e200,1"],
+         ["eval", "--n", "2", "--a", "1e200,2", "--b", "1,3", "--methods", "det"]],
+        ids=["schur", "eval-det"],
+    )
+    def test_overflow_leaves_one_json_error(self, argv, capsys):
+        # "error" makes a numpy RuntimeWarning fail the test; outside pytest
+        # it would print ahead of the JSON
+        assert main(argv + ["--quiet"]) == EXIT_DOMAIN
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "NonFiniteValueError"
 
     def test_failed_check_exits_1(self, tmp_path):
         # an absurdly tight tolerance forces the det-vs-series check to fail

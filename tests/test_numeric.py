@@ -8,8 +8,10 @@ import pytest
 from hciz.errors import DegenerateSpectrumError, DimensionMismatchError, NotAlternatingError
 from hciz.exactpoly import ExactPoly
 from hciz.numeric import (
+    _BATCH,
     _HAAR_RESIDUAL,
     _U,
+    _mc_mean,
     GAP_TOL_DEFAULT,
     MCEstimate,
     Spectrum,
@@ -88,10 +90,7 @@ class TestSamplers:
     def test_haar_entry_moment(self):
         # E|u_ij|^2 = 1/n for every entry
         rng = np.random.default_rng(1)
-        n, m = 3, 20000
-        acc = np.zeros((n, n))
-        for _ in range(m // 2000):
-            pass
+        n = 3
         us = np.stack([sample_haar_unitary(n, rng) for _ in range(4000)])
         acc = (np.abs(us) ** 2).mean(axis=0)
         assert np.abs(acc - 1.0 / n).max() < 0.03
@@ -109,6 +108,40 @@ class TestSamplers:
             sample_haar_unitary(0, rng)
         with pytest.raises(ValueError):
             sample_ginibre(0, rng)
+
+
+class TestMCEngine:
+    @staticmethod
+    def _cos(rng, count):
+        return np.cos(rng.normal(size=count)) * (1 + 0.5j)
+
+    @staticmethod
+    def _square(rng, count):
+        return rng.normal(size=count) ** 2
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n_samples", [2, 5000, _BATCH + 1001])
+    def test_stacked_components_match_runs_alone(self, threads, n_samples):
+        # each component of a (2, count) integrand is the one-integrand run,
+        # bit for bit; every run makes the same draws, so the streams line up
+        def both(rng, count):
+            return np.stack([self._cos(rng, count), self._square(rng, count)])
+
+        def first_half(rng, count):
+            out = self._cos(rng, count)
+            self._square(rng, count)
+            return out
+
+        def second_half(rng, count):
+            self._cos(rng, count)
+            return self._square(rng, count)
+
+        stacked = _mc_mean(both, n_samples, 11, threads, 1e-16)
+        alone = [_mc_mean(f, n_samples, 11, threads, 1e-16)[0] for f in (first_half, second_half)]
+        assert len(stacked) == 2
+        for got, want in zip(stacked, alone):
+            assert got == want
+            assert got.stderr > 0 and got.rounding > 0
 
 
 class TestMonteCarlo:

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from hciz import invariant
 from hciz.suites import (
     SuiteCase,
@@ -44,6 +46,10 @@ class TestGenerators:
         assert len(monos) == 12
         for rho, m in monos:
             assert m.weighted_degree() == rho.weight
+
+    def test_trace_monomials_reject_negative_degree(self):
+        with pytest.raises(ValueError, match="max_degree"):
+            trace_monomials(-1)
 
     def test_trace_monomials_generator_cap(self):
         for rho, _ in trace_monomials(5, max_gen=3):
@@ -126,3 +132,7 @@ class TestStatisticalSuites:
         assert rep.passed
         labels = {c.label for c in rep.cases}
         assert "unitarity residual" in labels
+        # each entry is an MC estimate decided by `within`, like the Ginibre moments
+        entry = next(c for c in rep.cases if c.label == "E|u_12|^2")
+        assert entry.detail.startswith("estimate ") and entry.detail.endswith(
+            ", expected 0.3333333333333333")
