@@ -320,7 +320,7 @@ def cmd_verify(args) -> int:
     rep = _SUITES[args.suite](args)
     report = Report(
         command="verify",
-        inputs={"suite": args.suite, **rep.params, "threads": args.threads},
+        inputs={"suite": args.suite, **rep.params},
         results={
             "cases": len(rep.cases),
             "failed": rep.n_failed,

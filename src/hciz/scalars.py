@@ -247,15 +247,6 @@ class RadicalScalar:
     def is_zero(self) -> bool:
         return self.coeff.is_zero
 
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
-    def as_gaussian(self) -> GaussianRational:
-        if self.radicand != 1:
-            raise ValueError(f"{self} is irrational")
-        return self.coeff
-
     def to_complex(self) -> complex:
         from math import sqrt
 

@@ -203,7 +203,8 @@ def suite_ginibre(n: int, n_samples: int = 100000, seed: int = 0, threads: int =
         ("E|Tr z|^2", rep.trace_estimate, rep.trace_expected),
         ("E|det z|^2", rep.det_estimate, rep.det_expected),
     ])
-    return _report("ginibre", {"n": n, "n_samples": n_samples, "seed": seed}, cases)
+    params = {"n": n, "n_samples": n_samples, "seed": seed, "threads": threads}
+    return _report("ginibre", params, cases)
 
 
 def random_alternating_poly(rng: random.Random, n: int, max_weight: int) -> ExactPoly:
@@ -227,11 +228,15 @@ def suite_reproducing(
     """Truncated kernel sections reproduce point evaluation of alternating polynomials."""
     if count < 1:
         raise ValueError("count must be positive")
+    # an alternating polynomial has degree at least that of the Vandermonde
+    min_weight = n * (n - 1) // 2
+    if max_weight < min_weight:
+        raise ValueError(f"max_weight must be at least n(n-1)/2 = {min_weight}, got {max_weight}")
     rng = random.Random(seed)
     cases = []
     done = 0
     while done < count:
-        f = random_alternating_poly(rng, n, max_weight - n * (n - 1) // 2)
+        f = random_alternating_poly(rng, n, max_weight - min_weight)
         if f.is_zero:
             continue
         a = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]

@@ -325,27 +325,49 @@ def jacobi_trudi_indices(lam: Partition):
     ]
 
 
-def schur_values(partitions, h):
+def jacobi_trudi_stacks(partitions) -> list:
+    """The Jacobi-Trudi index matrices of `partitions`, stacked by length.
+
+    Returns [(positions, stack)]: `positions` are the partitions' places in
+    the list, `stack` has shape (len(positions), ell, ell).  Every index
+    below 0 becomes -1, the zero that `schur_values` appends to h, so one
+    gather builds all the matrices of a stack.
+    """
+    import numpy as np
+
+    by_len: dict[int, list] = {}
+    for pos, lam in enumerate(partitions):
+        by_len.setdefault(lam.length, []).append(pos)
+    stacks = []
+    for ell, idxs in by_len.items():
+        mats = np.array([jacobi_trudi_indices(partitions[pos]) for pos in idxs], dtype=np.intp)
+        # reshape gives the empty partition's stack its (count, 0, 0) shape
+        mats = np.maximum(mats.reshape(len(idxs), ell, ell), -1)
+        stacks.append((np.array(idxs, dtype=np.intp), mats))
+    return stacks
+
+
+def schur_values(stacks, h):
     """s_lambda for each partition, via stacked det[h_{lambda_i - i + j}].
 
-    `h` holds h_0, h_1, ... on its last axis (see `homogeneous_values`);
-    leading axes are a batch of points, which share each index stack.
-    Returns shape h.shape[:-1] + (len(partitions),).
+    `stacks` comes from `jacobi_trudi_stacks`; `h` holds h_0, h_1, ... on
+    its last axis (see `homogeneous_values`), and leading axes are a batch
+    of points, which share each index stack.  Returns shape
+    h.shape[:-1] + (number of partitions,), in the order they were given.
     """
     import numpy as np
 
     h = np.asarray(h, dtype=complex)
-    vals = np.empty(h.shape[:-1] + (len(partitions),), dtype=complex)
-    by_len: dict[int, list] = {}
-    for pos, lam in enumerate(partitions):
-        by_len.setdefault(lam.length, []).append(pos)
-    for ell, idxs in by_len.items():
+    hz = np.concatenate([h, np.zeros(h.shape[:-1] + (1,), dtype=complex)], axis=-1)
+    count = sum(len(pos) for pos, _ in stacks)
+    vals = np.empty(h.shape[:-1] + (count,), dtype=complex)
+    for pos, stack in stacks:
+        ell = stack.shape[-1]
         if ell == 0:
-            vals[..., idxs] = 1.0
+            vals[..., pos] = 1.0
             continue
-        stack = np.array([jacobi_trudi_indices(partitions[pos]) for pos in idxs], dtype=int)
-        entries = np.where(stack >= 0, h[..., np.clip(stack, 0, None)], 0j)
-        vals[..., idxs] = entries[..., 0, 0] if ell == 1 else np.linalg.det(entries)
+        entries = hz[..., stack]
+        vals[..., pos] = entries[..., 0, 0] if ell == 1 else np.linalg.det(entries)
     return vals
 
 
@@ -356,7 +378,7 @@ def schur_numeric(lam: Partition, eigs) -> complex:
             f"partition {lam} needs more than {len(eigs)} variables"
         )
     h = homogeneous_values(eigs, max(lam.part(0) + lam.length - 1, 0))
-    return complex(schur_values([lam], h)[0])
+    return complex(schur_values(jacobi_trudi_stacks([lam]), h)[0])
 
 
 # -- power-sum expansion -------------------------------------------------------------

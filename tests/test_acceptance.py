@@ -166,7 +166,7 @@ class TestCriterion5:
         stat_ok = True
         for n in (1, 2, 3):
             rep = ginibre_moment_suite(n, n_samples=100000, seed=5)
-            stat_ok = stat_ok and rep.all_ok
+            stat_ok = stat_ok and rep.trace_ok and rep.det_ok
         elapsed = time.perf_counter() - t0
         exact_ok = True
         for n in (1, 2, 3):

@@ -186,6 +186,15 @@ class TestVerify:
         assert rep["inputs"][option[2:].replace("-", "_")] == 0
         assert rep["results"]["cases"] == 1
 
+    def test_threads_reported_only_where_used(self, tmp_path):
+        # only the Ginibre suite runs on several workers
+        _, rep = run(tmp_path, ["verify", "haar", "--n", "2", "--samples", "2000",
+                                "--threads", "2"])
+        assert "threads" not in rep["inputs"]
+        _, rep = run(tmp_path, ["verify", "ginibre", "--n", "2", "--samples", "2000",
+                                "--threads", "2"])
+        assert rep["inputs"]["threads"] == 2
+
     def test_haar_report_to_stdout(self, capsys):
         code = main(["verify", "haar", "--n", "2", "--samples", "2000", "--output", "-"])
         assert code == EXIT_OK
@@ -317,11 +326,16 @@ class TestExitCodeContract:
                 "max_degree must be nonnegative",
             ),
             (["verify", "haar", "--n", "2", "--samples", "1"], EXIT_USAGE, "n_samples >= 2"),
+            (
+                ["verify", "reproducing", "--n", "2", "--max-weight", "0"],
+                EXIT_USAGE,
+                "max_weight must be at least n(n-1)/2 = 1, got 0",
+            ),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
              "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0",
-             "unitarity-degree-1", "haar-samples-1"],
+             "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

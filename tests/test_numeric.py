@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hciz import numeric
 from hciz.errors import DegenerateSpectrumError, DimensionMismatchError, NotAlternatingError
 from hciz.exactpoly import ExactPoly
 from hciz.numeric import (
@@ -55,8 +56,8 @@ class TestSpectrum:
     def test_conj_and_is_real(self):
         s = Spectrum((1 + 2j, 3.0))
         assert s.conj().eigs == ((1 - 2j), (3 + 0j))
-        assert not s.is_real()
-        assert Spectrum((1.0, 2.0)).is_real()
+        assert not all(e.imag == 0 for e in s.eigs)
+        assert all(e.imag == 0 for e in Spectrum((1.0, 2.0)).eigs)
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -291,8 +292,9 @@ def series_reference(x, y, max_weight, tol):
 
 class TestKernelSeries:
     def test_matches_per_spectrum_reference_bitwise(self):
-        # x and y share one batched evaluation; it must not change a bit of
-        # the value, the shells used or the last shell's mass
+        # x and y share one batched evaluation on cached shell plans; neither
+        # a cold nor a warm cache may change a bit of the value, the shells
+        # used or the last shell's mass
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 4, 6):
             for mag in (0.5, 1.0, 2.0, 4.0):
@@ -303,13 +305,32 @@ class TestKernelSeries:
                             x[:] = x[0]
                         y = rng.uniform(-mag, mag, n) + 1j * rng.uniform(-mag, mag, n)
                         mw = 24 if tol else 10
-                        got = kernel_series(tuple(x), tuple(y), max_weight=mw, tol=tol)
                         value, used, shell_mag = series_reference(tuple(x), tuple(y), mw, tol)
-                        assert np.array(got.value).tobytes() == np.array(value).tobytes()
-                        assert got.max_weight_used == used
-                        assert np.array(got.last_shell_magnitude).tobytes() == (
-                            np.array(shell_mag).tobytes()
-                        )
+                        numeric._shell_plan.cache_clear()
+                        for _ in range(2):  # a cold cache, then a warm one
+                            got = kernel_series(tuple(x), tuple(y), max_weight=mw, tol=tol)
+                            assert np.array(got.value).tobytes() == np.array(value).tobytes()
+                            assert got.max_weight_used == used
+                            assert np.array(got.last_shell_magnitude).tobytes() == (
+                                np.array(shell_mag).tobytes()
+                            )
+
+    def test_plan_is_built_once_per_shell(self, monkeypatch):
+        builds = []
+        enumerate_shell = numeric.partitions_of_weight
+
+        def counting(weight, max_parts):
+            builds.append((weight, max_parts))
+            return enumerate_shell(weight, max_parts)
+
+        monkeypatch.setattr(numeric, "partitions_of_weight", counting)
+        numeric._shell_plan.cache_clear()
+        # tol=0 never stops early, so both calls need every shell up to 10
+        kernel_series((0.1, 0.4, 0.9), (0.2, -0.3, 0.5), max_weight=10, tol=0.0)
+        assert builds == [(w, 3) for w in range(11)]
+        builds.clear()
+        kernel_series((-0.7, 0.2, 1.3), (0.5, 0.1, -0.4), max_weight=10, tol=0.0)
+        assert builds == []
 
     def test_weight_zero_is_one(self):
         r = kernel_series((0.4, -0.2), (0.3, 0.1), max_weight=0)
@@ -427,7 +448,7 @@ class TestGinibreMoments:
             rep = ginibre_moment_suite(n, n_samples=20000, seed=0)
             assert rep.trace_expected == float(n)
             assert rep.det_expected == float(math.factorial(n))
-            assert rep.all_ok
+            assert rep.trace_ok and rep.det_ok
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -459,7 +480,7 @@ class TestRandomRealSpectrum:
         for n in (1, 2, 3, 4):
             for _ in range(20):
                 s = random_real_spectrum(n, rng)
-                assert s.n == n and s.is_real()
+                assert s.n == n and all(e.imag == 0 for e in s.eigs)
                 assert all(-1.0 <= e.real <= 1.0 for e in s.eigs)
                 assert s.gap >= 0.1
 

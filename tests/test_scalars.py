@@ -78,7 +78,7 @@ class TestRadicalScalar:
 
     def test_sqrt_of_rational(self):
         r = RadicalScalar.sqrt_of(Fraction(9, 4))
-        assert r.is_rational and r.as_gaussian() == Fraction(3, 2)
+        assert r.radicand == 1 and r.coeff == Fraction(3, 2)
         r = RadicalScalar.sqrt_of(Fraction(1, 2))
         assert r.squared() == GaussianRational(Fraction(1, 2))
 
@@ -100,9 +100,9 @@ class TestRadicalScalar:
         assert RadicalScalar(2, 3) == RadicalScalar(1, 12)
         assert RadicalScalar(5) == 5
 
-    def test_as_gaussian_rejects_irrational(self):
-        with pytest.raises(ValueError):
-            RadicalScalar(1, 2).as_gaussian()
+    def test_irrational_root_keeps_its_radicand(self):
+        r = RadicalScalar(1, 2)
+        assert r.radicand == 2 and r.coeff == 1
 
     def test_to_complex(self):
         assert abs(RadicalScalar(1, 2).to_complex() - 2**0.5) < 1e-15
