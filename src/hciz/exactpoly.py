@@ -40,6 +40,14 @@ class MultiIndex:
         raise AttributeError("MultiIndex is immutable")
 
     @classmethod
+    def _raw(cls, items: tuple) -> "MultiIndex":
+        """Internal: adopt pairs already sorted by variable, positive and without repeats."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "exps", items)
+        object.__setattr__(self, "_hash", hash(items))
+        return self
+
+    @classmethod
     def from_dense(cls, exponents):
         return cls((v, e) for v, e in enumerate(exponents))
 
@@ -79,7 +87,9 @@ class MultiIndex:
         merged = dict(self.exps)
         for v, e in other.exps:
             merged[v] = merged.get(v, 0) + e
-        return MultiIndex(merged.items())
+        items = tuple(merged.items())
+        # new variables were appended after self's, so only then is a sort needed
+        return MultiIndex._raw(items if len(items) == len(self.exps) else tuple(sorted(items)))
 
     def sub(self, other: "MultiIndex"):
         """self - other, or None if any exponent would go negative."""
@@ -92,15 +102,21 @@ class MultiIndex:
                 del merged[v]
             else:
                 merged[v] = have - e
-        return MultiIndex(merged.items())
+        # deleting or lowering entries keeps self's sorted order
+        return MultiIndex._raw(tuple(merged.items()))
 
     def falling(self, other: "MultiIndex") -> int:
         """prod_v  b_v (b_v-1) ... (b_v-a_v+1)  for b=self, a=other; 0 if a > b anywhere."""
         out = 1
-        mine = dict(self.exps)
+        mine = iter(self.exps)
+        # both pair lists are sorted by variable, so one pass over self's suffices
         for v, a in other.exps:
-            b = mine.get(v, 0)
-            if b < a:
+            for w, b in mine:
+                if w >= v:
+                    break
+            else:
+                return 0
+            if w != v or b < a:
                 return 0
             for k in range(a):
                 out *= b - k
@@ -313,12 +329,6 @@ class ExactPoly:
 
     # -- calculus -------------------------------------------------------------------
 
-    def conj_coeffs(self) -> "ExactPoly":
-        """F* : every coefficient replaced by its complex conjugate."""
-        return ExactPoly._raw(
-            self.n_vars, {mi: c.conjugate() for mi, c in self.terms.items()}
-        )
-
     def diff(self, var: int) -> "ExactPoly":
         """Formal partial derivative with respect to variable `var`."""
         if not 0 <= var < self.n_vars:
@@ -335,8 +345,13 @@ class ExactPoly:
         """F(d)G: replace each monomial z^a of F=self by the operator d^a, apply to G."""
         self._want_same_space(g)
         out = {}
+        # d^a kills z^b outright when |a| > |b|, before any exponent is compared
+        g_terms = [(beta, gb, beta.degree()) for beta, gb in g.terms.items()]
         for alpha, fa in self.terms.items():
-            for beta, gb in g.terms.items():
+            deg = alpha.degree()
+            for beta, gb, beta_deg in g_terms:
+                if beta_deg < deg:
+                    continue
                 fall = beta.falling(alpha)
                 if fall:
                     k = beta.sub(alpha)
@@ -406,13 +421,15 @@ class ExactPoly:
                 pow_cache[(v, e)] = got
             return got
 
-        acc = ExactPoly.zero(n_vars_out)
-        for mi, c in self.terms.items():
-            term = ExactPoly.const(n_vars_out, c)
+        def image(mi):
+            term = ExactPoly.one(n_vars_out)
             for v, e in mi.exps:
                 term = term * power(v, e)
-            acc = acc + term
-        return acc
+            return term
+
+        return linear_combination(
+            ((image(mi), c) for mi, c in self.terms.items()), n_vars_out
+        )
 
     def eval_complex(self, point) -> complex:
         """Numeric value at a complex point (coefficients rounded to doubles)."""
@@ -447,6 +464,21 @@ class ExactPoly:
         return f"ExactPoly({self.n_vars}, {self.to_text()!r})"
 
 
+def linear_combination(pairs, n_vars: int) -> ExactPoly:
+    """sum c * P over (P, c) pairs, each P over `n_vars` variables, summed in one dict."""
+    out = {}
+    for poly, c in pairs:
+        for mi, a in poly.terms.items():
+            p = a * c
+            s = out.get(mi)
+            s = p if s is None else s + p
+            if s.is_zero:
+                out.pop(mi, None)
+            else:
+                out[mi] = s
+    return ExactPoly._raw(n_vars, out)
+
+
 def bargmann_inner(f: ExactPoly, g: ExactPoly) -> GaussianRational:
     """Exact Segal-Bargmann inner product of polynomials.
 
@@ -454,10 +486,13 @@ def bargmann_inner(f: ExactPoly, g: ExactPoly) -> GaussianRational:
     """
     f._want_same_space(g)
     small, big, flip = (f, g, False) if len(f.terms) <= len(g.terms) else (g, f, True)
-    total = QQI_ZERO
+    re = im = 0
     for mi, cs in small.terms.items():
         cb = big.terms.get(mi)
         if cb is not None:
             a, b = (cs, cb) if not flip else (cb, cs)
-            total = total + a.conjugate() * b * mi.factorial()
-    return total
+            # conj(a) * b * a!, summed componentwise
+            w = mi.factorial()
+            re += (a.re * b.re + a.im * b.im) * w
+            im += (a.re * b.im - a.im * b.re) * w
+    return GaussianRational(re, im)

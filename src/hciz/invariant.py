@@ -27,7 +27,7 @@ from .errors import (
     NotAlternatingError,
     NotInImageError,
 )
-from .exactpoly import ExactPoly, MultiIndex, bargmann_inner
+from .exactpoly import ExactPoly, MultiIndex, bargmann_inner, linear_combination
 from .scalars import GaussianRational, RadicalScalar
 from .symfn import (
     Partition,
@@ -66,10 +66,28 @@ def trace_power_entry(k: int, n: int) -> ExactPoly:
     return ExactPoly(n * n, {mi: GaussianRational(c) for mi, c in counts.items()})
 
 
+@lru_cache(maxsize=512)
+def _entry_monomial(mi: MultiIndex, n: int) -> ExactPoly:
+    """The trace monomial prod_k Tr(z^k)^(e_k), mi holding e_k at variable k-1, in the entries.
+
+    Built as the monomial without its largest generator, itself cached, times
+    that generator, so the monomials of one weight share their prefixes.
+    """
+    if not mi.exps:
+        return ExactPoly.one(n * n)
+    v = mi.max_var()
+    return _entry_monomial(mi.sub(MultiIndex.single(v)), n) * trace_power_entry(v + 1, n)
+
+
 def expand_to_entries(f: TracePoly, n: int) -> ExactPoly:
-    """Substitute t_k -> Tr(z^k); ring homomorphism into the entry picture."""
-    images = {k: trace_power_entry(k, n) for k in range(1, f.max_gen() + 1)}
-    return f.substitute_gens(images, n * n)
+    """Substitute t_k -> Tr(z^k); ring homomorphism into the entry picture.
+
+    Each distinct trace monomial is expanded once per process (a bounded
+    cache), then f is their linear combination.
+    """
+    return linear_combination(
+        ((_entry_monomial(mi, n), c) for mi, c in f.terms.items()), n * n
+    )
 
 
 def restrict_to_diagonal(f: TracePoly, n: int) -> ExactPoly:

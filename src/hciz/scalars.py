@@ -1,8 +1,10 @@
 """Exact scalar types: Gaussian rationals and radical scalars.
 
 All identity checking in this package runs over the Gaussian rationals
-Q(i) = {a + b i : a, b rational}, represented with arbitrary-precision
-`fractions.Fraction` components.  Normalization constants additionally
+Q(i) = {a + b i : a, b rational}, each component an `int | Fraction`:
+integral values are held as plain Python ints, the rest as
+`fractions.Fraction`, so the integer coefficients that dominate the exact
+layer never pay for `Fraction` arithmetic.  Normalization constants additionally
 involve square roots of positive integers; those are kept exact as
 (Gaussian rational) * sqrt(positive integer) with a squarefree radicand,
 and only ever combine by multiplication or squaring.
@@ -13,22 +15,37 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_fraction(x) -> int | Fraction:
+    """Canonical component: an int when the value is integral, else a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 class GaussianRational:
-    """An exact complex rational re + im*i."""
+    """An exact complex rational re + im*i; each component is an int or a Fraction."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
+
+    @classmethod
+    def _raw(cls, re, im) -> "GaussianRational":
+        """Internal: adopt int or Fraction components, turning integral Fractions into ints."""
+        if type(re) is not int and re.denominator == 1:
+            re = re.numerator
+        if type(im) is not int and im.denominator == 1:
+            im = im.numerator
+        self = object.__new__(cls)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -46,27 +63,27 @@ class GaussianRational:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        return GaussianRational._raw(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        return GaussianRational._raw(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._raw(-self.re, -self.im)
 
     def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if type(other) is int:
+            return GaussianRational._raw(self.re * other, self.im * other)
+        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return GaussianRational._raw(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -75,35 +92,27 @@ class GaussianRational:
         n2 = o.norm2()
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
+        # Fraction(p, q), never p / q: two int components would divide to a float
         return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n2,
-            (self.im * o.re - self.re * o.im) / n2,
+            Fraction(self.re * o.re + self.im * o.im, n2),
+            Fraction(self.im * o.re - self.re * o.im, n2),
         )
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._raw(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """|z|^2, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+    def norm2(self) -> int | Fraction:
+        """|z|^2, an exact nonnegative rational (an int when integral)."""
+        return _as_fraction(self.re * self.re + self.im * self.im)
 
     # -- predicates / conversion -------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    def real_fraction(self) -> Fraction:
-        if self.im:
-            raise ValueError(f"{self} is not real")
-        return self.re
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
@@ -116,7 +125,7 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        # real values hash like their Fraction so 3 == GaussianRational(3) hashes alike
+        # real values hash like their component, so 3 == GaussianRational(3) hashes alike
         if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))

@@ -65,6 +65,11 @@ class SuiteReport:
         return sum(not c.passed for c in self.cases)
 
 
+def _require_positive_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+
+
 def _report(suite: str, params: dict, cases) -> SuiteReport:
     return SuiteReport(suite=suite, params=dict(params), cases=tuple(cases))
 
@@ -79,6 +84,7 @@ def _pair_cases(keys, label: str, results: dict, detail) -> list:
 
 def _orthonormal(suite: str, letter: str, n: int, max_weight: int, image) -> SuiteReport:
     """<b_lambda, b_mu> = delta_{lambda mu} exactly, each b_lambda = image(lambda) built once."""
+    _require_positive_n(n)
     lams = enumerate_partitions(max_weight, n)
     images = [image(lam) for lam in lams]
     results = _gram(
@@ -123,6 +129,7 @@ def trace_monomials(max_degree: int, max_gen: int | None = None) -> list:
 
 def suite_unitarity(n: int, max_degree: int = 4) -> SuiteReport:
     """<F, G> == <psi F, psi G> on all trace monomial pairs, each monomial imaged once."""
+    _require_positive_n(n)
     monos = trace_monomials(max_degree)
     results = verify_unitarity([f for _, f in monos], n)
     cases = _pair_cases(
@@ -134,6 +141,7 @@ def suite_unitarity(n: int, max_degree: int = 4) -> SuiteReport:
 
 def suite_diffop(n: int, max_degree: int = 4, max_gen: int = 3) -> SuiteReport:
     """The alternant-conjugation identity for derivative operators, exactly."""
+    _require_positive_n(n)
     monos = trace_monomials(max_degree, max_gen)
     results = verify_diffop_identity([f for _, f in monos], n)
     cases = _pair_cases(
@@ -168,6 +176,7 @@ def random_trace_poly(
 
 def suite_fourier(n: int, count: int = 10, max_weight: int = 5, seed: int = 0) -> SuiteReport:
     """Reconstruction F == sum_lambda f_lambda chi_lambda on random trace polynomials."""
+    _require_positive_n(n)
     if count < 1:
         raise ValueError("count must be positive")
     rng = random.Random(seed)
@@ -226,6 +235,7 @@ def suite_reproducing(
     n: int, count: int = 10, max_weight: int = 8, seed: int = 0, tol: float = 1e-10
 ) -> SuiteReport:
     """Truncated kernel sections reproduce point evaluation of alternating polynomials."""
+    _require_positive_n(n)
     if count < 1:
         raise ValueError("count must be positive")
     # an alternating polynomial has degree at least that of the Vandermonde
@@ -258,8 +268,7 @@ def suite_reproducing(
 
 def suite_haar(n: int = 3, n_samples: int = 100000, seed: int = 0) -> SuiteReport:
     """Haar sampler statistics: E|u_ij|^2 = 1/n entrywise, unitarity to 1e-12."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _require_positive_n(n)
     resids = []
 
     def second_moments(rng, count):

@@ -214,10 +214,6 @@ def _transposition(n: int, k: int):
     return sigma
 
 
-def is_symmetric(f: ExactPoly) -> bool:
-    return all(f.permute_vars(_transposition(f.n_vars, k)) == f for k in range(f.n_vars - 1))
-
-
 def is_alternating(f: ExactPoly) -> bool:
     return all(
         f.permute_vars(_transposition(f.n_vars, k)) == -f for k in range(f.n_vars - 1)

@@ -319,7 +319,12 @@ class TestExitCodeContract:
             ),
             (["eval", "--n", "0", "--a", "r", "--b", "r"], EXIT_USAGE, "n must be positive"),
             (["verify", "haar", "--n", "0"], EXIT_USAGE, "n must be positive"),
-            (["verify", "unitarity", "--n", "0"], EXIT_USAGE, "n >= 1"),
+            (["verify", "unitarity", "--n", "0"], EXIT_USAGE, "n must be positive"),
+            (["verify", "diffop", "--n", "0"], EXIT_USAGE, "n must be positive"),
+            (["verify", "alt-orthonormal", "--n", "0"], EXIT_USAGE, "n must be positive"),
+            (["verify", "inv-orthonormal", "--n", "0"], EXIT_USAGE, "n must be positive"),
+            (["verify", "fourier", "--n", "0"], EXIT_USAGE, "n must be positive"),
+            (["verify", "reproducing", "--n", "0"], EXIT_USAGE, "n must be positive"),
             (
                 ["verify", "unitarity", "--n", "2", "--max-degree", "-1"],
                 EXIT_USAGE,
@@ -334,7 +339,8 @@ class TestExitCodeContract:
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
-             "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0",
+             "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0", "diffop-n0",
+             "alt-orthonormal-n0", "inv-orthonormal-n0", "fourier-n0", "reproducing-n0",
              "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):

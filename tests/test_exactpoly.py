@@ -28,6 +28,11 @@ def random_poly(rng, n_vars, max_deg=3, n_terms=4):
     return ExactPoly(n_vars, terms)
 
 
+def conj_coeffs(p):
+    """F*: every coefficient replaced by its complex conjugate."""
+    return ExactPoly(p.n_vars, {mi: c.conjugate() for mi, c in p.terms.items()})
+
+
 class TestMultiIndex:
     def test_construction_and_factorial(self):
         mi = MultiIndex.from_dense((2, 0, 3))
@@ -108,18 +113,18 @@ class TestRingOps:
 class TestConjugation:
     def test_conjugates_i(self):
         p = z(1, 0) * QQI_I
-        assert p.conj_coeffs() == z(1, 0) * GaussianRational(0, -1)
+        assert conj_coeffs(p) == z(1, 0) * GaussianRational(0, -1)
 
     def test_real_fixed_point(self):
         p = z(2, 0) * 3 + ExactPoly.monomial(2, (1, 1), Fraction(1, 2))
-        assert p.conj_coeffs() == p
+        assert conj_coeffs(p) == p
 
     def test_multiplicative(self):
         rng = random.Random(3)
         for _ in range(10):
             f, g = random_poly(rng, 2), random_poly(rng, 2)
-            assert f.conj_coeffs() * g.conj_coeffs() == (f * g).conj_coeffs()
-            assert f.conj_coeffs().conj_coeffs() == f
+            assert conj_coeffs(f) * conj_coeffs(g) == conj_coeffs(f * g)
+            assert conj_coeffs(conj_coeffs(f)) == f
 
 
 class TestDifferentiation:
@@ -160,7 +165,7 @@ class TestApplyDiff:
         for _ in range(20):
             f, g = random_poly(rng, 2), random_poly(rng, 2)
             at_zero = f.apply_diff(g).coefficient(MultiIndex.EMPTY)
-            assert at_zero == bargmann_inner(f.conj_coeffs(), g)
+            assert at_zero == bargmann_inner(conj_coeffs(f), g)
 
 
 class TestBargmannInner:
@@ -202,9 +207,9 @@ class TestBargmannInner:
             f, g = random_poly(rng, 2), random_poly(rng, 2)
             assert bargmann_inner(f, g) == bargmann_inner(g, f).conjugate()
             nf = bargmann_inner(f, f)
-            assert nf.is_real and nf.real_fraction() >= 0
+            assert nf.im == 0 and nf.re >= 0
             if not f.is_zero:
-                assert nf.real_fraction() > 0
+                assert nf.re > 0
 
     def test_multiplication_adjoint_to_derivation(self):
         rng = random.Random(8)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hciz.errors import NotAlternatingError, NotInImageError
+from hciz import invariant
 from hciz.exactpoly import ExactPoly, bargmann_inner
 from hciz.invariant import (
     TracePoly,
@@ -35,7 +37,6 @@ from hciz.symfn import (
     alternant,
     alternant_delta,
     is_alternating,
-    is_symmetric,
     norm_const_c,
     partitions_of_weight,
     schur_exact,
@@ -50,6 +51,12 @@ def t(k):
 
 def mono(n, exps, c=1):
     return ExactPoly.monomial(n, exps, c)
+
+
+def is_symmetric(f):
+    """f is fixed by every permutation of its variables."""
+    perms = itertools.permutations(range(f.n_vars))
+    return all(f.permute_vars(p) == f for p in perms)
 
 
 class TestTracePolySerialization:
@@ -107,6 +114,39 @@ class TestEntryExpansion:
             n = 2
             assert expand_to_entries(f * g, n) == expand_to_entries(f, n) * expand_to_entries(g, n)
             assert expand_to_entries(f + g, n) == expand_to_entries(f, n) + expand_to_entries(g, n)
+
+    def test_cached_expansion_matches_substitution(self):
+        # the reference route substitutes t_k -> Tr(z^k) term by term, with no cache
+        rng = random.Random(11)
+        polys = [random_trace_poly(rng, max_weight=4, n_terms=4) for _ in range(6)]
+        for n in (1, 2, 3):
+            for cold in (True, False):
+                if cold:
+                    invariant._entry_monomial.cache_clear()
+                for f in polys:
+                    images = {k: trace_power_entry(k, n) for k in range(1, f.max_gen() + 1)}
+                    assert expand_to_entries(f, n) == f.substitute_gens(images, n * n)
+
+    def test_each_monomial_is_expanded_once(self, monkeypatch):
+        builds = []
+        trace_power = invariant.trace_power_entry
+
+        def counting(k, n):
+            builds.append((k, n))
+            return trace_power(k, n)
+
+        # every monomial built multiplies its cached prefix by one Tr(z^k), its largest k
+        monkeypatch.setattr(invariant, "trace_power_entry", counting)
+        invariant._entry_monomial.cache_clear()
+        monos = [f for _, f in trace_monomials(4)]
+        n = 2
+        expand_to_entries(sum(monos, TracePoly.zero()), n)
+        want = [(f.max_gen(), n) for f in monos if f.max_gen()]
+        assert sorted(builds) == sorted(want)
+        builds.clear()
+        for f in monos:
+            expand_to_entries(f * Fraction(3, 2), n)
+        assert builds == []
 
     def test_conjugation_invariance_under_permutations(self):
         # relabeling basis vectors maps entry (i,j) to (sigma(i), sigma(j))

@@ -45,7 +45,7 @@ class TestGaussianRational:
         a = GaussianRational(1, 2)
         assert a.conjugate() == GaussianRational(1, -2)
         assert a.conjugate().conjugate() == a
-        assert (a * a.conjugate()).is_real
+        assert (a * a.conjugate()).im == 0
         assert a.norm2() == Fraction(5)
 
     def test_coercion_and_equality(self):
@@ -68,6 +68,87 @@ class TestGaussianRational:
         assert str(GaussianRational(0, 1)) == "i"
         assert str(GaussianRational(1, Fraction(-1, 2))) == "1-1/2i"
         assert GaussianRational(Fraction(3, 2), 0).pair_str() == "(3/2, 0)"
+
+
+def assert_canonical(x):
+    """An int exactly when the value is integral, else a Fraction."""
+    assert type(x) in (int, Fraction)
+    assert (type(x) is int) == (x.denominator == 1)
+
+
+def canonical_pair(z):
+    assert_canonical(z.re)
+    assert_canonical(z.im)
+    return z.re, z.im
+
+
+class TestCanonicalComponents:
+    def reference(self, op, a, b):
+        """The operation on plain Fraction pairs."""
+        ar, ai, br, bi = (Fraction(v) for v in (a.re, a.im, b.re, b.im))
+        if op == "+":
+            return ar + br, ai + bi
+        if op == "-":
+            return ar - br, ai - bi
+        if op == "*":
+            return ar * br - ai * bi, ar * bi + ai * br
+        n2 = br * br + bi * bi
+        return (ar * br + ai * bi) / n2, (ai * br - ar * bi) / n2
+
+    def test_arithmetic_against_fraction_reference(self):
+        rng = random.Random(12)
+
+        def operand():
+            # small denominators, so integral and fractional results both occur
+            return GaussianRational(
+                Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))),
+                Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))),
+            )
+
+        kinds = set()
+        for _ in range(300):
+            a, b = operand(), operand()
+            canonical_pair(a)
+            for op, fn in (("+", a.__add__), ("-", a.__sub__), ("*", a.__mul__),
+                           ("/", a.__truediv__)):
+                if op == "/" and b.is_zero:
+                    continue
+                got = canonical_pair(fn(b))
+                assert got == self.reference(op, a, b)
+                kinds.update(type(v) for v in got)
+            assert canonical_pair(-a) == (-Fraction(a.re), -Fraction(a.im))
+            assert canonical_pair(a.conjugate()) == (a.re, -Fraction(a.im))
+            assert_canonical(a.norm2())
+            assert a.norm2() == Fraction(a.re) ** 2 + Fraction(a.im) ** 2
+        assert kinds == {int, Fraction}
+
+    def test_coerce_and_construction(self):
+        for x in (Fraction(4, 2), Fraction(-6, 3), 3, True, Fraction(1, 3)):
+            canonical_pair(GaussianRational.coerce(x))
+            canonical_pair(GaussianRational(x, x))
+        assert type(GaussianRational(Fraction(4, 2)).re) is int
+
+    def test_division_builds_fractions(self):
+        q = GaussianRational(1) / 3
+        assert q == GaussianRational(Fraction(1, 3))
+        assert type(q.re) is Fraction and type(q.im) is int
+        assert canonical_pair(GaussianRational(6) / 3) == (2, 0)
+        assert canonical_pair(3 / GaussianRational(0, 2)) == (0, Fraction(-3, 2))
+
+    def test_radicals_build_fractions(self):
+        inv = RadicalScalar(3).inverse()
+        assert inv == RadicalScalar(Fraction(1, 3))
+        assert canonical_pair(inv.coeff) == (Fraction(1, 3), 0)
+        inv = RadicalScalar(2, 3).inverse()
+        assert inv.radicand == 3 and canonical_pair(inv.coeff) == (Fraction(1, 6), 0)
+        r = RadicalScalar.sqrt_of(Fraction(1, 2))
+        assert r.radicand == 2 and canonical_pair(r.coeff) == (Fraction(1, 2), 0)
+        assert canonical_pair(RadicalScalar.sqrt_of(4).coeff) == (2, 0)
+        assert canonical_pair(RadicalScalar.inv_sqrt_of(4).coeff) == (Fraction(1, 2), 0)
+
+    def test_integral_values_hash_like_ints(self):
+        assert hash(GaussianRational(Fraction(4, 2))) == hash(2)
+        assert hash(GaussianRational(Fraction(4, 2), 1)) == hash(GaussianRational(2, 1))
 
 
 class TestRadicalScalar:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,6 @@ from hciz.symfn import (
     enumerate_partitions,
     homogeneous_values,
     is_alternating,
-    is_symmetric,
     jacobi_trudi_indices,
     norm_const_c,
     partitions_of_weight,
@@ -182,6 +182,12 @@ def x(n, i):
     return ExactPoly.variable(n, i)
 
 
+def is_symmetric(f):
+    """f is fixed by every permutation of its variables."""
+    perms = itertools.permutations(range(f.n_vars))
+    return all(f.permute_vars(p) == f for p in perms)
+
+
 class TestAlternant:
     def test_golden_n2(self):
         assert alternant((1, 0), 2) == x(2, 0) - x(2, 1)
@@ -300,8 +306,8 @@ class TestSchurExact:
                     s = schur_exact(lam, n)
                     total = Fraction(0)
                     for _, c in s.terms.items():
-                        assert c.is_real
-                        f = c.real_fraction()
+                        assert c.im == 0
+                        f = c.re
                         assert f.denominator == 1 and f >= 0
                         total += f
                     assert total == count_ssyt(lam.parts, n)
@@ -541,7 +547,9 @@ class TestNormalizedAlternants:
         # 1/c^2 = prod_{p=1}^{n} p!, so (1/c^2)/n! = prod_{p<n} p!, the
         # prefactor of the determinant formula
         for n in range(1, 6):
-            inv_c2 = norm_const_c(n).squared().real_fraction() ** -1
+            c2 = norm_const_c(n).squared()
+            assert c2.im == 0
+            inv_c2 = 1 / Fraction(c2.re)
             lead = Fraction(1)
             for p in range(1, n):
                 lead *= math.factorial(p)
