@@ -49,6 +49,9 @@ from .symfn import (
 
 GAP_TOL_DEFAULT = 1e-8
 _BATCH = 32768
+# Haar sampler: Gram-Schmidt up to this n, LAPACK QR above (measured crossover)
+_GS_MAX_N = 11
+_GS_CHUNK = 8192  # matrices per Gram-Schmidt sweep (measured best of 1024..16384)
 
 # rounding model of the MC estimates (derived in `_sample_rounding`)
 _U = 2.0**-53  # unit roundoff of float64
@@ -134,21 +137,60 @@ def sample_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     return _ginibre_batch(1, n, rng)[0]
 
 
-def _haar_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitaries: Ginibre, QR, then make R's diagonal positive."""
-    g = _ginibre_batch(count, n, rng)
+def _gram_schmidt(g: np.ndarray) -> tuple:
+    """Q of each g = QR with R's diagonal real and positive, by classical
+    Gram-Schmidt run twice per column (CGS2: unitary to O(u), Giraud et al.,
+    Numer. Math. 101, 2005), and a flag per matrix for a zero pivot.
+
+    The batch is copied once to q[j, i, b] (column j, row i, matrix b), so
+    each step is one vectorised operation over a chunk of `_GS_CHUNK`
+    matrices, which bounds the size of its temporaries.
+    """
+    count, n, _ = g.shape
+    q = np.ascontiguousarray(g.transpose(2, 1, 0))
+    bad = np.zeros(count, dtype=bool)
+    for lo in range(0, count, _GS_CHUNK):
+        block = q[:, :, lo:lo + _GS_CHUNK]
+        for j in range(n):
+            v = block[j]
+            for _ in range(2 if j else 0):
+                # r_k = <q_k, v>, summed as conj(sum q_k conj(v))
+                r = np.einsum("kib,ib->kb", block[:j], v.conj()).conj()
+                v -= np.einsum("kib,kb->ib", block[:j], r)
+            norm = np.sqrt(np.einsum("ib,ib->b", v.real, v.real)
+                           + np.einsum("ib,ib->b", v.imag, v.imag))
+            zero = norm == 0.0
+            if zero.any():
+                bad[lo:lo + _GS_CHUNK] |= zero
+                norm[zero] = 1.0
+            v /= norm
+    return q.transpose(2, 1, 0), bad
+
+
+def _qr_positive(g: np.ndarray) -> tuple:
+    """The same Q by LAPACK's QR, with R's diagonal phases moved into Q
+    (Mezzadri, Notices AMS 54, 2007), and a flag per matrix for a zero pivot."""
     q, r = np.linalg.qr(g)
-    d = np.einsum("bii->bi", r).copy()
-    bad = np.abs(d) == 0.0
+    d = np.einsum("bii->bi", r)
+    mag = np.abs(d)
+    zero = mag == 0.0
+    mag[zero] = 1.0
+    q *= (d / mag)[:, None, :]
+    return q, zero.any(axis=1)
+
+
+def _haar_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitaries: the Q of a Ginibre draw G = QR whose R has
+    a real positive diagonal.  Gram-Schmidt computes it up to `_GS_MAX_N`,
+    QR above, where QR is faster."""
+    orthonormalise = _gram_schmidt if n <= _GS_MAX_N else _qr_positive
+    q, bad = orthonormalise(_ginibre_batch(count, n, rng))
     while bad.any():
-        # measure-zero QR breakdown: redraw the affected matrices
-        rows = np.unique(np.nonzero(bad)[0])
-        g2 = _ginibre_batch(len(rows), n, rng)
-        q2, r2 = np.linalg.qr(g2)
-        q[rows], d[rows] = q2, np.einsum("bii->bi", r2)
-        bad = np.abs(d) == 0.0
-    q *= (d / np.abs(d))[:, None, :]
+        # measure-zero breakdown (a zero pivot): redraw the affected matrices
+        rows = np.nonzero(bad)[0]
+        q[rows], bad[rows] = orthonormalise(_ginibre_batch(len(rows), n, rng))
     return q
+
 
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-random n x n unitary; u†u = I to machine precision."""
@@ -165,10 +207,11 @@ def _sample_rounding(unitary_gain: float, terms_abs: float, chain: int) -> float
 
     First order in the unit roundoff u = 2**-53, three sources:
 
-    * the draw: u is unitary only to ||u^H u - I||_2 <= 24u (99.9% quantile
-      at most 20.1u, maximum 26.2u, over 1.6e6 draws at n = 1..24); with
-      u = V H, V unitary and H Hermitian, t(u) - t(V) is at most that
-      residual times `unitary_gain`;
+    * the draw: u is unitary only to ||u^H u - I||_2 <= 24u (over 1.6e6
+      draws at n = 1..24: Gram-Schmidt, n <= 11, 99.9% quantile at most
+      6.5u and maximum 8.3u; QR, n >= 12, 99.9% quantile at most 20.4u and
+      maximum 25.0u); with u = V H, V unitary and H Hermitian, t(u) - t(V)
+      is at most that residual times `unitary_gain`;
     * the exponent: each product term in t passes through `chain`
       roundings (its factors, then the additions of the sum).  Taken as
       independent zero-mean errors (Higham & Mary, SIAM J. Sci. Comput. 41,
@@ -435,14 +478,6 @@ class GinibreMomentReport:
     det_estimate: MCEstimate
     trace_expected: float
     det_expected: float
-
-    @property
-    def trace_ok(self) -> bool:
-        return self.trace_estimate.within(self.trace_expected)
-
-    @property
-    def det_ok(self) -> bool:
-        return self.det_estimate.within(self.det_expected)
 
 
 def ginibre_moment_suite(
