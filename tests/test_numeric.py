@@ -140,13 +140,11 @@ def _recording_draws(monkeypatch, spoil=None):
     return draws
 
 
-# n on both sides of the Gram-Schmidt / QR switch, counts across a chunk boundary
-_BOTH_KERNELS = list(range(1, numeric._GS_MAX_N + 3))
-_PAST_CHUNK = numeric._GS_CHUNK + 3
+_PAST_CHUNK = numeric._GS_CHUNK + 3  # a count across a chunk boundary
 
 
 class TestHaarSampler:
-    @pytest.mark.parametrize("n", _BOTH_KERNELS)
+    @pytest.mark.parametrize("n", list(range(1, 14)))
     def test_q_factor_with_positive_diagonal(self, n, monkeypatch):
         # U is the Q of its draw G = QR with R upper triangular, diag(R) > 0
         draws = _recording_draws(monkeypatch)
@@ -177,7 +175,7 @@ class TestHaarSampler:
             for est, ref in zip(ests, refs):
                 assert abs(est.mean - ref.mean) <= est.rounding
 
-    @pytest.mark.parametrize("n", [3, numeric._GS_MAX_N + 1])
+    @pytest.mark.parametrize("n", [3, 12])
     @pytest.mark.filterwarnings("error")  # no 0/0 on the way, not even a discarded one
     def test_zero_pivot_is_redrawn(self, n, monkeypatch):
         # a zero column in one matrix of the first draw, past the first chunk
