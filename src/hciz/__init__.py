@@ -10,6 +10,9 @@ all checkable in exact rational arithmetic at small dimension.
 
 __version__ = "0.1.0"
 
+import importlib
+import sys
+
 from .errors import (
     DegenerateExponentError,
     DegenerateSpectrumError,
@@ -18,98 +21,79 @@ from .errors import (
     NotAlternatingError,
     NotInImageError,
 )
-from .exactpoly import ExactPoly, MultiIndex, bargmann_inner
-from .scalars import GaussianRational, RadicalScalar
-from .symfn import (
-    Partition,
-    Scaled,
-    alternant,
-    alternating_projection,
-    d_lambda,
-    enumerate_partitions,
-    norm_const_c,
-    schur_exact,
-    schur_numeric,
-    schur_to_power_sums,
-    staircase,
-    vandermonde,
-)
-from .invariant import (
-    TracePoly,
-    chi_lambda,
-    e_lambda,
-    expand_to_entries,
-    fourier_coefficients,
-    invariant_inner,
-    psi_inverse,
-    psi_map,
-    restrict_to_diagonal,
-    verify_diffop_identity,
-    verify_fourier_reconstruction,
-    verify_unitarity,
-)
-from .numeric import (
-    GinibreMomentReport,
-    MCEstimate,
-    SeriesResult,
-    Spectrum,
-    coherent_reproducing_check,
-    ginibre_moment_suite,
-    hciz_determinant,
-    hciz_mc,
-    kernel_q_mc,
-    kernel_series,
-    sample_ginibre,
-    sample_haar_unitary,
-)
 
-__all__ = [
+# Every other public name, by the module that defines it.  A name is looked
+# up in its module on each access (PEP 562), so `import hciz` loads neither
+# numpy nor the exact layer, and a patched module attribute is what
+# `hciz.<name>` returns.
+_EXPORTS = {
+    "exactpoly": ("ExactPoly", "MultiIndex", "bargmann_inner"),
+    "scalars": ("GaussianRational", "RadicalScalar"),
+    "symfn": (
+        "Partition",
+        "Scaled",
+        "TracePoly",
+        "alternant",
+        "alternating_projection",
+        "d_lambda",
+        "enumerate_partitions",
+        "norm_const_c",
+        "schur_exact",
+        "schur_numeric",
+        "schur_to_power_sums",
+        "staircase",
+        "vandermonde",
+    ),
+    "invariant": (
+        "chi_lambda",
+        "e_lambda",
+        "expand_to_entries",
+        "fourier_coefficients",
+        "invariant_inner",
+        "psi_inverse",
+        "psi_map",
+        "restrict_to_diagonal",
+        "verify_diffop_identity",
+        "verify_fourier_reconstruction",
+        "verify_unitarity",
+    ),
+    "numeric": (
+        "GinibreMomentReport",
+        "MCEstimate",
+        "SeriesResult",
+        "Spectrum",
+        "coherent_reproducing_check",
+        "ginibre_moment_suite",
+        "hciz_determinant",
+        "hciz_mc",
+        "kernel_q_mc",
+        "kernel_series",
+        "sample_ginibre",
+        "sample_haar_unitary",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([
     "__version__",
     "DegenerateExponentError",
     "DegenerateSpectrumError",
     "DimensionMismatchError",
     "ExactDivisionError",
-    "ExactPoly",
-    "GaussianRational",
-    "GinibreMomentReport",
-    "MCEstimate",
-    "MultiIndex",
     "NotAlternatingError",
     "NotInImageError",
-    "Partition",
-    "RadicalScalar",
-    "Scaled",
-    "SeriesResult",
-    "Spectrum",
-    "TracePoly",
-    "alternant",
-    "alternating_projection",
-    "bargmann_inner",
-    "chi_lambda",
-    "coherent_reproducing_check",
-    "d_lambda",
-    "e_lambda",
-    "enumerate_partitions",
-    "expand_to_entries",
-    "fourier_coefficients",
-    "ginibre_moment_suite",
-    "hciz_determinant",
-    "hciz_mc",
-    "invariant_inner",
-    "kernel_q_mc",
-    "kernel_series",
-    "norm_const_c",
-    "psi_inverse",
-    "psi_map",
-    "restrict_to_diagonal",
-    "sample_ginibre",
-    "sample_haar_unitary",
-    "schur_exact",
-    "schur_numeric",
-    "schur_to_power_sums",
-    "staircase",
-    "vandermonde",
-    "verify_diffop_identity",
-    "verify_fourier_reconstruction",
-    "verify_unitarity",
-]
+    *_MODULE_OF,
+])
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    full = f"{__name__}.{module}"
+    # sys.modules first: import_module costs a few microseconds per access
+    return getattr(sys.modules.get(full) or importlib.import_module(full), name)
+
+
+def __dir__():
+    return list(__all__)

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import importlib.util
 import json
 import os
 import platform
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import (
@@ -30,26 +31,14 @@ from .errors import (
     NotAlternatingError,
     NotInImageError,
 )
-from .invariant import TracePoly, verify_fourier_reconstruction
-from .numeric import (
-    Spectrum,
-    hciz_determinant,
-    hciz_mc,
-    kernel_series,
-    random_real_spectrum,
-)
-from .scalars import GaussianRational
-from .suites import (
-    suite_alt_orthonormal,
-    suite_diffop,
-    suite_fourier,
-    suite_ginibre,
-    suite_haar,
-    suite_inv_orthonormal,
-    suite_reproducing,
-    suite_unitarity,
-)
-from .symfn import Partition, schur_exact, schur_numeric, schur_to_power_sums
+
+# Each command imports what it runs in its own body, so the exact commands
+# and --help start without numpy.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .numeric import Spectrum
+    from .symfn import Partition, TracePoly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -93,7 +82,7 @@ class Report:
             "passed": self.passed,
             "versions": {
                 "hciz": __version__,
-                "numpy": np.__version__,
+                "numpy": _numpy_version(),
                 "python": platform.python_version(),
             },
             "rng": RNG_NAME,
@@ -102,6 +91,20 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
+def _numpy_version() -> str:
+    """numpy's version, read from its version.py unless numpy is loaded:
+    that takes a fraction of a millisecond, the import about 90."""
+    numpy = sys.modules.get("numpy")
+    if numpy is None:
+        spec = importlib.util.find_spec("numpy")
+        with open(os.path.join(spec.submodule_search_locations[0], "version.py")) as fh:
+            found = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
+        if found:
+            return found.group(1)
+        import numpy  # a numpy whose version.py computes the version
+    return numpy.__version__
 
 
 # -- input parsing ------------------------------------------------------------------
@@ -120,6 +123,8 @@ def parse_complex(text: str) -> complex:
 
 def parse_spectrum(text: str, n: int, rng: np.random.Generator) -> Spectrum:
     """Comma-separated complex literals, or `r` for a random well-separated draw."""
+    from .numeric import Spectrum, random_real_spectrum
+
     text = text.strip()
     if text == "r":
         return random_real_spectrum(n, rng)
@@ -130,6 +135,8 @@ def parse_spectrum(text: str, n: int, rng: np.random.Generator) -> Spectrum:
 
 
 def parse_partition(text: str) -> Partition:
+    from .symfn import Partition
+
     try:
         return Partition.from_text(text)
     except ValueError as exc:
@@ -143,6 +150,9 @@ _NUM_TOKEN = re.compile(r"(\d+(?:/\d+|\.\d+)?)?(i)?$")
 def parse_trace_poly(text: str) -> TracePoly:
     """Literal like `t1^2 - 1/2 t2 t3 + 3i`; `*` and whitespace both separate factors."""
     from fractions import Fraction
+
+    from .scalars import GaussianRational
+    from .symfn import TracePoly
 
     src = text.strip()
     if not src:
@@ -210,6 +220,10 @@ def cmd_eval(args) -> int:
     bad = [m for m in methods if m not in ("det", "mc", "series")]
     if bad or not methods:
         raise UsageError(f"unknown methods {bad or args.methods!r}; pick from det,mc,series")
+
+    import numpy as np
+
+    from .numeric import hciz_determinant, hciz_mc, kernel_series
 
     rng = np.random.Generator(np.random.Philox(args.seed))
     a = parse_spectrum(args.a, args.n, rng)
@@ -302,22 +316,26 @@ def _given(args, name: str) -> dict:
     return {} if getattr(args, name) is None else {name: getattr(args, name)}
 
 
+# each entry runs on the suites module, which cmd_verify imports when it runs
 _SUITES = {
-    "alt-orthonormal": lambda a: suite_alt_orthonormal(a.n, **_given(a, "max_weight")),
-    "inv-orthonormal": lambda a: suite_inv_orthonormal(a.n, **_given(a, "max_weight")),
-    "unitarity": lambda a: suite_unitarity(a.n, **_given(a, "max_degree")),
-    "diffop": lambda a: suite_diffop(a.n, **_given(a, "max_degree")),
-    "fourier": lambda a: suite_fourier(a.n, a.count, seed=a.seed, **_given(a, "max_weight")),
-    "ginibre": lambda a: suite_ginibre(a.n, a.samples, a.seed, a.threads),
-    "reproducing": lambda a: suite_reproducing(
+    "alt-orthonormal": lambda s, a: s.suite_alt_orthonormal(a.n, **_given(a, "max_weight")),
+    "inv-orthonormal": lambda s, a: s.suite_inv_orthonormal(a.n, **_given(a, "max_weight")),
+    "unitarity": lambda s, a: s.suite_unitarity(a.n, **_given(a, "max_degree")),
+    "diffop": lambda s, a: s.suite_diffop(a.n, **_given(a, "max_degree")),
+    "fourier": lambda s, a: s.suite_fourier(a.n, a.count, seed=a.seed,
+                                            **_given(a, "max_weight")),
+    "ginibre": lambda s, a: s.suite_ginibre(a.n, a.samples, a.seed, a.threads),
+    "reproducing": lambda s, a: s.suite_reproducing(
         a.n, a.count, seed=a.seed, **_given(a, "max_weight")),
-    "haar": lambda a: suite_haar(a.n, a.samples, a.seed),
+    "haar": lambda s, a: s.suite_haar(a.n, a.samples, a.seed),
 }
 
 
 def cmd_verify(args) -> int:
+    from . import suites
+
     t0 = time.perf_counter()
-    rep = _SUITES[args.suite](args)
+    rep = _SUITES[args.suite](suites, args)
     report = Report(
         command="verify",
         inputs={"suite": args.suite, **rep.params},
@@ -341,6 +359,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_schur(args) -> int:
+    from .symfn import schur_exact, schur_numeric, schur_to_power_sums
+
     lam = parse_partition(args.lam)
     if args.eigs is None and args.n is None and not args.power_sums:
         raise UsageError("need --eigs, or --n with --exact, or --power-sums")
@@ -357,6 +377,8 @@ def cmd_schur(args) -> int:
     )
     lines = []
     if args.eigs is not None:
+        from .numeric import Spectrum
+
         # Spectrum rejects a non-finite point as a usage error, as in eval
         eigs = Spectrum(tuple(parse_complex(p) for p in args.eigs.split(","))).eigs
         value = schur_numeric(lam, eigs)
@@ -381,6 +403,8 @@ def cmd_schur(args) -> int:
 
 
 def cmd_fourier(args) -> int:
+    from .invariant import verify_fourier_reconstruction
+
     f = parse_trace_poly(args.f)
     t0 = time.perf_counter()
     ok, coeffs = verify_fourier_reconstruction(f, args.n, args.max_weight)
@@ -479,7 +503,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # the finiteness checks decide exit 2; numpy's warnings would garble stderr
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", r"(overflow|invalid value) encountered", RuntimeWarning)
             return args.fn(args)
     except (
         DegenerateSpectrumError,

@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .invariant import (
     TracePoly,
     _gram,
@@ -26,12 +24,6 @@ from .invariant import (
     verify_unitarity,
 )
 from .exactpoly import ExactPoly
-from .numeric import (
-    _haar_batch,
-    _mc_mean,
-    coherent_reproducing_check,
-    ginibre_moment_suite,
-)
 from .scalars import GaussianRational
 from .symfn import (
     Partition,
@@ -207,6 +199,8 @@ def _moment_cases(moments) -> list:
 
 def suite_ginibre(n: int, n_samples: int = 100000, seed: int = 0, threads: int = 1) -> SuiteReport:
     """E|Tr z|^2 = n and E|det z|^2 = n! within four standard errors plus rounding."""
+    from .numeric import ginibre_moment_suite
+
     rep = ginibre_moment_suite(n, n_samples, seed, threads)
     cases = _moment_cases([
         ("E|Tr z|^2", rep.trace_estimate, rep.trace_expected),
@@ -235,6 +229,8 @@ def suite_reproducing(
     n: int, count: int = 10, max_weight: int = 8, seed: int = 0, tol: float = 1e-10
 ) -> SuiteReport:
     """Truncated kernel sections reproduce point evaluation of alternating polynomials."""
+    from .numeric import coherent_reproducing_check
+
     _require_positive_n(n)
     if count < 1:
         raise ValueError("count must be positive")
@@ -268,6 +264,10 @@ def suite_reproducing(
 
 def suite_haar(n: int = 3, n_samples: int = 100000, seed: int = 0) -> SuiteReport:
     """Haar sampler statistics: E|u_ij|^2 = 1/n entrywise, unitarity to 1e-12."""
+    import numpy as np
+
+    from .numeric import _haar_batch, _mc_mean
+
     _require_positive_n(n)
     resids = []
 

@@ -507,6 +507,23 @@ class TestKernelQMC:
         est = kernel_q_mc(np.diag(a), np.diag(b), n_samples=40000, seed=6)
         assert est.within(want)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_high_precision_oracle(self, n):
+        # kernel_q_mc(diag a, diag b) = I(a, conj b), the closed form in 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-1, 1, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        b = rng.uniform(-1, 1, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        with mpmath.workdps(40):
+            sa = [mpmath.mpc(v) for v in a]
+            sb = [mpmath.mpc(v).conjugate() for v in b]
+            mat = mpmath.matrix([[mpmath.exp(ai * bj) for bj in sb] for ai in sa])
+            vdm = mpmath.fprod(v[j] - v[i] for v in (sa, sb)
+                               for i in range(n) for j in range(i + 1, n))
+            want = complex(math.prod(math.factorial(p) for p in range(n)) * mpmath.det(mat) / vdm)
+        est = kernel_q_mc(np.diag(a), np.diag(b), n_samples=40000, seed=12)
+        assert est.within(want)
+
     def test_unitary_conjugation_invariance(self):
         rng = np.random.default_rng(7)
         x = np.diag([0.3, -0.6]).astype(complex)

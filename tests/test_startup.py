@@ -1,0 +1,107 @@
+"""What each CLI command loads, checked in fresh processes.
+
+The exact commands and --help must start without numpy, a one-worker
+Monte Carlo command without concurrent.futures, and `import hciz` with
+nothing but the package and its error types.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import hciz
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hciz.__file__)))
+
+# runs the CLI's main on argv, then prints its exit code and the loaded modules
+PROBE = """
+import json, sys
+from hciz.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=_env(), timeout=120)
+
+
+def probe(argv):
+    """(exit code, loaded module names, the command's stdout) of a fresh CLI run."""
+    proc = _python("-c", PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    *out, last = proc.stdout.splitlines()
+    got = json.loads(last)
+    return got["code"], set(got["modules"]), "\n".join(out)
+
+
+def test_import_hciz_loads_only_the_error_types():
+    proc = _python("-c", "import json, sys, hciz; print(json.dumps(sorted(sys.modules)))")
+    mods = set(json.loads(proc.stdout))
+    assert "numpy" not in mods
+    assert {m for m in mods if m.startswith("hciz")} == {"hciz", "hciz.errors"}
+
+
+EXACT_COMMANDS = [
+    ["--help"],
+    *(["verify", suite, "--n", "2"]
+      for suite in ("alt-orthonormal", "inv-orthonormal", "unitarity", "diffop", "fourier")),
+    ["fourier", "--f", "t1^2", "--n", "2"],
+    ["schur", "--lambda", "2,1", "--n", "2", "--exact", "--power-sums"],
+]
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
+def test_exact_commands_never_load_numpy(argv):
+    code, mods, _ = probe(argv + ([] if argv == ["--help"] else ["--quiet"]))
+    assert code == 0
+    assert "numpy" not in mods
+
+
+def test_one_worker_eval_loads_no_thread_pool():
+    code, mods, _ = probe(["eval", "--n", "2", "--a", "r", "--b", "r", "--methods",
+                           "det,mc,series", "--samples", "2000", "--threads", "1", "--quiet"])
+    assert code == 0
+    assert "numpy" in mods
+    assert "concurrent.futures" not in mods
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [(["verify", "unitarity", "--n", "2"], False),
+     (["eval", "--n", "2", "--a", "0.3,-0.6", "--b", "0.9,0.1", "--samples", "2000"], True)],
+    ids=["verify-unitarity", "eval"],
+)
+def test_report_names_the_installed_numpy(argv, loads_numpy):
+    code, mods, out = probe(argv + ["--output", "-"])
+    assert code == 0
+    assert ("numpy" in mods) == loads_numpy
+    assert json.loads(out)["versions"]["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--n", "2", "--a", "1e200,2", "--b", "1,3", "--methods", "det"],
+     ["schur", "--lambda", "2", "--eigs", "1e200,1"]],
+    ids=["eval-det", "schur"],
+)
+def test_overflow_leaves_one_json_line_on_stderr(argv):
+    proc = _python("-m", "hciz.cli", *argv)
+    assert proc.returncode == 2
+    assert "RuntimeWarning" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["type"] == "NonFiniteValueError"
