@@ -16,12 +16,10 @@ import cmath
 import importlib.util
 import json
 import os
-import platform
 import re
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -63,14 +61,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    results: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    passed: bool | None = None
-    timing_seconds: float = 0.0
+    """One command's JSON report."""
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict,
+        results: dict | None = None,
+        checks: list | None = None,
+        passed: bool | None = None,
+    ):
+        self.command = command
+        self.inputs = inputs
+        self.results = {} if results is None else results
+        self.checks = [] if checks is None else checks
+        self.passed = passed
+        self.timing_seconds = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -83,7 +90,7 @@ class Report:
             "versions": {
                 "hciz": __version__,
                 "numpy": _numpy_version(),
-                "python": platform.python_version(),
+                "python": sys.version.split()[0],
             },
             "rng": RNG_NAME,
             "timing_seconds": self.timing_seconds,

@@ -122,29 +122,32 @@ def _substream(seed: int, worker: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed).jumped(worker))
 
 
-def _ginibre_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    scale = math.sqrt(0.5)
-    return rng.normal(0.0, scale, (count, n, n)) + 1j * rng.normal(0.0, scale, (count, n, n))
+def _complex_normals(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussians z = x + iy, x and y i.i.d. standard normal (so
+    E|z|^2 = 2), from one `standard_normal` call: each entry's real and
+    imaginary parts are adjacent in the draw."""
+    return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
 
 
 def sample_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """One n x n matrix with i.i.d. standard complex Gaussian entries."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _ginibre_batch(1, n, rng)[0]
+    z = _complex_normals((n, n), rng)
+    z *= math.sqrt(0.5)
+    return z
 
 
-def _gram_schmidt(g: np.ndarray) -> tuple:
-    """Q of each g = QR with R's diagonal real and positive, by classical
+def _gram_schmidt(q: np.ndarray) -> np.ndarray:
+    """Replace each matrix g of q[j, i, b] (column j, row i, matrix b) in place
+    by the Q of g = QR with R's diagonal real and positive, by classical
     Gram-Schmidt run twice per column (CGS2: unitary to O(u), Giraud et al.,
-    Numer. Math. 101, 2005), and a flag per matrix for a zero pivot.
+    Numer. Math. 101, 2005); return a flag per matrix for a zero pivot.
 
-    The batch is copied once to q[j, i, b] (column j, row i, matrix b), so
-    each step is one vectorised operation over a chunk of `_GS_CHUNK`
-    matrices, which bounds the size of its temporaries.
+    In this layout each step is one vectorised operation over a chunk of
+    `_GS_CHUNK` matrices, which bounds the size of its temporaries.
     """
-    count, n, _ = g.shape
-    q = np.ascontiguousarray(g.transpose(2, 1, 0))
+    n, _, count = q.shape
     bad = np.zeros(count, dtype=bool)
     for lo in range(0, count, _GS_CHUNK):
         block = q[:, :, lo:lo + _GS_CHUNK]
@@ -161,18 +164,25 @@ def _gram_schmidt(g: np.ndarray) -> tuple:
                 bad[lo:lo + _GS_CHUNK] |= zero
                 norm[zero] = 1.0
             v /= norm
-    return q.transpose(2, 1, 0), bad
+    return bad
 
 
 def _haar_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitaries: the Q of a Ginibre draw G = QR whose R has
-    a real positive diagonal (Mezzadri, Notices AMS 54, 2007)."""
-    q, bad = _gram_schmidt(_ginibre_batch(count, n, rng))
+    a real positive diagonal (Mezzadri, Notices AMS 54, 2007).
+
+    G is drawn unscaled, since Q(sG) = Q(G) for s > 0, and straight into the
+    layout `_gram_schmidt` sweeps, which orthonormalises it in place.
+    """
+    q = _complex_normals((n, n, count), rng)
+    bad = _gram_schmidt(q)
     while bad.any():
         # measure-zero breakdown (a zero pivot): redraw the affected matrices
         rows = np.nonzero(bad)[0]
-        q[rows], bad[rows] = _gram_schmidt(_ginibre_batch(len(rows), n, rng))
-    return q
+        redraw = _complex_normals((n, n, len(rows)), rng)
+        bad[rows] = _gram_schmidt(redraw)
+        q[:, :, rows] = redraw
+    return q.transpose(2, 1, 0)
 
 
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -477,7 +487,8 @@ def ginibre_moment_suite(
         raise ValueError("n out of the supported range 1..6")
 
     def moments(rng, count):
-        z = _ginibre_batch(count, n, rng)
+        z = _complex_normals((count, n, n), rng)
+        z *= math.sqrt(0.5)
         return np.abs([np.einsum("bii->b", z), np.linalg.det(z)]) ** 2
 
     trace_est, det_est = _mc_mean(moments, n_samples, seed, threads)
@@ -521,12 +532,18 @@ def random_real_spectrum(
     high: float = 1.0,
     min_gap: float = 0.1,
 ) -> Spectrum:
-    """Sorted uniform draw from [low, high]^n, rejected until the gap clears min_gap."""
+    """Uniform draw from the sorted points of [low, high]^n whose gaps all
+    clear min_gap.
+
+    Subtracting i * min_gap from the i-th smallest point maps these
+    configurations one to one, with unit Jacobian, onto the sorted points of
+    [0, high - low - (n - 1) * min_gap]^n, so the draw is n sorted uniforms
+    there, shifted back.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n * min_gap >= (high - low):
         raise ValueError("gap constraint cannot be met on this interval")
-    while True:
-        vals = np.sort(rng.uniform(low, high, n))
-        if n == 1 or float(np.diff(vals).min()) >= min_gap:
-            return Spectrum(tuple(float(v) for v in vals))
+    slack = (high - low) - (n - 1) * min_gap
+    vals = low + np.sort(rng.uniform(0.0, slack, n)) + min_gap * np.arange(n)
+    return Spectrum(tuple(float(v) for v in vals))

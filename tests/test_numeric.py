@@ -113,7 +113,8 @@ class TestSamplers:
 
 def _qr_haar_reference(count, n, rng):
     """The QR route to the same unitaries: Q of G = QR, times R's diagonal phases."""
-    q, r = np.linalg.qr(numeric._ginibre_batch(count, n, rng))
+    g = numeric._complex_normals((n, n, count), rng).transpose(2, 1, 0)
+    q, r = np.linalg.qr(g)
     d = np.einsum("bii->bi", r)
     return q * (d / np.abs(d))[:, None, :]
 
@@ -125,19 +126,33 @@ def _unitarity_residuals(u):
 
 
 def _recording_draws(monkeypatch, spoil=None):
-    """Patch `_ginibre_batch` to keep every draw, after `spoil` has edited it."""
+    """Patch `_complex_normals` to keep every Haar draw as (matrix, row, column),
+    after `spoil` has edited it in that view."""
     draws = []
-    real = numeric._ginibre_batch
+    real = numeric._complex_normals
 
-    def draw(count, n, rng):
-        g = real(count, n, rng)
+    def draw(shape, rng):
+        g = real(shape, rng)
+        matrices = g.transpose(2, 1, 0)
         if spoil is not None:
-            spoil(g)
-        draws.append(g.copy())
+            spoil(matrices)
+        draws.append(matrices.copy())
         return g
 
-    monkeypatch.setattr(numeric, "_ginibre_batch", draw)
+    monkeypatch.setattr(numeric, "_complex_normals", draw)
     return draws
+
+
+class _CountingGenerator:
+    """A Generator that records the name of each method called on it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._rng, name)
 
 
 _PAST_CHUNK = numeric._GS_CHUNK + 3  # a count across a chunk boundary
@@ -199,6 +214,26 @@ class TestHaarSampler:
         assert np.array_equal(u[others], clean[others])
         assert not np.array_equal(u[broken], clean[broken])
         assert np.array_equal(run(), u)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_one_normal_call_per_batch(self, n):
+        rng = _CountingGenerator(np.random.Generator(np.random.Philox(7)))
+        numeric._haar_batch(_PAST_CHUNK, n, rng)
+        assert rng.calls == ["standard_normal"]
+
+    def test_unitaries_are_the_draw_orthonormalised_in_place(self, monkeypatch):
+        draws = []
+        real = numeric._complex_normals
+
+        def draw(shape, rng):
+            draws.append(real(shape, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(numeric, "_complex_normals", draw)
+        u = numeric._haar_batch(_PAST_CHUNK, 3, np.random.Generator(np.random.Philox(8)))
+        (g,) = draws
+        assert np.shares_memory(u, g)
+        assert np.array_equal(u, g.transpose(2, 1, 0))
 
 
 class TestMCEngine:
@@ -596,6 +631,15 @@ class TestRandomRealSpectrum:
         s1 = random_real_spectrum(3, np.random.default_rng(12))
         s2 = random_real_spectrum(3, np.random.default_rng(12))
         assert s1.eigs == s2.eigs
+
+    @pytest.mark.parametrize("n", [16, 19])
+    def test_tight_gap_takes_one_draw(self, n):
+        # a rejection loop would accept about one draw in 1e10 at n = 16
+        rng = _CountingGenerator(np.random.default_rng(13))
+        s = random_real_spectrum(n, rng)
+        assert rng.calls == ["uniform"]
+        assert s.n == n and s.gap >= 0.1
+        assert all(-1.0 <= e.real <= 1.0 for e in s.eigs)
 
     def test_infeasible_gap(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """What each CLI command loads, checked in fresh processes.
 
-The exact commands and --help must start without numpy, a one-worker
+The exact commands and --help must start without numpy, --help also
+without dataclasses and platform, a one-worker
 Monte Carlo command without concurrent.futures, and `import hciz` with
 nothing but the package and its error types.
 """
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -72,6 +74,12 @@ def test_exact_commands_never_load_numpy(argv):
     assert "numpy" not in mods
 
 
+def test_help_loads_neither_dataclasses_nor_platform():
+    code, mods, _ = probe(["--help"])
+    assert code == 0
+    assert not {"dataclasses", "platform"} & mods
+
+
 def test_one_worker_eval_loads_no_thread_pool():
     code, mods, _ = probe(["eval", "--n", "2", "--a", "r", "--b", "r", "--methods",
                            "det,mc,series", "--samples", "2000", "--threads", "1", "--quiet"])
@@ -90,7 +98,9 @@ def test_report_names_the_installed_numpy(argv, loads_numpy):
     code, mods, out = probe(argv + ["--output", "-"])
     assert code == 0
     assert ("numpy" in mods) == loads_numpy
-    assert json.loads(out)["versions"]["numpy"] == np.__version__
+    versions = json.loads(out)["versions"]
+    assert versions["numpy"] == np.__version__
+    assert versions["python"] == platform.python_version()
 
 
 @pytest.mark.parametrize(
