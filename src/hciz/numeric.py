@@ -201,7 +201,7 @@ def _sample_rounding(unitary_gain: float, terms_abs: float, chain: int) -> float
     First order in the unit roundoff u = 2**-53, three sources:
 
     * the draw: u is unitary only to ||u^H u - I||_2 <= 24u (99.9% quantile
-      at most 8.4u, maximum 10.2u, over 1.6e6 draws at n = 1..24); with
+      at most 8.4u, maximum 10.4u, over 1.6e6 draws at n = 1..24); with
       u = V H, V unitary and H Hermitian, t(u) - t(V) is at most that
       residual times `unitary_gain`;
     * the exponent: each product term in t passes through `chain`

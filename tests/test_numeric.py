@@ -634,7 +634,7 @@ class TestRandomRealSpectrum:
 
     @pytest.mark.parametrize("n", [16, 19])
     def test_tight_gap_takes_one_draw(self, n):
-        # a rejection loop would accept about one draw in 1e10 at n = 16
+        # gapped spectra are a 2e-10 share of the sorted draws at n = 16: no rejection
         rng = _CountingGenerator(np.random.default_rng(13))
         s = random_real_spectrum(n, rng)
         assert rng.calls == ["uniform"]
