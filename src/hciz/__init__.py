@@ -27,7 +27,7 @@ from .errors import (
 # numpy nor the exact layer, and a patched module attribute is what
 # `hciz.<name>` returns.
 _EXPORTS = {
-    "exactpoly": ("ExactPoly", "MultiIndex", "bargmann_inner"),
+    "exactpoly": ("ExactPoly", "bargmann_inner"),
     "scalars": ("GaussianRational", "RadicalScalar"),
     "symfn": (
         "Partition",

@@ -439,13 +439,6 @@ def cmd_fourier(args) -> int:
 # -- wiring --------------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HCIZ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> _Parser:
     top = _Parser(
         prog="hciz",
@@ -458,8 +451,9 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--threads",
             type=int,
-            default=_default_threads(),
-            help="worker cap for Monte Carlo (default $HCIZ_THREADS or 1)",
+            # a string default goes through `type`, so a bad $HCIZ_THREADS exits 64
+            default=os.environ.get("HCIZ_THREADS", "1"),
+            help="Monte Carlo workers (default $HCIZ_THREADS or 1)",
         )
         p.add_argument("--seed", type=int, default=0, help="RNG seed (Philox streams)")
 

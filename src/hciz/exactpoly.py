@@ -1,9 +1,20 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
-A polynomial is a map from multi-indices to GaussianRational coefficients;
+A polynomial is a map from monomials to GaussianRational coefficients;
 zero coefficients are never stored.  Everything here is exact: no floating
 point enters until `eval_complex`.  Values are immutable after construction
 and all operations are pure, so they are safe to share across threads.
+
+Monomials are packed exponent vectors (Monagan & Pearce, CASC 2007): the
+keys of `ExactPoly.terms` are plain ints in which the exponent of variable
+v fills the 16-bit field at bit 16 v.  A key does not depend on the variable
+count, and the product of two monomials is the sum of their keys.  The top
+bit of each field is a guard, so an exponent runs from 0 to MAX_EXPONENT =
+32767; a product, power or relabeling that would pass it raises ValueError
+instead of carrying into the next variable.  Only this module builds or
+reads keys.  Callers give exponents as dense tuples (`ExactPoly(3, {(2, 0,
+1): c})`, `monomial`, `coefficient`) and read them back with
+`exponent_vector` or `exponent_pairs`.
 
 Beyond ring arithmetic the module provides the three operations the exact
 verification layer is built on: formal differentiation, the action of a
@@ -15,167 +26,115 @@ scaled monomials z^a / sqrt(a!) are orthonormal.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimensionMismatchError
 from .scalars import QQI_ONE, QQI_ZERO, GaussianRational
 
-
-class MultiIndex:
-    """Sparse exponent vector: sorted (variable, exponent) pairs, exponents > 0."""
-
-    __slots__ = ("exps", "_hash")
-
-    def __init__(self, pairs=()):
-        items = tuple(sorted((int(v), int(e)) for v, e in pairs if e))
-        for v, e in items:
-            if e < 0 or v < 0:
-                raise ValueError(f"bad exponent pair ({v}, {e})")
-        if len({v for v, _ in items}) != len(items):
-            raise ValueError("duplicate variable in exponent pairs")
-        object.__setattr__(self, "exps", items)
-        object.__setattr__(self, "_hash", hash(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiIndex is immutable")
-
-    @classmethod
-    def _raw(cls, items: tuple) -> "MultiIndex":
-        """Internal: adopt pairs already sorted by variable, positive and without repeats."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "exps", items)
-        object.__setattr__(self, "_hash", hash(items))
-        return self
-
-    @classmethod
-    def from_dense(cls, exponents):
-        return cls((v, e) for v, e in enumerate(exponents))
-
-    @classmethod
-    def single(cls, var: int, exp: int = 1):
-        return cls(((var, exp),))
-
-    EMPTY: "MultiIndex"
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def get(self, var: int) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
-    def max_var(self) -> int:
-        """Largest variable id appearing, or -1 for the constant index."""
-        return self.exps[-1][0] if self.exps else -1
-
-    def dense(self, n_vars: int):
-        out = [0] * n_vars
-        for v, e in self.exps:
-            out[v] = e
-        return tuple(out)
-
-    def factorial(self) -> int:
-        """a! = prod_v (exponent of v)!"""
-        out = 1
-        for _, e in self.exps:
-            out *= math.factorial(e)
-        return out
-
-    def __mul__(self, other: "MultiIndex") -> "MultiIndex":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        items = tuple(merged.items())
-        # new variables were appended after self's, so only then is a sort needed
-        return MultiIndex._raw(items if len(items) == len(self.exps) else tuple(sorted(items)))
-
-    def sub(self, other: "MultiIndex"):
-        """self - other, or None if any exponent would go negative."""
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            have = merged.get(v, 0)
-            if have < e:
-                return None
-            if have == e:
-                del merged[v]
-            else:
-                merged[v] = have - e
-        # deleting or lowering entries keeps self's sorted order
-        return MultiIndex._raw(tuple(merged.items()))
-
-    def falling(self, other: "MultiIndex") -> int:
-        """prod_v  b_v (b_v-1) ... (b_v-a_v+1)  for b=self, a=other; 0 if a > b anywhere."""
-        out = 1
-        mine = iter(self.exps)
-        # both pair lists are sorted by variable, so one pass over self's suffices
-        for v, a in other.exps:
-            for w, b in mine:
-                if w >= v:
-                    break
-            else:
-                return 0
-            if w != v or b < a:
-                return 0
-            for k in range(a):
-                out *= b - k
-        return out
-
-    def permute(self, sigma) -> "MultiIndex":
-        """Exponent vector nu with nu_j = mu_{sigma(j)} (variable relabeling)."""
-        inv = {s: j for j, s in enumerate(sigma)}
-        return MultiIndex((inv[v], e) for v, e in self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiIndex) and self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"MultiIndex({self.exps!r})"
+# 16 bits per variable: one unsigned short, so `struct` converts a whole
+# exponent vector in one call
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 
 
-MultiIndex.EMPTY = MultiIndex()
+@lru_cache(maxsize=256)
+def _guards(n_vars: int) -> int:
+    """The guard bit of each of the first n_vars fields."""
+    # (2^(B n) - 1) / (2^B - 1) has a one at the bottom of each field
+    return ((1 << (_BITS * n_vars)) - 1) // _FIELD << (_BITS - 1)
 
 
-def _grlex_key(mi: MultiIndex, n_vars: int):
+def _n_fields(key: int) -> int:
+    """Smallest variable count whose fields hold the key."""
+    return -(-key.bit_length() // _BITS)
+
+
+def _pack(pairs) -> int:
+    """The key of prod x_v^e over (v, e) pairs with distinct v."""
+    key = 0
+    for v, e in pairs:
+        e = int(e)
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(f"exponent {e} of v{v} outside 0..{MAX_EXPONENT}")
+        key |= e << (_BITS * v)
+    return key
+
+
+def _as_key(mono) -> int:
+    """The key of a dense exponent tuple, or a key taken from some `terms`, checked."""
+    if isinstance(mono, int):
+        if mono < 0 or mono & _guards(_n_fields(mono)):
+            raise ValueError(f"{mono} is not a monomial key")
+        return mono
+    return _pack(enumerate(mono))
+
+
+def _check_exponents(terms: dict, n_vars: int) -> dict:
+    """`terms` unchanged, or ValueError if a product set some key's guard bit."""
+    guards = _guards(n_vars)
+    for key in terms:
+        if key & guards:
+            raise ValueError(f"a product passes the exponent limit {MAX_EXPONENT}")
+    return terms
+
+
+def exponent_vector(key: int, n_vars: int) -> tuple:
+    """The exponents of a key from `terms` as a tuple of length n_vars."""
+    return struct.unpack(f"<{n_vars}H", key.to_bytes(_BITS // 8 * n_vars, "little"))
+
+
+def exponent_pairs(key: int) -> tuple:
+    """The (variable, exponent) pairs of a key from `terms`, nonzero exponents by variable."""
+    return tuple((v, e) for v, e in enumerate(exponent_vector(key, _n_fields(key))) if e)
+
+
+def _grlex(key: int, n_vars: int):
     # graded lexicographic: total degree first, then exponent vector with
     # earlier variables weighing more
-    return (mi.degree(), mi.dense(n_vars))
+    exps = exponent_vector(key, n_vars)
+    return sum(exps), exps
+
+
+@lru_cache(maxsize=1 << 16)
+def _factorial(key: int) -> int:
+    """a! = prod_v (exponent of v)!, cached since Gram loops pair each key many times."""
+    return math.prod(math.factorial(e) for _, e in exponent_pairs(key))
 
 
 class ExactPoly:
     """Sparse polynomial in `n_vars` variables with GaussianRational coefficients.
 
-    `terms` maps MultiIndex -> GaussianRational and never holds zeros.  Treat
-    instances as immutable; operations return fresh polynomials.
+    `terms` maps packed monomial keys (ints) -> GaussianRational and never
+    holds zeros.  Treat instances as immutable; operations return fresh
+    polynomials.
     """
 
     __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars: int, terms=None):
+        """`terms` maps dense exponent tuples (or keys from another `terms`) to coefficients."""
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for mi, c in items:
-                if not isinstance(mi, MultiIndex):
-                    mi = MultiIndex.from_dense(mi) if isinstance(mi, (tuple, list)) else mi
+            for mono, c in items:
+                key = _as_key(mono)
                 c = GaussianRational.coerce(c)
-                if mi.max_var() >= n_vars:
+                if _n_fields(key) > n_vars:
                     raise DimensionMismatchError(
-                        f"variable v{mi.max_var()} out of range for n_vars={n_vars}"
+                        f"variable v{_n_fields(key) - 1} out of range for n_vars={n_vars}"
                     )
                 if not c.is_zero:
-                    prev = clean.get(mi)
+                    prev = clean.get(key)
                     c = c if prev is None else prev + c
                     if c.is_zero:
-                        del clean[mi]
+                        del clean[key]
                     else:
-                        clean[mi] = c
+                        clean[key] = c
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", clean)
 
@@ -199,7 +158,7 @@ class ExactPoly:
     @classmethod
     def const(cls, n_vars: int, c) -> "ExactPoly":
         c = GaussianRational.coerce(c)
-        return cls._raw(n_vars, {} if c.is_zero else {MultiIndex.EMPTY: c})
+        return cls._raw(n_vars, {} if c.is_zero else {0: c})
 
     @classmethod
     def one(cls, n_vars: int) -> "ExactPoly":
@@ -209,11 +168,11 @@ class ExactPoly:
     def variable(cls, n_vars: int, var: int) -> "ExactPoly":
         if not 0 <= var < n_vars:
             raise DimensionMismatchError(f"variable {var} out of range for n_vars={n_vars}")
-        return cls._raw(n_vars, {MultiIndex.single(var): QQI_ONE})
+        return cls._raw(n_vars, {1 << (_BITS * var): QQI_ONE})
 
     @classmethod
     def monomial(cls, n_vars: int, exponents, coeff=1) -> "ExactPoly":
-        return cls(n_vars, {MultiIndex.from_dense(exponents): coeff})
+        return cls(n_vars, [(exponents, coeff)])
 
     # -- basic queries ----------------------------------------------------------
 
@@ -225,25 +184,24 @@ class ExactPoly:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(mi.degree() for mi in self.terms)
+        return max(sum(exponent_vector(key, self.n_vars)) for key in self.terms)
 
-    def coefficient(self, mi) -> GaussianRational:
-        if not isinstance(mi, MultiIndex):
-            mi = MultiIndex.from_dense(mi)
-        return self.terms.get(mi, QQI_ZERO)
+    def coefficient(self, exponents) -> GaussianRational:
+        """The coefficient of a dense exponent tuple (or of a key from `terms`)."""
+        return self.terms.get(_as_key(exponents), QQI_ZERO)
 
     def items_grlex(self, reverse: bool = True):
-        """Terms in canonical order (leading term first by default)."""
+        """(key, coeff) terms in canonical order (leading term first by default)."""
         return sorted(
-            self.terms.items(), key=lambda kv: _grlex_key(kv[0], self.n_vars), reverse=reverse
+            self.terms.items(), key=lambda kv: _grlex(kv[0], self.n_vars), reverse=reverse
         )
 
     def leading(self):
-        """(MultiIndex, coeff) of the graded-lex leading term; None for zero."""
+        """(dense exponent tuple, coeff) of the graded-lex leading term; None for zero."""
         if not self.terms:
             return None
-        mi = max(self.terms, key=lambda m: _grlex_key(m, self.n_vars))
-        return mi, self.terms[mi]
+        key = max(self.terms, key=lambda k: _grlex(k, self.n_vars))
+        return exponent_vector(key, self.n_vars), self.terms[key]
 
     def _want_same_space(self, other: "ExactPoly"):
         if self.n_vars != other.n_vars:
@@ -258,19 +216,19 @@ class ExactPoly:
             other = ExactPoly.const(self.n_vars, other)
         self._want_same_space(other)
         out = dict(self.terms)
-        for mi, c in other.terms.items():
-            s = out.get(mi)
+        for key, c in other.terms.items():
+            s = out.get(key)
             s = c if s is None else s + c
             if s.is_zero:
-                out.pop(mi, None)
+                out.pop(key, None)
             else:
-                out[mi] = s
+                out[key] = s
         return ExactPoly._raw(self.n_vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactPoly._raw(self.n_vars, {mi: -c for mi, c in self.terms.items()})
+        return ExactPoly._raw(self.n_vars, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -285,12 +243,13 @@ class ExactPoly:
             c = GaussianRational.coerce(other)
             if c.is_zero:
                 return ExactPoly.zero(self.n_vars)
-            return ExactPoly._raw(self.n_vars, {mi: a * c for mi, a in self.terms.items()})
+            return ExactPoly._raw(self.n_vars, {key: a * c for key, a in self.terms.items()})
         self._want_same_space(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                k = m1 * m2
+                # no exponent of either key passes MAX_EXPONENT, so no field carries
+                k = m1 + m2
                 s = out.get(k)
                 p = c1 * c2
                 s = p if s is None else s + p
@@ -298,7 +257,7 @@ class ExactPoly:
                     out.pop(k, None)
                 else:
                     out[k] = s
-        return ExactPoly._raw(self.n_vars, out)
+        return ExactPoly._raw(self.n_vars, _check_exponents(out, self.n_vars))
 
     __rmul__ = __mul__
 
@@ -333,35 +292,42 @@ class ExactPoly:
         """Formal partial derivative with respect to variable `var`."""
         if not 0 <= var < self.n_vars:
             raise DimensionMismatchError(f"variable {var} out of range for n_vars={self.n_vars}")
+        shift = _BITS * var
         out = {}
-        for mi, c in self.terms.items():
-            e = mi.get(var)
+        for key, c in self.terms.items():
+            e = (key >> shift) & _FIELD
             if e:
-                low = mi.sub(MultiIndex.single(var))
-                out[low] = c * e
+                out[key - (1 << shift)] = c * e
         return ExactPoly._raw(self.n_vars, out)
 
     def apply_diff(self, g: "ExactPoly") -> "ExactPoly":
         """F(d)G: replace each monomial z^a of F=self by the operator d^a, apply to G."""
         self._want_same_space(g)
+        guards = _guards(self.n_vars)
         out = {}
-        # d^a kills z^b outright when |a| > |b|, before any exponent is compared
-        g_terms = [(beta, gb, beta.degree()) for beta, gb in g.terms.items()]
+        g_terms = [(beta, gb, exponent_vector(beta, g.n_vars)) for beta, gb in g.terms.items()]
         for alpha, fa in self.terms.items():
-            deg = alpha.degree()
-            for beta, gb, beta_deg in g_terms:
-                if beta_deg < deg:
+            alpha_pairs = exponent_pairs(alpha)
+            for beta, gb, beta_exps in g_terms:
+                # every field of beta | guards stays at or above its guard bit
+                # after the subtraction exactly when alpha <= beta there
+                k = (beta | guards) - alpha
+                if k & guards != guards:
                     continue
-                fall = beta.falling(alpha)
-                if fall:
-                    k = beta.sub(alpha)
-                    s = out.get(k)
-                    p = fa * gb * fall
-                    s = p if s is None else s + p
-                    if s.is_zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                k ^= guards
+                # the falling factorial prod_v b_v (b_v - 1) ... (b_v - a_v + 1)
+                fall = 1
+                for v, a in alpha_pairs:
+                    b = beta_exps[v]
+                    for j in range(a):
+                        fall *= b - j
+                s = out.get(k)
+                p = fa * gb * fall
+                s = p if s is None else s + p
+                if s.is_zero:
+                    out.pop(k, None)
+                else:
+                    out[k] = s
         return ExactPoly._raw(self.n_vars, out)
 
     # -- structural maps ----------------------------------------------------------------
@@ -370,30 +336,29 @@ class ExactPoly:
         """Same terms viewed over a different variable count (must fit)."""
         if n_vars == self.n_vars:
             return self
-        top = max((mi.max_var() for mi in self.terms), default=-1)
-        if n_vars <= top:
-            raise DimensionMismatchError(f"variable v{top} out of range for n_vars={n_vars}")
-        return ExactPoly._raw(n_vars, dict(self.terms))
+        top = self.min_n_vars()
+        if n_vars < top:
+            raise DimensionMismatchError(f"variable v{top - 1} out of range for n_vars={n_vars}")
+        # keys do not depend on the variable count, and terms are never mutated
+        return ExactPoly._raw(n_vars, self.terms)
 
     def min_n_vars(self) -> int:
         """Smallest variable count that accommodates every term."""
-        return max((mi.max_var() for mi in self.terms), default=-1) + 1
+        # the largest key has the highest variable in use
+        return _n_fields(max(self.terms, default=0))
 
     def map_vars(self, images: dict, n_vars_out: int) -> "ExactPoly":
         """Relabel variables by `images[v]`; a None image kills terms using v."""
+        dead = sum(_FIELD << (_BITS * v) for v, w in images.items() if w is None)
         out = {}
-        for mi, c in self.terms.items():
-            merged: dict[int, int] = {}
-            dead = False
-            for v, e in mi.exps:
-                w = images[v]
-                if w is None:
-                    dead = True
-                    break
-                merged[w] = merged.get(w, 0) + e
-            if dead:
+        for key, c in self.terms.items():
+            if key & dead:
                 continue
-            k = MultiIndex(merged.items())
+            merged: dict[int, int] = {}
+            for v, e in exponent_pairs(key):
+                w = images[v]
+                merged[w] = merged.get(w, 0) + e
+            k = _pack(merged.items())
             s = out.get(k)
             s = c if s is None else s + c
             if s.is_zero:
@@ -404,11 +369,14 @@ class ExactPoly:
 
     def permute_vars(self, sigma) -> "ExactPoly":
         """Relabel variables: the new exponent at j is the old exponent at sigma[j]."""
-        if len(sigma) != self.n_vars or sorted(sigma) != list(range(self.n_vars)):
+        n = self.n_vars
+        if len(sigma) != n or sorted(sigma) != list(range(n)):
             raise DimensionMismatchError("sigma is not a permutation of the variables")
-        return ExactPoly._raw(
-            self.n_vars, {mi.permute(sigma): c for mi, c in self.terms.items()}
-        )
+        out = {}
+        for key, c in self.terms.items():
+            exps = exponent_vector(key, n)
+            out[_pack((j, exps[s]) for j, s in enumerate(sigma))] = c
+        return ExactPoly._raw(n, out)
 
     def substitute(self, images: dict, n_vars_out: int) -> "ExactPoly":
         """Substitute every variable v by the polynomial images[v] (over the new space)."""
@@ -421,14 +389,14 @@ class ExactPoly:
                 pow_cache[(v, e)] = got
             return got
 
-        def image(mi):
+        def image(key):
             term = ExactPoly.one(n_vars_out)
-            for v, e in mi.exps:
+            for v, e in exponent_pairs(key):
                 term = term * power(v, e)
             return term
 
         return linear_combination(
-            ((image(mi), c) for mi, c in self.terms.items()), n_vars_out
+            ((image(key), c) for key, c in self.terms.items()), n_vars_out
         )
 
     def eval_complex(self, point) -> complex:
@@ -439,9 +407,10 @@ class ExactPoly:
             )
         pt = [complex(p) for p in point]
         total = 0j
-        for mi, c in self.terms.items():
+        # terms in insertion order, factors by increasing variable
+        for key, c in self.terms.items():
             v = c.to_complex()
-            for var, e in mi.exps:
+            for var, e in exponent_pairs(key):
                 v *= pt[var] ** e
             total += v
         return total
@@ -453,9 +422,10 @@ class ExactPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mi, c in self.items_grlex():
+        for key, c in self.items_grlex():
             mono = " ".join(
-                f"{var_symbol}{v}^{e}" if e > 1 else f"{var_symbol}{v}" for v, e in mi.exps
+                f"{var_symbol}{v}^{e}" if e > 1 else f"{var_symbol}{v}"
+                for v, e in exponent_pairs(key)
             )
             parts.append(f"{c.pair_str()} : {mono or '1'}")
         return " + ".join(parts)
@@ -468,14 +438,14 @@ def linear_combination(pairs, n_vars: int) -> ExactPoly:
     """sum c * P over (P, c) pairs, each P over `n_vars` variables, summed in one dict."""
     out = {}
     for poly, c in pairs:
-        for mi, a in poly.terms.items():
+        for key, a in poly.terms.items():
             p = a * c
-            s = out.get(mi)
+            s = out.get(key)
             s = p if s is None else s + p
             if s.is_zero:
-                out.pop(mi, None)
+                out.pop(key, None)
             else:
-                out[mi] = s
+                out[key] = s
     return ExactPoly._raw(n_vars, out)
 
 
@@ -487,12 +457,12 @@ def bargmann_inner(f: ExactPoly, g: ExactPoly) -> GaussianRational:
     f._want_same_space(g)
     small, big, flip = (f, g, False) if len(f.terms) <= len(g.terms) else (g, f, True)
     re = im = 0
-    for mi, cs in small.terms.items():
-        cb = big.terms.get(mi)
+    for key, cs in small.terms.items():
+        cb = big.terms.get(key)
         if cb is not None:
             a, b = (cs, cb) if not flip else (cb, cs)
             # conj(a) * b * a!, summed componentwise
-            w = mi.factorial()
+            w = _factorial(key)
             re += (a.re * b.re + a.im * b.im) * w
             im += (a.re * b.im - a.im * b.re) * w
     return GaussianRational(re, im)

@@ -27,7 +27,7 @@ from .errors import (
     NotAlternatingError,
     NotInImageError,
 )
-from .exactpoly import ExactPoly, MultiIndex, bargmann_inner, linear_combination
+from .exactpoly import ExactPoly, bargmann_inner, exponent_pairs, linear_combination
 from .scalars import GaussianRational, RadicalScalar
 from .symfn import (
     Partition,
@@ -55,28 +55,28 @@ def trace_power_entry(k: int, n: int) -> ExactPoly:
     """Tr(z^k) as a polynomial in the n^2 entries: sum over cyclic index paths."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    counts: dict[MultiIndex, int] = {}
+    counts: dict[tuple, int] = {}
     for path in itertools.product(range(n), repeat=k):
-        exps: dict[int, int] = {}
+        exps = [0] * (n * n)
         for s in range(k):
-            v = entry_var(path[s], path[(s + 1) % k], n)
-            exps[v] = exps.get(v, 0) + 1
-        key = MultiIndex(exps.items())
+            exps[entry_var(path[s], path[(s + 1) % k], n)] += 1
+        key = tuple(exps)
         counts[key] = counts.get(key, 0) + 1
-    return ExactPoly(n * n, {mi: GaussianRational(c) for mi, c in counts.items()})
+    return ExactPoly(n * n, {exps: GaussianRational(c) for exps, c in counts.items()})
 
 
 @lru_cache(maxsize=512)
-def _entry_monomial(mi: MultiIndex, n: int) -> ExactPoly:
-    """The trace monomial prod_k Tr(z^k)^(e_k), mi holding e_k at variable k-1, in the entries.
+def _entry_monomial(gens: tuple, n: int) -> ExactPoly:
+    """The trace monomial prod_k Tr(z^k)^(e_k) in the entries, from its (k - 1, e_k) pairs.
 
     Built as the monomial without its largest generator, itself cached, times
     that generator, so the monomials of one weight share their prefixes.
     """
-    if not mi.exps:
+    if not gens:
         return ExactPoly.one(n * n)
-    v = mi.max_var()
-    return _entry_monomial(mi.sub(MultiIndex.single(v)), n) * trace_power_entry(v + 1, n)
+    *rest, (v, e) = gens
+    prefix = (*rest, (v, e - 1)) if e > 1 else tuple(rest)
+    return _entry_monomial(prefix, n) * trace_power_entry(v + 1, n)
 
 
 def expand_to_entries(f: TracePoly, n: int) -> ExactPoly:
@@ -86,7 +86,7 @@ def expand_to_entries(f: TracePoly, n: int) -> ExactPoly:
     cache), then f is their linear combination.
     """
     return linear_combination(
-        ((_entry_monomial(mi, n), c) for mi, c in f.terms.items()), n * n
+        ((_entry_monomial(exponent_pairs(key), n), c) for key, c in f.terms.items()), n * n
     )
 
 
@@ -122,7 +122,7 @@ def elementary_exact(k: int, n: int) -> ExactPoly:
     return ExactPoly(
         n,
         {
-            MultiIndex((v, 1) for v in combo): one
+            tuple(int(v in combo) for v in range(n)): one
             for combo in itertools.combinations(range(n), k)
         },
     )
@@ -150,8 +150,7 @@ def symmetric_to_traces(s: ExactPoly, n: int) -> TracePoly:
     residue = s
     out = TracePoly.zero()
     while not residue.is_zero:
-        mi, c = residue.leading()
-        alpha = mi.dense(n)
+        alpha, c = residue.leading()
         if any(alpha[i] < alpha[i + 1] for i in range(n - 1)):
             raise NotInImageError("polynomial is not symmetric")
         mults = [alpha[k - 1] - (alpha[k] if k < n else 0) for k in range(1, n + 1)]
@@ -259,7 +258,7 @@ def fourier_coefficients(f: TracePoly, n: int, max_weight: int | None = None) ->
     h = psi_map(f, n).poly
     out = {}
     for lam in enumerate_partitions(max_weight, n):
-        c = h.coefficient(MultiIndex.from_dense(lam.plus_staircase(n)))
+        c = h.coefficient(lam.plus_staircase(n))
         if not c.is_zero:
             out[lam] = c
     return out

@@ -48,6 +48,7 @@ from .symfn import (
 
 GAP_TOL_DEFAULT = 1e-8
 _BATCH = 32768
+MAX_THREADS = 64  # Monte Carlo workers: `threads` outside 1..MAX_THREADS raises
 _GS_CHUNK = 8192  # matrices per Gram-Schmidt sweep (measured best of 1024..16384)
 
 # rounding model of the MC estimates (derived in `_sample_rounding`)
@@ -251,8 +252,9 @@ def _mc_mean(
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
-    threads = max(1, int(threads))
-    workers = min(threads, n_samples)
+    if threads != int(threads) or not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be an integer in 1..{MAX_THREADS}, got {threads}")
+    workers = min(int(threads), n_samples)
     quota, extra = divmod(n_samples, workers)
     empty = (0, 0j, 0.0, 0.0, 0.0)
 

@@ -11,7 +11,7 @@ standard errors, plus a rounding bound, of the exact values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .invariant import (
@@ -35,18 +35,13 @@ from .symfn import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteCase:
-    label: str
-    passed: bool
-    detail: str = ""
+# named tuples, not dataclasses: `dataclasses` and the `inspect` it imports
+# would add about 9 ms to the start of every exact `verify` command
+SuiteCase = namedtuple("SuiteCase", ["label", "passed", "detail"], defaults=[""])
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    params: dict
-    cases: tuple
+class SuiteReport(namedtuple("SuiteReport", ["suite", "params", "cases"])):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -29,7 +29,7 @@ from .errors import (
     DimensionMismatchError,
     ExactDivisionError,
 )
-from .exactpoly import ExactPoly, MultiIndex, bargmann_inner
+from .exactpoly import ExactPoly, bargmann_inner, exponent_pairs, exponent_vector
 from .scalars import QQI_ONE, GaussianRational, RadicalScalar
 
 
@@ -182,8 +182,7 @@ def alternant(mu, n: int) -> ExactPoly:
         raise DegenerateExponentError(f"repeated exponents in {mu}: alternant vanishes")
     terms = {}
     for perm in itertools.permutations(range(n)):
-        key = MultiIndex.from_dense(tuple(mu[perm[i]] for i in range(n)))
-        terms[key] = GaussianRational(_perm_sign(perm))
+        terms[tuple(mu[perm[i]] for i in range(n))] = GaussianRational(_perm_sign(perm))
     return ExactPoly(n, terms)
 
 
@@ -241,11 +240,12 @@ def divide_by_linear(f: ExactPoly, i: int, j: int) -> ExactPoly:
         raise DimensionMismatchError(f"bad variable pair ({i}, {j}) for n_vars={n}")
     if f.is_zero:
         return f
+    # F = sum_k coeffs[k] x_i^k, each coefficient free of x_i
     by_deg: dict[int, dict] = {}
-    for mi, c in f.terms.items():
-        k = mi.get(i)
-        rest = mi.sub(MultiIndex.single(i, k)) if k else mi
-        by_deg.setdefault(k, {})[rest] = c
+    for key, c in f.terms.items():
+        exps = list(exponent_vector(key, n))
+        k, exps[i] = exps[i], 0
+        by_deg.setdefault(k, {})[tuple(exps)] = c
     top = max(by_deg)
     coeffs = [
         ExactPoly(n, by_deg.get(k, {})) for k in range(top + 1)
@@ -260,12 +260,11 @@ def divide_by_linear(f: ExactPoly, i: int, j: int) -> ExactPoly:
         raise ExactDivisionError(f"(x{i} - x{j}) does not divide the polynomial")
     out = {}
     for k, q in enumerate(quots):
-        if k == 0:
-            out.update(q.terms)
-            continue
-        shift = MultiIndex.single(i, k)
-        for mi, c in q.terms.items():
-            out[mi * shift] = c
+        # q is free of x_i, so x_i^k only sets its exponent of x_i
+        for key, c in q.terms.items():
+            exps = list(exponent_vector(key, n))
+            exps[i] = k
+            out[tuple(exps)] = c
     return ExactPoly(n, out)
 
 
@@ -419,6 +418,19 @@ def character(shape: tuple, rho: tuple) -> int:
     return total
 
 
+def _generator_vector(exps: dict) -> tuple:
+    """Dense exponents of t_1, t_2, ... from {generator index: exponent}."""
+    used = [k for k, e in exps.items() if e]
+    if min(used, default=1) < 1:
+        raise ValueError("generator index must be >= 1")
+    return tuple(exps.get(k, 0) for k in range(1, max(used, default=0) + 1))
+
+
+def _weight(key: int) -> int:
+    """Weighted degree of a monomial key in the generators, t_k weighing k."""
+    return sum((v + 1) * e for v, e in exponent_pairs(key))
+
+
 class TracePoly:
     """Polynomial in weighted generators t_1, t_2, ... (deg t_k = k).
 
@@ -459,15 +471,13 @@ class TracePoly:
     @classmethod
     def from_terms(cls, terms):
         """terms: iterable of (dict generator-index -> exponent, coeff)."""
-        acc: dict[MultiIndex, GaussianRational] = {}
-        top = 1
+        acc: dict[tuple, GaussianRational] = {}
         for exps, c in terms:
-            mi = MultiIndex((k - 1, e) for k, e in exps.items())
-            top = max(top, mi.max_var() + 1)
+            vec = _generator_vector(exps)
             c = GaussianRational.coerce(c)
-            prev = acc.get(mi)
-            acc[mi] = c if prev is None else prev + c
-        return cls(ExactPoly(top, acc))
+            prev = acc.get(vec)
+            acc[vec] = c if prev is None else prev + c
+        return cls(ExactPoly(max(map(len, acc), default=1), acc))
 
     @property
     def terms(self):
@@ -479,18 +489,16 @@ class TracePoly:
 
     def max_gen(self) -> int:
         """Largest generator index appearing; 0 for constants."""
-        return max((mi.max_var() + 1 for mi in self.poly.terms), default=0)
+        return self.poly.min_n_vars()
 
     def weighted_degree(self) -> int:
         """Total degree with t_k weighing k; -1 for the zero value."""
         if self.poly.is_zero:
             return -1
-        return max(
-            sum((v + 1) * e for v, e in mi.exps) for mi in self.poly.terms
-        )
+        return max(map(_weight, self.poly.terms))
 
     def coefficient(self, exps: dict) -> GaussianRational:
-        return self.poly.coefficient(MultiIndex((k - 1, e) for k, e in exps.items()))
+        return self.poly.coefficient(_generator_vector(exps))
 
     def _aligned(self, other):
         m = max(self.poly.n_vars, other.poly.n_vars)
@@ -554,9 +562,7 @@ class TracePoly:
     def substitute_powers(self, n: int) -> ExactPoly:
         """Realize t_k as the power sum x_1^k + ... + x_n^k."""
         images = {
-            k: ExactPoly(
-                n, {MultiIndex.single(i, k): QQI_ONE for i in range(n)}
-            )
+            k: ExactPoly(n, {(0,) * i + (k,): QQI_ONE for i in range(n)})
             for k in range(1, self.max_gen() + 1)
         }
         return self.substitute_gens(images, n)
@@ -564,22 +570,21 @@ class TracePoly:
     def items_canonical(self):
         """Terms ordered by weighted degree, then exponent vector, descending."""
         nv = self.poly.n_vars
-
-        def key(kv):
-            mi = kv[0]
-            return (sum((v + 1) * e for v, e in mi.exps), mi.dense(nv))
-
-        return sorted(self.poly.terms.items(), key=key, reverse=True)
+        return sorted(
+            self.poly.terms.items(),
+            key=lambda kv: (_weight(kv[0]), exponent_vector(kv[0], nv)),
+            reverse=True,
+        )
 
     def to_text(self, var_symbol: str = "t") -> str:
         """Canonical text form, e.g. `(3/2, 0) t1^2 t3`; `var_symbol="p"` for power sums."""
         if self.poly.is_zero:
             return "0"
         parts = []
-        for mi, c in self.items_canonical():
+        for key, c in self.items_canonical():
             mono = " ".join(
                 f"{var_symbol}{v + 1}^{e}" if e > 1 else f"{var_symbol}{v + 1}"
-                for v, e in mi.exps
+                for v, e in exponent_pairs(key)
             )
             parts.append(f"{c.pair_str()} {mono}".rstrip())
         return " + ".join(parts)

@@ -336,12 +336,22 @@ class TestExitCodeContract:
                 EXIT_USAGE,
                 "max_weight must be at least n(n-1)/2 = 1, got 0",
             ),
+            # two samples start at most two workers even where the cap is not checked
+            (["eval", "--n", "2", "--a", "r", "--b", "r", "--samples", "2", "--threads",
+              "100000"], EXIT_USAGE, "threads must be an integer in 1..64, got 100000"),
+            (["eval", "--n", "2", "--a", "r", "--b", "r", "--samples", "2", "--threads", "0"],
+             EXIT_USAGE, "threads must be an integer in 1..64, got 0"),
+            (["eval", "--n", "2", "--a", "r", "--b", "r", "--samples", "2", "--threads", "-1"],
+             EXIT_USAGE, "threads must be an integer in 1..64, got -1"),
+            (["verify", "ginibre", "--n", "2", "--samples", "2", "--threads", "0"],
+             EXIT_USAGE, "threads must be an integer in 1..64, got 0"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
              "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0", "diffop-n0",
              "alt-orthonormal-n0", "inv-orthonormal-n0", "fourier-n0", "reproducing-n0",
-             "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0"],
+             "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0",
+             "threads-100000", "threads-0", "threads-1", "ginibre-threads-0"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):
@@ -352,6 +362,17 @@ class TestExitCodeContract:
             assert err.startswith("hciz: error: ")
         else:
             assert json.loads(err)["error"]["type"] == "NonFiniteValueError"
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "", "100000", "0"])
+    def test_bad_threads_environment_exits_usage(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("HCIZ_THREADS", value)
+        argv = ["eval", "--n", "2", "--a", "r", "--b", "r", "--samples", "2", "--quiet"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value that is not an integer
+            code = exc.code
+        assert code == EXIT_USAGE
+        assert "threads" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -75,6 +75,38 @@ class TestTracePolySerialization:
         assert TracePoly.zero().weighted_degree() == -1
 
 
+class TestTracePolyAlignment:
+    def test_mixed_generator_counts_match_direct_construction(self):
+        # t1 lives over one generator, t3 over three: sums and products align them
+        a = t(1) * 2 + 1
+        b = t(3) - t(1) * Fraction(1, 2)
+        direct_sum = TracePoly.from_terms(
+            [({}, 1), ({1: 1}, Fraction(3, 2)), ({3: 1}, 1)])
+        direct_product = TracePoly.from_terms(
+            [({1: 1, 3: 1}, 2), ({1: 2}, -1), ({3: 1}, 1), ({1: 1}, Fraction(-1, 2))])
+        for got, want in [(a + b, direct_sum), (b + a, direct_sum),
+                          (a * b, direct_product), (b * a, direct_product)]:
+            assert got == want
+            assert hash(got) == hash(want)
+            assert got.poly == want.poly
+            assert got.max_gen() == 3
+            assert got.to_text() == want.to_text()
+        assert (a * b).coefficient({1: 1, 3: 1}) == GaussianRational(2)
+
+    def test_generator_index_must_be_positive(self):
+        with pytest.raises(ValueError):
+            TracePoly.from_terms([({0: 1}, 1)])
+        with pytest.raises(ValueError):
+            t(1).coefficient({0: 2})
+        assert TracePoly.from_terms([({0: 0, 2: 1}, 1)]) == t(2)
+
+    def test_cancelling_the_top_generator_trims(self):
+        got = (t(3) + t(1)) - t(3)
+        assert got == t(1)
+        assert got.poly.n_vars == 1 and got.max_gen() == 1
+        assert got.poly == t(1).poly
+
+
 class TestEntryExpansion:
     def test_trace_expansion_n2(self):
         # Tr(z^2) = z00^2 + 2 z01 z10 + z11^2

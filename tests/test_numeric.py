@@ -14,6 +14,7 @@ from hciz.numeric import (
     _U,
     _mc_mean,
     GAP_TOL_DEFAULT,
+    MAX_THREADS,
     MCEstimate,
     Spectrum,
     as_spectrum,
@@ -340,6 +341,16 @@ class TestMonteCarlo:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             hciz_mc((1.0,), (1.0,), n_samples=1, seed=0)
+
+    @pytest.mark.parametrize("threads", [10**5, MAX_THREADS + 1, 0, -1, 1.5])
+    def test_threads_outside_range_rejected(self, threads):
+        # two samples start at most two workers even where the cap is not checked
+        with pytest.raises(ValueError, match="threads must be"):
+            hciz_mc((1.0,), (1.0,), n_samples=2, seed=0, threads=threads)
+
+    def test_threads_at_the_cap_accepted(self):
+        est = hciz_mc((1.0,), (1.0,), n_samples=2, seed=0, threads=MAX_THREADS)
+        assert est.n_samples == 2
 
 
 class TestClosedForm:

@@ -1,7 +1,8 @@
 """What each CLI command loads, checked in fresh processes.
 
 The exact commands and --help must start without numpy, --help also
-without dataclasses and platform, a one-worker
+without dataclasses and platform, the exact `verify` commands without
+dataclasses and inspect, a one-worker
 Monte Carlo command without concurrent.futures, and `import hciz` with
 nothing but the package and its error types.
 """
@@ -78,6 +79,22 @@ def test_help_loads_neither_dataclasses_nor_platform():
     code, mods, _ = probe(["--help"])
     assert code == 0
     assert not {"dataclasses", "platform"} & mods
+
+
+def test_exact_verify_commands_load_neither_dataclasses_nor_inspect():
+    # all five in one process: whatever any of them imports stays in sys.modules
+    script = (
+        "import json, sys\n"
+        "from hciz.cli import main\n"
+        "for suite in sys.argv[1:]:\n"
+        "    assert main(['verify', suite, '--n', '2', '--quiet']) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = _python("-c", script, *(argv[1] for argv in EXACT_COMMANDS if argv[0] == "verify"))
+    assert proc.returncode == 0, proc.stderr
+    mods = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "hciz.suites" in mods
+    assert not {"dataclasses", "inspect"} & mods
 
 
 def test_one_worker_eval_loads_no_thread_pool():

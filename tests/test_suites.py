@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -37,6 +38,15 @@ class TestReportStructure:
 
     def test_empty_passes(self):
         assert SuiteReport(suite="x", params={}, cases=()).passed
+
+    def test_immutable_with_default_detail(self):
+        case = SuiteCase(label="a", passed=True)
+        rep = SuiteReport(suite="x", params={}, cases=(case,))
+        assert case.detail == ""
+        with pytest.raises(AttributeError):
+            case.passed = False
+        with pytest.raises(AttributeError):
+            rep.cases = ()
 
 
 class TestGenerators:
@@ -115,6 +125,50 @@ class TestExactSuites:
     def test_params_recorded(self):
         rep = suite_diffop(2, max_degree=2)
         assert rep.params == {"n": 2, "max_degree": 2, "max_gen": 3}
+
+
+class TestRecordedReports:
+    """Every case's (label, passed, detail) text, pinned by its SHA-256.
+
+    The digests were recorded before the monomial keys became packed ints,
+    so a change to the exact layer that alters any verdict or any printed
+    value, including the float residuals of `reproducing`, shows here.
+    """
+
+    CALLS = {
+        "alt-orthonormal": suite_alt_orthonormal,
+        "inv-orthonormal": suite_inv_orthonormal,
+        "unitarity": suite_unitarity,
+        "diffop": suite_diffop,
+        "fourier": lambda n: suite_fourier(n, count=5, seed=3),
+        "reproducing": lambda n: suite_reproducing(n, count=5, seed=3),
+    }
+    DIGESTS = {
+        ("alt-orthonormal", 1): "9600e567043f1014988f76dae7057bb08502f10fcbf15f72ddce736890603e2f",
+        ("alt-orthonormal", 2): "8248e18d91dd8425658fe31cf8e84be869fb10daf04e7ff509dd6e62576ce532",
+        ("alt-orthonormal", 3): "f034670cb6caabe552e83415a4131606bbc3a71a581cae3de9ca2f0f94a42b69",
+        ("inv-orthonormal", 1): "d4d82c1d8298b0d58c49a5405014ad417907bcec36a3a50ffe5105345d23081a",
+        ("inv-orthonormal", 2): "7d7a3b547b60c26ffb1c0c53ee544218aaeb70490a02eef5f52224f8aa8863c6",
+        ("inv-orthonormal", 3): "981433732f96bfcbdfef68414a04ba6fd51d16232d52b686f0cccacab402535d",
+        ("unitarity", 1): "b4caa92f52f828573c480e62a24b584d7f104f4a25f20fe662518c95d7acc4f9",
+        ("unitarity", 2): "dbdeb485de3a679ba776fa3220c2602738491ec4efb0ebdf3caead98fe82c863",
+        ("unitarity", 3): "8815800076a9793956b3b4a13b6cd4e8deb110b62f7013ee766cc5863099b46a",
+        ("diffop", 1): "baf53ac15789953e8e543c2f303911611b8f0ebac2b0593f7a260486cc34156d",
+        ("diffop", 2): "baf53ac15789953e8e543c2f303911611b8f0ebac2b0593f7a260486cc34156d",
+        ("diffop", 3): "baf53ac15789953e8e543c2f303911611b8f0ebac2b0593f7a260486cc34156d",
+        ("fourier", 1): "07e854c6b87dc6deb134b9776ab39a89c15a87a7d4a70a40246bc52afb2693dd",
+        ("fourier", 2): "36012b35a3b9723d5af46b36f788b9dbaa861c2c26ee9fe4be292fc548568c97",
+        ("fourier", 3): "598850cfd34c36dbfd08120445bd85a2f0cba230ff0818cb0a6cf8d463624d21",
+        ("reproducing", 1): "2bd8ff3d75a90201de8232810104596956f9258a182ef785085aa3d95dd78ccf",
+        ("reproducing", 2): "58f326d2f0cc89bab7df66808719f51f877c156a87c206418efc141e83b45376",
+        ("reproducing", 3): "2a5ed71f1851a9f249c5dd4cb529bc728b49a0adc83114be238d692cf476304a",
+    }
+
+    @pytest.mark.parametrize("suite, n", sorted(DIGESTS), ids=lambda v: str(v))
+    def test_case_text_digest(self, suite, n):
+        rep = self.CALLS[suite](n)
+        text = "".join(f"{c.label}\t{c.passed}\t{c.detail}\n" for c in rep.cases)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[suite, n]
 
 
 class TestStatisticalSuites:
