@@ -16,6 +16,20 @@ reads keys.  Callers give exponents as dense tuples (`ExactPoly(3, {(2, 0,
 1): c})`, `monomial`, `coefficient`) and read them back with
 `exponent_vector` or `exponent_pairs`.
 
+Coefficients are summed by component, not as GaussianRational objects.
+The kernels that add up many products (`+`, `*`, `apply_diff`, `map_vars`
+and `linear_combination`) all feed one private builder, `_summed_terms`:
+it sums the real and imaginary parts of each output coefficient as plain
+`int | Fraction` values in one dict per component, keyed by the packed
+key, and builds one GaussianRational per key that survives.  When both
+operands are real, which is the usual case, the imaginary products are
+never formed.  `linear_combination` first scales its weights by the lcm D
+of their denominators, so sums over integer polynomials stay ints and each
+surviving coefficient is divided by D once.  The built dict keeps the
+order that adding the products one at a time gives, a key that cancels to
+zero re-entering at the end, because `eval_complex` sums the terms in that
+order.
+
 Beyond ring arithmetic the module provides the three operations the exact
 verification layer is built on: formal differentiation, the action of a
 polynomial as a constant-coefficient differential operator, and the
@@ -102,6 +116,53 @@ def _grlex(key: int, n_vars: int):
 def _factorial(key: int) -> int:
     """a! = prod_v (exponent of v)!, cached since Gram loops pair each key many times."""
     return math.prod(math.factorial(e) for _, e in exponent_pairs(key))
+
+
+def _summed_terms(products, real: bool, denom: int = 1) -> dict:
+    """`terms` of the sum of (key, coefficient) products, each divided by `denom`.
+
+    `products` yields (key, re) pairs when `real`, else (key, re, im) triples,
+    each component an int or a Fraction.  The sums are kept per component in
+    plain dicts, and one GaussianRational is built per key that survives.  A
+    key whose sum cancels to zero leaves the dict, so a later product puts it
+    back at the end: the terms come out in the order that adding the products
+    one at a time gives, which is the order `eval_complex` sums in.
+    """
+    re, im = {}, {}
+    get, get_im = re.get, im.get
+    if real:
+        for k, x in products:
+            x += get(k, 0)
+            if x:
+                re[k] = x
+            else:
+                re.pop(k, None)
+    else:
+        for k, x, y in products:
+            x += get(k, 0)
+            y += get_im(k, 0)
+            if x or y:
+                re[k] = x
+                im[k] = y
+            else:
+                re.pop(k, None)
+                im.pop(k, None)
+    if denom != 1:
+        re = {k: Fraction(x, denom) for k, x in re.items()}
+        im = {k: Fraction(y, denom) for k, y in im.items()}
+    raw = GaussianRational._raw
+    return {k: raw(x, im.get(k, 0)) for k, x in re.items()}
+
+
+def _is_real(poly: "ExactPoly") -> bool:
+    return not any(c.im for c in poly.terms.values())
+
+
+def _parts(poly: "ExactPoly", real: bool) -> list:
+    """poly's terms as (key, re) pairs when `real`, else as (key, re, im) triples."""
+    if real:
+        return [(k, c.re) for k, c in poly.terms.items()]
+    return [(k, c.re, c.im) for k, c in poly.terms.items()]
 
 
 class ExactPoly:
@@ -214,16 +275,15 @@ class ExactPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = ExactPoly.const(self.n_vars, other)
+        elif not isinstance(other, ExactPoly):
+            return NotImplemented
         self._want_same_space(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return ExactPoly._raw(self.n_vars, out)
+        if self.terms.keys().isdisjoint(other.terms):
+            # nothing to sum: keep both coefficient objects, self's terms first
+            return ExactPoly._raw(self.n_vars, {**self.terms, **other.terms})
+        real = _is_real(self) and _is_real(other)
+        products = _parts(self, real) + _parts(other, real)
+        return ExactPoly._raw(self.n_vars, _summed_terms(products, real))
 
     __radd__ = __add__
 
@@ -233,10 +293,12 @@ class ExactPoly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = ExactPoly.const(self.n_vars, other)
+        elif not isinstance(other, ExactPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -244,19 +306,21 @@ class ExactPoly:
             if c.is_zero:
                 return ExactPoly.zero(self.n_vars)
             return ExactPoly._raw(self.n_vars, {key: a * c for key, a in self.terms.items()})
+        if not isinstance(other, ExactPoly):
+            return NotImplemented
         self._want_same_space(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                # no exponent of either key passes MAX_EXPONENT, so no field carries
-                k = m1 + m2
-                s = out.get(k)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s.is_zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+        real = _is_real(self) and _is_real(other)
+        a, b = _parts(self, real), _parts(other, real)
+        # no exponent of either key passes MAX_EXPONENT, so no field carries
+        if real:
+            products = ((m1 + m2, r1 * r2) for m1, r1 in a for m2, r2 in b)
+        else:
+            products = (
+                (m1 + m2, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+                for m1, r1, i1 in a
+                for m2, r2, i2 in b
+            )
+        out = _summed_terms(products, real)
         return ExactPoly._raw(self.n_vars, _check_exponents(out, self.n_vars))
 
     __rmul__ = __mul__
@@ -304,31 +368,31 @@ class ExactPoly:
         """F(d)G: replace each monomial z^a of F=self by the operator d^a, apply to G."""
         self._want_same_space(g)
         guards = _guards(self.n_vars)
-        out = {}
-        g_terms = [(beta, gb, exponent_vector(beta, g.n_vars)) for beta, gb in g.terms.items()]
-        for alpha, fa in self.terms.items():
-            alpha_pairs = exponent_pairs(alpha)
-            for beta, gb, beta_exps in g_terms:
-                # every field of beta | guards stays at or above its guard bit
-                # after the subtraction exactly when alpha <= beta there
-                k = (beta | guards) - alpha
-                if k & guards != guards:
-                    continue
-                k ^= guards
-                # the falling factorial prod_v b_v (b_v - 1) ... (b_v - a_v + 1)
-                fall = 1
-                for v, a in alpha_pairs:
-                    b = beta_exps[v]
-                    for j in range(a):
-                        fall *= b - j
-                s = out.get(k)
-                p = fa * gb * fall
-                s = p if s is None else s + p
-                if s.is_zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return ExactPoly._raw(self.n_vars, out)
+        real = _is_real(self) and _is_real(g)
+        g_terms = [
+            (beta, exponent_vector(beta, g.n_vars), gb.re, gb.im) for beta, gb in g.terms.items()
+        ]
+
+        def products():
+            for alpha, fa in self.terms.items():
+                alpha_pairs = exponent_pairs(alpha)
+                fr, fi = fa.re, fa.im
+                for beta, beta_exps, gr, gi in g_terms:
+                    # every field of beta | guards stays at or above its guard bit
+                    # after the subtraction exactly when alpha <= beta there
+                    k = (beta | guards) - alpha
+                    if k & guards != guards:
+                        continue
+                    # the falling factorial prod_v b_v (b_v - 1) ... (b_v - a_v + 1)
+                    fall = 1
+                    for v, a in alpha_pairs:
+                        fall *= math.perm(beta_exps[v], a)
+                    if real:
+                        yield k ^ guards, fr * gr * fall
+                    else:
+                        yield k ^ guards, (fr * gr - fi * gi) * fall, (fr * gi + fi * gr) * fall
+
+        return ExactPoly._raw(self.n_vars, _summed_terms(products(), real))
 
     # -- structural maps ----------------------------------------------------------------
 
@@ -350,22 +414,26 @@ class ExactPoly:
     def map_vars(self, images: dict, n_vars_out: int) -> "ExactPoly":
         """Relabel variables by `images[v]`; a None image kills terms using v."""
         dead = sum(_FIELD << (_BITS * v) for v, w in images.items() if w is None)
-        out = {}
-        for key, c in self.terms.items():
-            if key & dead:
-                continue
-            merged: dict[int, int] = {}
-            for v, e in exponent_pairs(key):
-                w = images[v]
-                merged[w] = merged.get(w, 0) + e
-            k = _pack(merged.items())
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ExactPoly(n_vars_out, out)
+        real = _is_real(self)
+
+        def products():
+            for key, c in self.terms.items():
+                if key & dead:
+                    continue
+                merged: dict[int, int] = {}
+                for v, e in exponent_pairs(key):
+                    w = images[v]
+                    merged[w] = merged.get(w, 0) + e
+                k = _pack(merged.items())
+                yield (k, c.re) if real else (k, c.re, c.im)
+
+        out = ExactPoly._raw(n_vars_out, _summed_terms(products(), real))
+        top = out.min_n_vars()
+        if top > n_vars_out:
+            raise DimensionMismatchError(
+                f"variable v{top - 1} out of range for n_vars={n_vars_out}"
+            )
+        return out
 
     def permute_vars(self, sigma) -> "ExactPoly":
         """Relabel variables: the new exponent at j is the old exponent at sigma[j]."""
@@ -435,18 +503,32 @@ class ExactPoly:
 
 
 def linear_combination(pairs, n_vars: int) -> ExactPoly:
-    """sum c * P over (P, c) pairs, each P over `n_vars` variables, summed in one dict."""
-    out = {}
-    for poly, c in pairs:
-        for key, a in poly.terms.items():
-            p = a * c
-            s = out.get(key)
-            s = p if s is None else s + p
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return ExactPoly._raw(n_vars, out)
+    """sum c * P over (P, c) pairs, each P over `n_vars` variables.
+
+    Every weight is scaled by the lcm D of the weights' denominators, so sums
+    over integer polynomials stay ints; each coefficient is divided by D once.
+    """
+    pairs = [(poly, GaussianRational.coerce(c)) for poly, c in pairs]
+    pairs = [(poly, c) for poly, c in pairs if not c.is_zero]
+    denom = math.lcm(*(x.denominator for _, c in pairs for x in (c.re, c.im)))
+
+    def scaled(x) -> int:
+        # x * D as an int: D is a multiple of x's denominator
+        return x.numerator * (denom // x.denominator)
+
+    weighted = [(poly, scaled(c.re), scaled(c.im)) for poly, c in pairs]
+    real = all(not ci and _is_real(poly) for poly, _, ci in weighted)
+    if real:
+        products = (
+            (k, a.re * cr) for poly, cr, _ in weighted for k, a in poly.terms.items()
+        )
+    else:
+        products = (
+            (k, a.re * cr - a.im * ci, a.re * ci + a.im * cr)
+            for poly, cr, ci in weighted
+            for k, a in poly.terms.items()
+        )
+    return ExactPoly._raw(n_vars, _summed_terms(products, real, denom))
 
 
 def bargmann_inner(f: ExactPoly, g: ExactPoly) -> GaussianRational:

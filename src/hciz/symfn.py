@@ -29,7 +29,7 @@ from .errors import (
     DimensionMismatchError,
     ExactDivisionError,
 )
-from .exactpoly import ExactPoly, bargmann_inner, exponent_pairs, exponent_vector
+from .exactpoly import MAX_EXPONENT, ExactPoly, bargmann_inner, exponent_pairs, exponent_vector
 from .scalars import QQI_ONE, GaussianRational, RadicalScalar
 
 
@@ -423,6 +423,9 @@ def _generator_vector(exps: dict) -> tuple:
     used = [k for k, e in exps.items() if e]
     if min(used, default=1) < 1:
         raise ValueError("generator index must be >= 1")
+    for k in used:
+        if not 0 <= exps[k] <= MAX_EXPONENT:
+            raise ValueError(f"exponent {exps[k]} of t{k} outside 0..{MAX_EXPONENT}")
     return tuple(exps.get(k, 0) for k in range(1, max(used, default=0) + 1))
 
 

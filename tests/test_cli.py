@@ -345,13 +345,17 @@ class TestExitCodeContract:
              EXIT_USAGE, "threads must be an integer in 1..64, got -1"),
             (["verify", "ginibre", "--n", "2", "--samples", "2", "--threads", "0"],
              EXIT_USAGE, "threads must be an integer in 1..64, got 0"),
+            # the message names the generator, not the internal variable id
+            (["fourier", "--f", "t1^40000", "--n", "2"], EXIT_USAGE,
+             "exponent 40000 of t1 outside 0..32767"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
              "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0", "diffop-n0",
              "alt-orthonormal-n0", "inv-orthonormal-n0", "fourier-n0", "reproducing-n0",
              "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0",
-             "threads-100000", "threads-0", "threads-1", "ginibre-threads-0"],
+             "threads-100000", "threads-0", "threads-1", "ginibre-threads-0",
+             "fourier-exponent-limit"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 from hciz.errors import DimensionMismatchError
-from hciz.exactpoly import MAX_EXPONENT, ExactPoly, bargmann_inner, exponent_vector
+from hciz.exactpoly import (
+    MAX_EXPONENT,
+    ExactPoly,
+    _guards,
+    bargmann_inner,
+    exponent_pairs,
+    exponent_vector,
+    linear_combination,
+)
 from hciz.scalars import GaussianRational, QQI_I
 
 
@@ -329,3 +338,215 @@ class TestSerialization:
 
     def test_zero(self):
         assert ExactPoly.zero(2).to_text() == "0"
+
+
+class TestNonExactOperands:
+    @pytest.mark.parametrize("other", [1.5, "x", None], ids=["float", "str", "None"])
+    def test_arithmetic_raises_type_error(self, other):
+        p = z(2, 0) + 1
+        for op in (
+            lambda: p + other,
+            lambda: other + p,
+            lambda: p - other,
+            lambda: other - p,
+            lambda: p * other,
+            lambda: other * p,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_binary_operators_return_not_implemented(self):
+        p = z(2, 0)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            assert getattr(p, name)(1.5) is NotImplemented
+
+
+# the per-term GaussianRational loops the summing kernels replaced, kept as a
+# reference: same terms, and the same key order, which eval_complex sums in
+
+
+def ref_add(self, other):
+    out = dict(self.terms)
+    for key, c in other.terms.items():
+        s = out.get(key)
+        s = c if s is None else s + c
+        if s.is_zero:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return ExactPoly._raw(self.n_vars, out)
+
+
+def ref_mul(self, other):
+    out = {}
+    for m1, c1 in self.terms.items():
+        for m2, c2 in other.terms.items():
+            # no exponent of either key passes MAX_EXPONENT, so no field carries
+            k = m1 + m2
+            s = out.get(k)
+            p = c1 * c2
+            s = p if s is None else s + p
+            if s.is_zero:
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return ExactPoly._raw(self.n_vars, out)
+
+
+def ref_apply_diff(self, g):
+    guards = _guards(self.n_vars)
+    out = {}
+    g_terms = [(beta, gb, exponent_vector(beta, g.n_vars)) for beta, gb in g.terms.items()]
+    for alpha, fa in self.terms.items():
+        alpha_pairs = exponent_pairs(alpha)
+        for beta, gb, beta_exps in g_terms:
+            # every field of beta | guards stays at or above its guard bit
+            # after the subtraction exactly when alpha <= beta there
+            k = (beta | guards) - alpha
+            if k & guards != guards:
+                continue
+            k ^= guards
+            # the falling factorial prod_v b_v (b_v - 1) ... (b_v - a_v + 1)
+            fall = 1
+            for v, a in alpha_pairs:
+                b = beta_exps[v]
+                for j in range(a):
+                    fall *= b - j
+            s = out.get(k)
+            p = fa * gb * fall
+            s = p if s is None else s + p
+            if s.is_zero:
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return ExactPoly._raw(self.n_vars, out)
+
+
+def ref_linear_combination(pairs, n_vars):
+    out = {}
+    for poly, c in pairs:
+        for key, a in poly.terms.items():
+            p = a * c
+            s = out.get(key)
+            s = p if s is None else s + p
+            if s.is_zero:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return ExactPoly._raw(n_vars, out)
+
+
+COEFFICIENT_KINDS = {
+    "int": lambda rng: GaussianRational(rng.choice([-2, -1, 1, 1, 3])),
+    "fraction": lambda rng: GaussianRational(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))),
+    "imaginary": lambda rng: GaussianRational(0, Fraction(rng.choice([-2, -1, 1]), rng.randint(1, 2))),
+    "complex": lambda rng: GaussianRational(
+        Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+        Fraction(rng.choice([-2, -1, 1]), rng.randint(1, 3)),
+    ),
+}
+
+
+def small_poly(rng, kind, n_vars=2, n_terms=6):
+    """Few low exponents, so products collide, cancel and come back often."""
+    pairs = [
+        (tuple(rng.randint(0, 2) for _ in range(n_vars)), COEFFICIENT_KINDS[kind](rng))
+        for _ in range(n_terms)
+    ]
+    return ExactPoly(n_vars, pairs)
+
+
+def assert_same(got, want):
+    assert got.n_vars == want.n_vars
+    assert got.terms == want.terms
+    assert list(got.terms) == list(want.terms)
+    assert all(type(c) is GaussianRational for c in got.terms.values())
+
+
+class TestSummingKernelsAgainstReference:
+    KINDS = sorted(COEFFICIENT_KINDS)
+
+    @pytest.mark.parametrize("kind_f", KINDS)
+    @pytest.mark.parametrize("kind_g", KINDS)
+    def test_random_operands(self, kind_f, kind_g):
+        rng = random.Random(f"{kind_f}/{kind_g}")
+        for _ in range(40):
+            f, g = small_poly(rng, kind_f), small_poly(rng, kind_g)
+            assert_same(f + g, ref_add(f, g))
+            assert_same(f - g, ref_add(f, -g))
+            assert_same(f * g, ref_mul(f, g))
+            assert_same(f.apply_diff(g), ref_apply_diff(f, g))
+            pairs = [(f, COEFFICIENT_KINDS[kind_g](rng)), (g, 0), (f, Fraction(-1, 3)),
+                     (g, GaussianRational(0)), (g * f, 1), (f, Fraction(1, 3))]
+            assert_same(linear_combination(pairs, 2), ref_linear_combination(pairs, 2))
+
+    def test_exact_cancellation_to_zero(self):
+        rng = random.Random(5)
+        for kind in self.KINDS:
+            f = small_poly(rng, kind)
+            c = COEFFICIENT_KINDS[kind](rng)
+            assert_same(f + (-f), ref_add(f, -f))
+            assert (f - f).is_zero
+            pairs = [(f, c), (f * c, -1)]
+            assert linear_combination(pairs, 2).is_zero
+            assert_same(linear_combination(pairs, 2), ref_linear_combination(pairs, 2))
+            # d/dv1 of a polynomial in v0 alone
+            d = ExactPoly.monomial(2, (0, 1))
+            g = f.map_vars({0: 0, 1: 0}, 2)
+            assert d.apply_diff(g).is_zero
+        assert_same(ExactPoly.zero(2) * z(2, 0), ref_mul(ExactPoly.zero(2), z(2, 0)))
+
+    def test_sum_of_disjoint_supports(self):
+        rng = random.Random(11)
+        for kind in self.KINDS:
+            f = small_poly(rng, kind)
+            g = small_poly(rng, kind, n_terms=3).map_vars({0: 0, 1: 1}, 2) * z(2, 0) ** 3
+            assert f.terms.keys().isdisjoint(g.terms)
+            assert_same(f + g, ref_add(f, g))
+            assert_same(g - f, ref_add(g, -f))
+
+    def test_zero_weights_only(self):
+        f = z(2, 0) + z(2, 1)
+        pairs = [(f, 0), (f, GaussianRational(0)), (f, Fraction(0))]
+        assert_same(linear_combination(pairs, 2), ref_linear_combination(pairs, 2))
+        assert linear_combination([], 2).is_zero
+
+    def test_a_key_that_cancels_comes_back_last(self):
+        x, y = z(2, 0), z(2, 1)
+        pairs = [(x + y, 1), (x, -1), (x, Fraction(1, 2))]
+        got = linear_combination(pairs, 2)
+        assert_same(got, ref_linear_combination(pairs, 2))
+        assert list(got.terms) == [next(iter(y.terms)), next(iter(x.terms))]
+        assert list(got.terms.values()) == [GaussianRational(1), GaussianRational(Fraction(1, 2))]
+
+    def test_integer_sums_come_out_as_ints(self):
+        f = ExactPoly(2, {(1, 0): 2, (0, 1): 4})
+        got = linear_combination([(f, Fraction(1, 2)), (f, Fraction(1, 6))], 2)
+        assert [(type(c.re), c.re) for c in got.terms.values()] == [
+            (Fraction, Fraction(4, 3)), (Fraction, Fraction(8, 3))
+        ]
+        got = linear_combination([(f, Fraction(1, 2))], 2)
+        assert [(type(c.re), type(c.im)) for c in got.terms.values()] == [(int, int)] * 2
+
+
+class TestNoScalarPerTermPair:
+    def test_product_builds_one_scalar_per_output_term(self, monkeypatch):
+        rng = random.Random(7)
+        monomials = list(itertools.product(range(7), repeat=3))
+        f, g = (
+            ExactPoly(3, {exps: rng.randint(1, 9) for exps in rng.sample(monomials, 30)})
+            for _ in range(2)
+        )
+        assert len(f.terms) == len(g.terms) == 30
+        raw = GaussianRational._raw
+        calls = []
+
+        def counting(cls, re, im):
+            calls.append(None)
+            return raw(re, im)
+
+        monkeypatch.setattr(GaussianRational, "_raw", classmethod(counting))
+        h = f * g
+        monkeypatch.undo()
+        assert len(calls) <= len(h.terms) < len(f.terms) * len(g.terms)
+        assert_same(h, ref_mul(f, g))
