@@ -17,18 +17,19 @@ reads keys.  Callers give exponents as dense tuples (`ExactPoly(3, {(2, 0,
 `exponent_vector` or `exponent_pairs`.
 
 Coefficients are summed by component, not as GaussianRational objects.
-The kernels that add up many products (`+`, `*`, `apply_diff`, `map_vars`
-and `linear_combination`) all feed one private builder, `_summed_terms`:
-it sums the real and imaginary parts of each output coefficient as plain
+The kernels that add up many products (`*`, `apply_diff`, `map_vars` and
+`linear_combination`) all feed one private builder, `_summed_terms`: it
+sums the real and imaginary parts of each output coefficient as plain
 `int | Fraction` values in one dict per component, keyed by the packed
-key, and builds one GaussianRational per key that survives.  When both
-operands are real, which is the usual case, the imaginary products are
-never formed.  `linear_combination` first scales its weights by the lcm D
-of their denominators, so sums over integer polynomials stay ints and each
-surviving coefficient is divided by D once.  The built dict keeps the
-order that adding the products one at a time gives, a key that cancels to
-zero re-entering at the end, because `eval_complex` sums the terms in that
-order.
+key, and builds one GaussianRational per key that survives.  When every
+operand is real, which is the usual case, `*`, `apply_diff` and
+`linear_combination` form no imaginary product.  `linear_combination`
+first scales its weights by the lcm D of their denominators, so sums over
+integer polynomials stay ints and each surviving coefficient is divided by
+D once.  The built dict keeps the order that adding the products one at a
+time gives, a key that cancels to zero re-entering at the end, because
+`eval_complex` sums the terms in that order.  `+` makes at most one
+GaussianRational sum per shared key, so it keeps its own per-term loop.
 
 Beyond ring arithmetic the module provides the three operations the exact
 verification layer is built on: formal differentiation, the action of a
@@ -118,15 +119,15 @@ def _factorial(key: int) -> int:
     return math.prod(math.factorial(e) for _, e in exponent_pairs(key))
 
 
-def _summed_terms(products, real: bool, denom: int = 1) -> dict:
-    """`terms` of the sum of (key, coefficient) products, each divided by `denom`.
+def _summed_terms(products, real: bool = False, denom: int = 1) -> dict:
+    """`terms` of the sum of products, each divided by `denom`.
 
-    `products` yields (key, re) pairs when `real`, else (key, re, im) triples,
-    each component an int or a Fraction.  The sums are kept per component in
-    plain dicts, and one GaussianRational is built per key that survives.  A
-    key whose sum cancels to zero leaves the dict, so a later product puts it
-    back at the end: the terms come out in the order that adding the products
-    one at a time gives, which is the order `eval_complex` sums in.
+    `products` yields (key, re, im) triples, or (key, re) pairs when `real`;
+    each component is an int or a Fraction.  The sums are kept per component
+    in plain dicts, and one GaussianRational is built per key that survives.
+    A key whose sum cancels to zero leaves the dict, so a later product puts
+    it back at the end: the terms come out in the order that adding the
+    products one at a time gives, which is the order `eval_complex` sums in.
     """
     re, im = {}, {}
     get, get_im = re.get, im.get
@@ -147,22 +148,14 @@ def _summed_terms(products, real: bool, denom: int = 1) -> dict:
             else:
                 re.pop(k, None)
                 im.pop(k, None)
-    if denom != 1:
-        re = {k: Fraction(x, denom) for k, x in re.items()}
-        im = {k: Fraction(y, denom) for k, y in im.items()}
     raw = GaussianRational._raw
-    return {k: raw(x, im.get(k, 0)) for k, x in re.items()}
+    if denom == 1:
+        return {k: raw(x, im.get(k, 0)) for k, x in re.items()}
+    return {k: raw(Fraction(x, denom), Fraction(im.get(k, 0), denom)) for k, x in re.items()}
 
 
 def _is_real(poly: "ExactPoly") -> bool:
     return not any(c.im for c in poly.terms.values())
-
-
-def _parts(poly: "ExactPoly", real: bool) -> list:
-    """poly's terms as (key, re) pairs when `real`, else as (key, re, im) triples."""
-    if real:
-        return [(k, c.re) for k, c in poly.terms.items()]
-    return [(k, c.re, c.im) for k, c in poly.terms.items()]
 
 
 class ExactPoly:
@@ -278,12 +271,15 @@ class ExactPoly:
         elif not isinstance(other, ExactPoly):
             return NotImplemented
         self._want_same_space(other)
-        if self.terms.keys().isdisjoint(other.terms):
-            # nothing to sum: keep both coefficient objects, self's terms first
-            return ExactPoly._raw(self.n_vars, {**self.terms, **other.terms})
-        real = _is_real(self) and _is_real(other)
-        products = _parts(self, real) + _parts(other, real)
-        return ExactPoly._raw(self.n_vars, _summed_terms(products, real))
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key)
+            s = c if s is None else s + c
+            if s.is_zero:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return ExactPoly._raw(self.n_vars, out)
 
     __radd__ = __add__
 
@@ -309,11 +305,12 @@ class ExactPoly:
         if not isinstance(other, ExactPoly):
             return NotImplemented
         self._want_same_space(other)
+        a = [(k, c.re, c.im) for k, c in self.terms.items()]
+        b = [(k, c.re, c.im) for k, c in other.terms.items()]
         real = _is_real(self) and _is_real(other)
-        a, b = _parts(self, real), _parts(other, real)
         # no exponent of either key passes MAX_EXPONENT, so no field carries
         if real:
-            products = ((m1 + m2, r1 * r2) for m1, r1 in a for m2, r2 in b)
+            products = ((m1 + m2, r1 * r2) for m1, r1, _ in a for m2, r2, _ in b)
         else:
             products = (
                 (m1 + m2, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
@@ -414,7 +411,6 @@ class ExactPoly:
     def map_vars(self, images: dict, n_vars_out: int) -> "ExactPoly":
         """Relabel variables by `images[v]`; a None image kills terms using v."""
         dead = sum(_FIELD << (_BITS * v) for v, w in images.items() if w is None)
-        real = _is_real(self)
 
         def products():
             for key, c in self.terms.items():
@@ -425,15 +421,10 @@ class ExactPoly:
                     w = images[v]
                     merged[w] = merged.get(w, 0) + e
                 k = _pack(merged.items())
-                yield (k, c.re) if real else (k, c.re, c.im)
+                yield k, c.re, c.im
 
-        out = ExactPoly._raw(n_vars_out, _summed_terms(products(), real))
-        top = out.min_n_vars()
-        if top > n_vars_out:
-            raise DimensionMismatchError(
-                f"variable v{top - 1} out of range for n_vars={n_vars_out}"
-            )
-        return out
+        # the constructor rejects a surviving term past n_vars_out
+        return ExactPoly(n_vars_out, _summed_terms(products()))
 
     def permute_vars(self, sigma) -> "ExactPoly":
         """Relabel variables: the new exponent at j is the old exponent at sigma[j]."""
@@ -463,9 +454,8 @@ class ExactPoly:
                 term = term * power(v, e)
             return term
 
-        return linear_combination(
-            ((image(key), c) for key, c in self.terms.items()), n_vars_out
-        )
+        # each image is built as the sum reaches it, so they are not all alive at once
+        return _weighted_sum(self.terms.values(), map(image, self.terms), n_vars_out)
 
     def eval_complex(self, point) -> complex:
         """Numeric value at a complex point (coefficients rounded to doubles)."""
@@ -503,29 +493,41 @@ class ExactPoly:
 
 
 def linear_combination(pairs, n_vars: int) -> ExactPoly:
-    """sum c * P over (P, c) pairs, each P over `n_vars` variables.
+    """sum c * P over (P, c) pairs, each P over `n_vars` variables."""
+    pairs = list(pairs)
+    polys = [poly for poly, _ in pairs]
+    return _weighted_sum([c for _, c in pairs], polys, n_vars, all(map(_is_real, polys)))
+
+
+def _weighted_sum(weights, polys, n_vars: int, real_polys: bool = False) -> ExactPoly:
+    """sum c * P over the weights c and the polynomials P, taken in step.
 
     Every weight is scaled by the lcm D of the weights' denominators, so sums
     over integer polynomials stay ints; each coefficient is divided by D once.
+    `polys` is read one polynomial at a time.  `real_polys` says that every P
+    is real, so that with real weights no imaginary product is formed.
     """
-    pairs = [(poly, GaussianRational.coerce(c)) for poly, c in pairs]
-    pairs = [(poly, c) for poly, c in pairs if not c.is_zero]
-    denom = math.lcm(*(x.denominator for _, c in pairs for x in (c.re, c.im)))
+    weights = [GaussianRational.coerce(c) for c in weights]
+    denom = math.lcm(*(x.denominator for c in weights for x in (c.re, c.im)))
 
     def scaled(x) -> int:
         # x * D as an int: D is a multiple of x's denominator
         return x.numerator * (denom // x.denominator)
 
-    weighted = [(poly, scaled(c.re), scaled(c.im)) for poly, c in pairs]
-    real = all(not ci and _is_real(poly) for poly, _, ci in weighted)
+    scaled_weights = [(scaled(c.re), scaled(c.im)) for c in weights]
+    real = real_polys and not any(ci for _, ci in scaled_weights)
     if real:
         products = (
-            (k, a.re * cr) for poly, cr, _ in weighted for k, a in poly.terms.items()
+            (k, a.re * cr)
+            for (cr, _), poly in zip(scaled_weights, polys)
+            if cr
+            for k, a in poly.terms.items()
         )
     else:
         products = (
             (k, a.re * cr - a.im * ci, a.re * ci + a.im * cr)
-            for poly, cr, ci in weighted
+            for (cr, ci), poly in zip(scaled_weights, polys)
+            if cr or ci
             for k, a in poly.terms.items()
         )
     return ExactPoly._raw(n_vars, _summed_terms(products, real, denom))

@@ -505,6 +505,28 @@ class TestSummingKernelsAgainstReference:
             assert_same(f + g, ref_add(f, g))
             assert_same(g - f, ref_add(g, -f))
 
+    def test_substitute(self):
+        rng = random.Random(13)
+        for kind in self.KINDS:
+            f = small_poly(rng, kind)
+            images = {0: small_poly(rng, kind, n_terms=3), 1: small_poly(rng, "int", n_terms=2)}
+
+            def ref_image(key):
+                term = ExactPoly.one(2)
+                for v, e in exponent_pairs(key):
+                    for _ in range(e):
+                        term = ref_mul(term, images[v])
+                return term
+
+            want = ref_linear_combination([(ref_image(k), c) for k, c in f.terms.items()], 2)
+            assert_same(f.substitute(images, 2), want)
+
+    def test_map_vars_checks_the_terms_that_survive(self):
+        x, y = z(2, 0), z(2, 1)
+        assert (x - y).map_vars({0: 2, 1: 2}, 2).is_zero
+        with pytest.raises(DimensionMismatchError):
+            (x + y).map_vars({0: 2, 1: 2}, 2)
+
     def test_zero_weights_only(self):
         f = z(2, 0) + z(2, 1)
         pairs = [(f, 0), (f, GaussianRational(0)), (f, Fraction(0))]
