@@ -28,7 +28,7 @@ from .errors import (
 # `hciz.<name>` returns.
 _EXPORTS = {
     "exactpoly": ("ExactPoly", "bargmann_inner"),
-    "scalars": ("GaussianRational", "RadicalScalar"),
+    "scalars": ("GaussianRational",),
     "symfn": (
         "Partition",
         "Scaled",
@@ -37,7 +37,7 @@ _EXPORTS = {
         "alternating_projection",
         "d_lambda",
         "enumerate_partitions",
-        "norm_const_c",
+        "norm_const_c2",
         "schur_exact",
         "schur_numeric",
         "schur_to_power_sums",

@@ -187,7 +187,11 @@ def parse_trace_poly(text: str) -> TracePoly:
                 continue
             m = _NUM_TOKEN.match(tok)
             if m and (m.group(1) or m.group(2)):
-                q = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+                try:
+                    q = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+                except ZeroDivisionError as exc:
+                    raise UsageError(
+                        f"zero denominator in {tok!r} in trace polynomial {text!r}") from exc
                 coeff = coeff * (GaussianRational(0, q) if m.group(2) else GaussianRational(q))
                 continue
             raise UsageError(f"unrecognized token {tok!r} in trace polynomial {text!r}")
@@ -396,6 +400,8 @@ def cmd_schur(args) -> int:
     if args.exact:
         if args.n is None:
             raise UsageError("--exact needs --n")
+        if args.n < 1:
+            raise UsageError("n must be positive")
         poly = schur_exact(lam, args.n)
         report.results["exact"] = poly.to_text(var_symbol="x")
         lines.append(f"s[{lam}] in {args.n} variables: {report.results['exact']}")

@@ -8,7 +8,10 @@ the three exact pictures the verification suites compare:
 The restriction map psi(F) = c * a_delta * F|_D carries the invariant
 picture to the alternating one; its unitarity, the differential-operator
 identity, Schur-coefficient extraction and the orthonormal bases d_lambda,
-e_lambda are all checked here with rational arithmetic only.
+e_lambda are all checked here with rational arithmetic only.  The scales
+c, and those of d_lambda and e_lambda, are square roots of positive
+rationals, held as their squares (`Scaled.scale2`); a Gram entry needs
+only those squares, so no square root is ever taken.
 
 A caution on presentations: at fixed n the generators t_k with k > n are
 algebraically dependent on the lower ones, so identities between trace
@@ -28,7 +31,7 @@ from .errors import (
     NotInImageError,
 )
 from .exactpoly import ExactPoly, bargmann_inner, exponent_pairs, linear_combination
-from .scalars import GaussianRational, RadicalScalar
+from .scalars import GaussianRational
 from .symfn import (
     Partition,
     Scaled,
@@ -36,9 +39,8 @@ from .symfn import (
     alternant_delta,
     divide_by_alternant_delta,
     is_alternating,
-    norm_const_c,
+    norm_const_c2,
     enumerate_partitions,
-    scaled_bargmann,
     schur_to_power_sums,
     staircase,
     vector_factorial,
@@ -105,9 +107,14 @@ def entry_to_diagonal(e: ExactPoly, n: int) -> ExactPoly:
     return e.map_vars(images, n)
 
 
-def psi_map(f: TracePoly, n: int) -> Scaled:
-    """psi(F) = c * a_delta * F|_D, the scale c kept exact; alternating by construction."""
-    return Scaled(norm_const_c(n), alternant_delta(n) * restrict_to_diagonal(f, n))
+def psi_map(f, n: int) -> Scaled:
+    """psi(F) = c * a_delta * F|_D, kept as c^2 and a polynomial; alternating by construction.
+
+    Accepts a TracePoly or a Scaled one, whose scale multiplies c.
+    """
+    f = Scaled.of(f)
+    image = alternant_delta(n) * restrict_to_diagonal(f.poly, n)
+    return Scaled(f.scale2 * norm_const_c2(n), image)
 
 
 # -- rewriting symmetric polynomials in the trace generators -----------------------------
@@ -180,7 +187,7 @@ def psi_inverse(g, n: int) -> Scaled:
         sym = divide_by_alternant_delta(g.poly, n)
     except ExactDivisionError as exc:
         raise NotInImageError("polynomial is not a multiple of the alternant") from exc
-    return Scaled(g.scale / norm_const_c(n), symmetric_to_traces(sym, n))
+    return Scaled(g.scale2 / norm_const_c2(n), symmetric_to_traces(sym, n))
 
 
 # -- the canonical bases -------------------------------------------------------------
@@ -196,7 +203,7 @@ def e_lambda(lam: Partition, n: int) -> Scaled:
     ratio = Fraction(
         vector_factorial(staircase(n)), vector_factorial(lam.plus_staircase(n))
     )
-    return Scaled(RadicalScalar.sqrt_of(ratio), chi_lambda(lam))
+    return Scaled(ratio, chi_lambda(lam))
 
 
 def invariant_inner(f: TracePoly, g: TracePoly, n: int) -> GaussianRational:
@@ -219,14 +226,17 @@ def _gram(size: int, lhs, rhs) -> dict:
 def verify_unitarity(fs, n: int) -> dict:
     """The Gram identity <F_i, F_j> == <psi F_i, psi F_j> on a basis, each F imaged once.
 
-    Returns {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
+    psi carries the one real scale c, so <psi F_i, psi F_j> is c^2 times the
+    pairing of the alternating polynomials, a rational number.  Returns
+    {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
     """
     entries = [expand_to_entries(f, n) for f in fs]
-    images = [psi_map(f, n) for f in fs]
+    images = [psi_map(f, n).poly for f in fs]
+    c2 = norm_const_c2(n)
     return _gram(
         len(fs),
         lambda i, j: bargmann_inner(entries[i], entries[j]),
-        lambda i, j: scaled_bargmann(images[i], images[j]),
+        lambda i, j: bargmann_inner(images[i], images[j]) * c2,
     )
 
 

@@ -522,8 +522,7 @@ def coherent_reproducing_check(a, f: ExactPoly, max_weight: int) -> float:
         pairing = bargmann_inner(dl.poly, f)
         if pairing.is_zero:
             continue
-        scale2 = complex(dl.scale.squared().to_complex())
-        acc += scale2 * dl.poly.eval_complex(a.eigs) * pairing.to_complex()
+        acc += complex(dl.scale2) * dl.poly.eval_complex(a.eigs) * pairing.to_complex()
     return abs(acc - f.eval_complex(a.eigs))
 
 

@@ -1,13 +1,12 @@
-"""Exact scalar types: Gaussian rationals and radical scalars.
+"""Exact scalars: the Gaussian rationals.
 
 All identity checking in this package runs over the Gaussian rationals
 Q(i) = {a + b i : a, b rational}, each component an `int | Fraction`:
 integral values are held as plain Python ints, the rest as
 `fractions.Fraction`, so the integer coefficients that dominate the exact
-layer never pay for `Fraction` arithmetic.  Normalization constants additionally
-involve square roots of positive integers; those are kept exact as
-(Gaussian rational) * sqrt(positive integer) with a squarefree radicand,
-and only ever combine by multiplication or squaring.
+layer never pay for `Fraction` arithmetic.  The normalization constants
+are square roots of positive rationals; `symfn.Scaled` keeps each one as
+its square, which is rational, so no radical ever reaches this module.
 """
 
 from __future__ import annotations
@@ -157,129 +156,3 @@ class GaussianRational:
 QQI_ZERO = GaussianRational(0)
 QQI_ONE = GaussianRational(1)
 QQI_I = GaussianRational(0, 1)
-
-
-def _extract_square(m: int) -> tuple[int, int]:
-    """Write m = s^2 * t with t squarefree; return (s, t).
-
-    Trial division; the radicands appearing here are products of small
-    factorials, hence smooth, so this terminates quickly.
-    """
-    if m <= 0:
-        raise ValueError("radicand must be positive")
-    s, t, d = 1, m, 2
-    while d * d <= t:
-        dd = d * d
-        while t % dd == 0:
-            t //= dd
-            s *= d
-        d += 1
-    return s, t
-
-
-class RadicalScalar:
-    """An exact scalar of the form coeff * sqrt(radicand).
-
-    `radicand` is a positive squarefree integer after normalization; the
-    zero scalar is stored with radicand 1.  Two such scalars are equal as
-    complex numbers iff their normalized forms match componentwise.
-    """
-
-    __slots__ = ("coeff", "radicand")
-
-    def __init__(self, coeff, radicand: int = 1):
-        c = GaussianRational.coerce(coeff)
-        if not isinstance(radicand, int):
-            raise TypeError("radicand must be an integer")
-        if c.is_zero:
-            c, radicand = QQI_ZERO, 1
-        elif radicand != 1:
-            s, t = _extract_square(radicand)
-            c, radicand = c * s, t
-        elif radicand <= 0:
-            raise ValueError("radicand must be positive")
-        object.__setattr__(self, "coeff", c)
-        object.__setattr__(self, "radicand", radicand)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RadicalScalar is immutable")
-
-    @classmethod
-    def coerce(cls, x) -> "RadicalScalar":
-        if isinstance(x, RadicalScalar):
-            return x
-        return cls(GaussianRational.coerce(x))
-
-    @classmethod
-    def sqrt_of(cls, q) -> "RadicalScalar":
-        """Exact sqrt(q) for a positive rational q: sqrt(p/r) = sqrt(p*r)/r."""
-        q = q if isinstance(q, Fraction) else Fraction(q)
-        if q <= 0:
-            raise ValueError("square root of a nonpositive rational")
-        return cls(Fraction(1, q.denominator), q.numerator * q.denominator)
-
-    @classmethod
-    def inv_sqrt_of(cls, q) -> "RadicalScalar":
-        """Exact 1/sqrt(q) for a positive rational q."""
-        return cls.sqrt_of(1 / (q if isinstance(q, Fraction) else Fraction(q)))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, RadicalScalar):
-            return RadicalScalar(self.coeff * other.coeff, self.radicand * other.radicand)
-        return RadicalScalar(self.coeff * GaussianRational.coerce(other), self.radicand)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RadicalScalar(-self.coeff, self.radicand)
-
-    def inverse(self) -> "RadicalScalar":
-        if self.coeff.is_zero:
-            raise ZeroDivisionError("inverse of zero radical scalar")
-        # 1/(c sqrt(r)) = (1/(c r)) sqrt(r)
-        return RadicalScalar(QQI_ONE / (self.coeff * self.radicand), self.radicand)
-
-    def __truediv__(self, other):
-        return self * RadicalScalar.coerce(other).inverse()
-
-    def conjugate(self) -> "RadicalScalar":
-        return RadicalScalar(self.coeff.conjugate(), self.radicand)
-
-    def squared(self) -> GaussianRational:
-        return self.coeff * self.coeff * self.radicand
-
-    # -- predicates / conversion ----------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero
-
-    def to_complex(self) -> complex:
-        from math import sqrt
-
-        return self.coeff.to_complex() * sqrt(self.radicand)
-
-    def __eq__(self, other):
-        try:
-            o = RadicalScalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.coeff == o.coeff and self.radicand == o.radicand
-
-    def __hash__(self):
-        if self.radicand == 1:
-            return hash(self.coeff)
-        return hash((self.coeff, self.radicand))
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __repr__(self):
-        return f"RadicalScalar({self.coeff!r}, {self.radicand})"
-
-    def __str__(self):
-        if self.radicand == 1:
-            return str(self.coeff)
-        return f"{self.coeff}*sqrt({self.radicand})"

@@ -23,7 +23,7 @@ from .invariant import (
     verify_fourier_reconstruction,
     verify_unitarity,
 )
-from .exactpoly import ExactPoly
+from .exactpoly import ExactPoly, bargmann_inner
 from .scalars import GaussianRational
 from .symfn import (
     Partition,
@@ -31,7 +31,6 @@ from .symfn import (
     d_lambda,
     enumerate_partitions,
     partitions_of_weight,
-    scaled_bargmann,
 )
 
 
@@ -70,13 +69,19 @@ def _pair_cases(keys, label: str, results: dict, detail) -> list:
 
 
 def _orthonormal(suite: str, letter: str, n: int, max_weight: int, image) -> SuiteReport:
-    """<b_lambda, b_mu> = delta_{lambda mu} exactly, each b_lambda = image(lambda) built once."""
+    """<b_lambda, b_mu> = delta_{lambda mu} exactly, each b_lambda = image(lambda) built once.
+
+    b_lambda = sqrt(q_lambda) P_lambda, and the test is q_lambda <P_lambda, P_mu>
+    == delta_{lambda mu}: with S = diag(sqrt(q)), q > 0, and g the Gram matrix
+    of the P, S g S = I exactly when S^2 g = I entry by entry, so the verdicts
+    are those of the scaled pairing and no square root is ever formed.
+    """
     _require_positive_n(n)
     lams = enumerate_partitions(max_weight, n)
     images = [image(lam) for lam in lams]
     results = _gram(
         len(lams),
-        lambda i, j: scaled_bargmann(images[i], images[j]),
+        lambda i, j: bargmann_inner(images[i].poly, images[j].poly) * images[i].scale2,
         lambda i, j: GaussianRational(int(i == j)),
     )
     label = f"<{letter}[{{}}], {letter}[{{}}]>"

@@ -3,7 +3,9 @@
 Exact throughout, except for `schur_values` and `schur_numeric`: the one
 floating-point Schur evaluator (Jacobi-Trudi determinants of Newton-identity
 h-values), which the truncated character series also uses.  Everything else
-returns ExactPoly values or exact scalars.
+returns ExactPoly values or exact scalars.  A normalization constant is the
+square root of a positive rational; `Scaled` carries it as that rational,
+its square, next to the polynomial it scales.
 
 Conventions.  The staircase is delta = (n-1, n-2, ..., 0).  Two signed
 products of differences coexist:
@@ -29,8 +31,8 @@ from .errors import (
     DimensionMismatchError,
     ExactDivisionError,
 )
-from .exactpoly import MAX_EXPONENT, ExactPoly, bargmann_inner, exponent_pairs, exponent_vector
-from .scalars import QQI_ONE, GaussianRational, RadicalScalar
+from .exactpoly import MAX_EXPONENT, ExactPoly, exponent_pairs, exponent_vector
+from .scalars import QQI_ONE, GaussianRational
 
 
 class Partition:
@@ -95,7 +97,8 @@ class Partition:
         if isinstance(other, Partition):
             return self.parts == other.parts
         if isinstance(other, tuple):
-            return self == Partition(other)
+            # plain tuple equality: it never raises, and equal values hash alike
+            return self.parts == other
         return NotImplemented
 
     def __hash__(self):
@@ -623,22 +626,21 @@ def schur_to_power_sums(lam: Partition) -> TracePoly:
 
 
 class Scaled:
-    """An exact radical multiple  scale * poly  of a polynomial value.
+    """sqrt(scale2) * poly: a polynomial value times the root of a positive rational.
 
-    The radical never touches the coefficients; identities that need it
-    squared out compare Scaled values componentwise after normalizing the
-    radicand, which `RadicalScalar` guarantees is squarefree.
+    Every scale here is such a root (c, and the norms of d_lambda and
+    e_lambda), and a Gram entry needs only its square, so the root is never
+    formed: `scale2` holds the square, an int or a Fraction > 0.
     """
 
-    __slots__ = ("scale", "poly")
+    __slots__ = ("scale2", "poly")
 
-    def __init__(self, scale, poly):
-        scale = RadicalScalar.coerce(scale)
-        if scale.is_zero and poly:
-            poly = poly * 0
-        if not poly:
-            scale = RadicalScalar(1)
-        object.__setattr__(self, "scale", scale)
+    def __init__(self, scale2, poly):
+        if isinstance(scale2, bool) or not isinstance(scale2, (int, Fraction)):
+            raise TypeError(f"scale2 must be a positive rational, got {type(scale2).__name__}")
+        if scale2 <= 0:
+            raise ValueError(f"scale2 must be positive, got {scale2}")
+        object.__setattr__(self, "scale2", scale2 if poly else 1)
         object.__setattr__(self, "poly", poly)
 
     def __setattr__(self, name, value):
@@ -648,7 +650,7 @@ class Scaled:
     def of(cls, x) -> "Scaled":
         if isinstance(x, Scaled):
             return x
-        return cls(RadicalScalar(1), x)
+        return cls(1, x)
 
     @property
     def is_zero(self) -> bool:
@@ -656,58 +658,50 @@ class Scaled:
 
     def __mul__(self, other):
         if isinstance(other, Scaled):
-            return Scaled(self.scale * other.scale, self.poly * other.poly)
-        if isinstance(other, RadicalScalar):
-            return Scaled(self.scale * other, self.poly)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return Scaled(self.scale * GaussianRational.coerce(other), self.poly)
-        return Scaled(self.scale, self.poly * other)
+            return Scaled(self.scale2 * other.scale2, self.poly * other.poly)
+        return Scaled(self.scale2, self.poly * other)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Scaled(-self.scale, self.poly)
+        return Scaled(self.scale2, -self.poly)
 
     def map_poly(self, fn) -> "Scaled":
-        return Scaled(self.scale, fn(self.poly))
+        return Scaled(self.scale2, fn(self.poly))
 
     def eval_complex(self, point) -> complex:
-        return self.scale.to_complex() * self.poly.eval_complex(point)
+        return math.sqrt(self.scale2) * self.poly.eval_complex(point)
 
     def __eq__(self, other):
         if not isinstance(other, Scaled):
             other = Scaled.of(other)
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
-        if self.scale.radicand != other.scale.radicand:
-            # nonzero Gaussian-rational coefficient vectors cannot bridge
-            # distinct squarefree radicands
+        # sqrt(q1) P1 == sqrt(q2) P2 with P1, P2 nonzero over Q(i) forces
+        # sqrt(q1/q2) = (a coefficient of P2) / (one of P1), a positive
+        # element of Q(i), hence rational: q1/q2 must be a square s^2
+        ratio = Fraction(self.scale2) / other.scale2
+        num, den = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
+        if num * num != ratio.numerator or den * den != ratio.denominator:
             return False
-        return self.poly * self.scale.coeff == other.poly * other.scale.coeff
+        return self.poly * Fraction(num, den) == other.poly
 
     def __hash__(self):
         raise TypeError("Scaled is not hashable")
 
     def __repr__(self):
-        return f"Scaled({self.scale!r}, {self.poly!r})"
+        return f"Scaled({self.scale2!r}, {self.poly!r})"
 
     def __str__(self):
-        return f"{self.scale} * ({self.poly})"
-
-
-def scaled_bargmann(a: Scaled, b: Scaled) -> RadicalScalar:
-    """<s1 P1, s2 P2> = conj(s1) s2 <P1, P2> under the Bargmann pairing."""
-    inner = bargmann_inner(a.poly, b.poly)
-    return a.scale.conjugate() * b.scale * inner
+        return f"sqrt({self.scale2}) * ({self.poly})"
 
 
 def d_lambda(lam: Partition, n: int) -> Scaled:
     """Normalized alternant a_{lambda+delta} / sqrt(n! (lambda+delta)!)."""
     mu = lam.plus_staircase(n)
-    scale = RadicalScalar.inv_sqrt_of(math.factorial(n) * vector_factorial(mu))
-    return Scaled(scale, alternant(mu, n))
+    return Scaled(Fraction(1, math.factorial(n) * vector_factorial(mu)), alternant(mu, n))
 
 
-def norm_const_c(n: int) -> RadicalScalar:
-    """c with c^2 = 1 / prod_{p=1}^n p!; the scale of the restriction map."""
-    return RadicalScalar.inv_sqrt_of(superfactorial(n))
+def norm_const_c2(n: int) -> Fraction:
+    """c^2 = 1 / prod_{p=1}^n p!, the square of the restriction map's scale c."""
+    return Fraction(1, superfactorial(n))

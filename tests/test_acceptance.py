@@ -197,7 +197,7 @@ class TestCriterion6:
         for n in (2, 3):
             for lam in enumerate_partitions(4, n):
                 e = e_lambda(lam, n)
-                if psi_map(e.poly, n) * e.scale != d_lambda(lam, n):
+                if psi_map(e, n) != d_lambda(lam, n):
                     basis_ok = False
         import random as _random
 

@@ -39,6 +39,14 @@ def test_star_import_dir_and_unknown_names():
         hciz.no_such_name
 
 
+@pytest.mark.parametrize("name", ["RadicalScalar", "norm_const_c"])
+def test_radical_scale_names_are_gone(name):
+    # scales are kept as their rational squares: Scaled.scale2, norm_const_c2
+    with pytest.raises(AttributeError, match=name):
+        getattr(hciz, name)
+    assert "norm_const_c2" in hciz.__all__
+
+
 def test_patch_of_a_module_attribute_is_seen_and_undone(monkeypatch):
     # what perfbench's Tracer does: wrap numeric.kernel_series, then restore it
     orig = numeric.kernel_series

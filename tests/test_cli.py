@@ -348,6 +348,10 @@ class TestExitCodeContract:
             # the message names the generator, not the internal variable id
             (["fourier", "--f", "t1^40000", "--n", "2"], EXIT_USAGE,
              "exponent 40000 of t1 outside 0..32767"),
+            (["fourier", "--f", "1/0 t1", "--n", "2"], EXIT_USAGE, "zero denominator"),
+            (["fourier", "--f", "1/0", "--n", "2"], EXIT_USAGE, "zero denominator"),
+            (["schur", "--lambda", "0", "--n", "0", "--exact"], EXIT_USAGE, "n must be positive"),
+            (["schur", "--lambda", "0", "--n", "-1", "--exact"], EXIT_USAGE, "n must be positive"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
@@ -355,7 +359,8 @@ class TestExitCodeContract:
              "alt-orthonormal-n0", "inv-orthonormal-n0", "fourier-n0", "reproducing-n0",
              "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0",
              "threads-100000", "threads-0", "threads-1", "ginibre-threads-0",
-             "fourier-exponent-limit"],
+             "fourier-exponent-limit", "fourier-zero-denominator", "fourier-constant-over-zero",
+             "schur-exact-n0", "schur-exact-n-1"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

@@ -29,15 +29,16 @@ from hciz.invariant import (
     verify_psi_roundtrip,
     verify_unitarity,
 )
-from hciz.scalars import GaussianRational, RadicalScalar
+from hciz.scalars import GaussianRational
 from hciz.suites import random_trace_poly, trace_monomials
 from hciz.symfn import (
     Partition,
     Scaled,
     alternant,
     alternant_delta,
+    d_lambda,
     is_alternating,
-    norm_const_c,
+    norm_const_c2,
     partitions_of_weight,
     schur_exact,
     staircase,
@@ -221,7 +222,8 @@ class TestDiagonalRestriction:
 class TestPsiMap:
     def test_constant_maps_to_scaled_alternant(self):
         got = psi_map(TracePoly.one(), 2)
-        assert got == Scaled(norm_const_c(2), alternant_delta(2))
+        assert got.scale2 == norm_const_c2(2) == Fraction(1, 2)
+        assert got == Scaled(norm_const_c2(2), alternant_delta(2))
 
     def test_image_is_alternating(self):
         rng = random.Random(3)
@@ -242,19 +244,23 @@ class TestPsiMap:
                 assert lhs == rhs
 
     def test_maps_e_basis_to_d_basis(self):
-        from hciz.symfn import d_lambda
-
-        for n in (2, 3):
-            for w in range(0, 5):
+        for n in (1, 2, 3, 4):
+            for w in range(0, 6 if n < 4 else 5):
                 for lam in partitions_of_weight(w, n):
-                    assert psi_map(e_lambda(lam, n).poly, n) * e_lambda(lam, n).scale == d_lambda(lam, n)
+                    got = psi_map(e_lambda(lam, n), n)
+                    assert got == d_lambda(lam, n)
+                    # c^2 delta! / (lambda+delta)! is 1 / (n! (lambda+delta)!) exactly
+                    assert got.scale2 == d_lambda(lam, n).scale2
 
 
 class TestPsiInverse:
     def test_inverse_of_alternant(self):
         got = psi_inverse(alternant_delta(2), 2)
-        want = Scaled(RadicalScalar(1) / norm_const_c(2), TracePoly.one())
+        want = Scaled(1 / norm_const_c2(2), TracePoly.one())
         assert got == want
+        assert got.scale2 == 2
+        # and back: psi of the lifted Scaled value is the alternant itself
+        assert psi_map(got, 2) == Scaled.of(alternant_delta(2))
 
     def test_roundtrip_on_random_invariants(self):
         rng = random.Random(5)
@@ -310,7 +316,7 @@ class TestCharacterBasis:
 
     def test_e_lambda_scale(self):
         e = e_lambda(Partition((1,)), 2)
-        assert e.scale.squared() == GaussianRational(Fraction(1, 2))
+        assert e.scale2 == Fraction(1, 2)
         assert e.poly == chi_lambda(Partition((1,)))
 
     def test_e_lambda_normalized(self):
@@ -318,8 +324,7 @@ class TestCharacterBasis:
             for w in range(0, 4):
                 for lam in partitions_of_weight(w, n):
                     e = e_lambda(lam, n)
-                    norm = e.scale.conjugate() * e.scale * invariant_inner(e.poly, e.poly, n)
-                    assert norm == RadicalScalar(1)
+                    assert e.scale2 * invariant_inner(e.poly, e.poly, n) == 1
 
     def test_chi_norm_is_factorial_ratio(self):
         for n in (2, 3):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hciz.scalars import GaussianRational, RadicalScalar, QQI_I, QQI_ONE, QQI_ZERO
+from hciz.scalars import GaussianRational, QQI_I, QQI_ONE, QQI_ZERO
 
 
 def rand_gr(rng):
@@ -135,59 +135,6 @@ class TestCanonicalComponents:
         assert canonical_pair(GaussianRational(6) / 3) == (2, 0)
         assert canonical_pair(3 / GaussianRational(0, 2)) == (0, Fraction(-3, 2))
 
-    def test_radicals_build_fractions(self):
-        inv = RadicalScalar(3).inverse()
-        assert inv == RadicalScalar(Fraction(1, 3))
-        assert canonical_pair(inv.coeff) == (Fraction(1, 3), 0)
-        inv = RadicalScalar(2, 3).inverse()
-        assert inv.radicand == 3 and canonical_pair(inv.coeff) == (Fraction(1, 6), 0)
-        r = RadicalScalar.sqrt_of(Fraction(1, 2))
-        assert r.radicand == 2 and canonical_pair(r.coeff) == (Fraction(1, 2), 0)
-        assert canonical_pair(RadicalScalar.sqrt_of(4).coeff) == (2, 0)
-        assert canonical_pair(RadicalScalar.inv_sqrt_of(4).coeff) == (Fraction(1, 2), 0)
-
     def test_integral_values_hash_like_ints(self):
         assert hash(GaussianRational(Fraction(4, 2))) == hash(2)
         assert hash(GaussianRational(Fraction(4, 2), 1)) == hash(GaussianRational(2, 1))
-
-
-class TestRadicalScalar:
-    def test_square_extraction(self):
-        # 12 = 2^2 * 3, so sqrt(12) normalizes to 2 sqrt(3)
-        r = RadicalScalar(1, 12)
-        assert r.coeff == GaussianRational(2) and r.radicand == 3
-
-    def test_sqrt_of_rational(self):
-        r = RadicalScalar.sqrt_of(Fraction(9, 4))
-        assert r.radicand == 1 and r.coeff == Fraction(3, 2)
-        r = RadicalScalar.sqrt_of(Fraction(1, 2))
-        assert r.squared() == GaussianRational(Fraction(1, 2))
-
-    def test_inv_sqrt(self):
-        r = RadicalScalar.inv_sqrt_of(12)
-        assert r.squared() == GaussianRational(Fraction(1, 12))
-
-    def test_product_and_inverse(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            q1 = Fraction(rng.randint(1, 50), rng.randint(1, 10))
-            q2 = Fraction(rng.randint(1, 50), rng.randint(1, 10))
-            a, b = RadicalScalar.sqrt_of(q1), RadicalScalar.sqrt_of(q2)
-            assert (a * b).squared() == GaussianRational(q1 * q2)
-            assert a * a.inverse() == RadicalScalar(1)
-
-    def test_equality_needs_matching_radicand(self):
-        assert RadicalScalar(2, 3) != RadicalScalar(2, 5)
-        assert RadicalScalar(2, 3) == RadicalScalar(1, 12)
-        assert RadicalScalar(5) == 5
-
-    def test_irrational_root_keeps_its_radicand(self):
-        r = RadicalScalar(1, 2)
-        assert r.radicand == 2 and r.coeff == 1
-
-    def test_to_complex(self):
-        assert abs(RadicalScalar(1, 2).to_complex() - 2**0.5) < 1e-15
-
-    def test_zero_normalization(self):
-        z = RadicalScalar(0, 7)
-        assert z.is_zero and z.radicand == 1 and not z

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hciz import invariant
+from hciz import invariant, suites
 from hciz.suites import (
     SuiteCase,
     SuiteReport,
@@ -19,7 +19,7 @@ from hciz.suites import (
     suite_unitarity,
     trace_monomials,
 )
-from hciz.symfn import is_alternating
+from hciz.symfn import Partition, Scaled, is_alternating
 
 
 class TestReportStructure:
@@ -169,6 +169,39 @@ class TestRecordedReports:
         rep = self.CALLS[suite](n)
         text = "".join(f"{c.label}\t{c.passed}\t{c.detail}\n" for c in rep.cases)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[suite, n]
+
+
+class TestRationalGramChecksBite:
+    """The exact suites use squared scales in their Gram entries; a wrong one must still fail."""
+
+    @pytest.mark.parametrize(
+        "suite, basis, letter",
+        [(suite_alt_orthonormal, "d_lambda", "d"), (suite_inv_orthonormal, "e_lambda", "e")],
+        ids=["alt", "inv"],
+    )
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_wrong_scale_fails_only_its_diagonal(self, suite, basis, letter, n, monkeypatch):
+        build = getattr(suites, basis)
+        wrong = Partition((1,))
+
+        def skewed(lam, dim):
+            b = build(lam, dim)
+            return Scaled(b.scale2 * 4, b.poly) if lam == wrong else b
+
+        monkeypatch.setattr(suites, basis, skewed)
+        rep = suite(n, 3)
+        assert [c.label for c in rep.cases if not c.passed] == [f"<{letter}[1], {letter}[1]>"]
+        bad = next(c for c in rep.cases if not c.passed)
+        assert bad.detail == "value 4"
+
+    def test_wrong_restriction_scale_fails_unitarity(self, monkeypatch):
+        right = suite_unitarity(2, 3)
+        nonzero = {c.label for c in right.cases if not c.detail.startswith("lhs 0,")}
+        assert right.passed and nonzero
+        c2 = invariant.norm_const_c2
+        monkeypatch.setattr(invariant, "norm_const_c2", lambda n: c2(n) * 2)
+        rep = suite_unitarity(2, 3)
+        assert {c.label for c in rep.cases if not c.passed} == nonzero
 
 
 class TestStatisticalSuites:

@@ -11,8 +11,8 @@ from hciz.errors import (
     DimensionMismatchError,
     ExactDivisionError,
 )
-from hciz.exactpoly import ExactPoly, exponent_vector
-from hciz.scalars import GaussianRational, RadicalScalar
+from hciz.exactpoly import ExactPoly, bargmann_inner, exponent_vector
+from hciz.scalars import GaussianRational
 from hciz.symfn import (
     Partition,
     Scaled,
@@ -29,9 +29,8 @@ from hciz.symfn import (
     homogeneous_values,
     is_alternating,
     jacobi_trudi_indices,
-    norm_const_c,
+    norm_const_c2,
     partitions_of_weight,
-    scaled_bargmann,
     schur_exact,
     schur_numeric,
     schur_to_power_sums,
@@ -135,6 +134,13 @@ class TestPartition:
     def test_tuple_equality_and_hash(self):
         assert Partition((2, 1)) == (2, 1)
         assert hash(Partition((2, 1))) == hash(Partition((2, 1, 0)))
+        # a tuple that is not a partition compares unequal instead of raising
+        assert Partition((2, 1)) != (1, 2)
+        assert Partition((1,)) != (-1,)
+        # trailing zeros are not dropped from a tuple, so equal always means equal hashes
+        assert Partition((2, 1)) != (2, 1, 0)
+        assert Partition((2, 1)) in {(2, 1)} and (2, 1) in {Partition((2, 1))}
+        assert Partition((2, 1)) not in {(2, 1, 0)}
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -483,43 +489,124 @@ class TestSchurToPowerSums:
 # -- scaled polynomials ------------------------------------------------------------
 
 
+def scaled_equal_reference(q1, a, q2, b):
+    """sqrt(q1) a == sqrt(q2) b, decided term by term without a square test.
+
+    For one monomial, sqrt(q1) u == sqrt(q2) v holds when both coefficients
+    are zero, or both are nonzero with the same argument (u conj(v) real
+    and positive) and the same modulus (q1 |u|^2 == q2 |v|^2).
+    """
+    if a.terms.keys() != b.terms.keys():
+        return False
+    for key, u in a.terms.items():
+        v = b.terms[key]
+        cross = u * v.conjugate()
+        if cross.im != 0 or cross.re < 0 or q1 * u.norm2() != q2 * v.norm2():
+            return False
+    return True
+
+
+def rand_gaussian_poly(rng, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        key = (rng.randint(0, 3), rng.randint(0, 3))
+        terms[key] = GaussianRational(
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+        )
+    return ExactPoly(2, terms)
+
+
 class TestScaled:
     def test_equality_across_presentations(self):
         p = x(2, 0) + x(2, 1)
-        assert Scaled(RadicalScalar.sqrt_of(8), p) == Scaled(RadicalScalar.sqrt_of(2), p * 2)
-        assert Scaled(RadicalScalar.sqrt_of(4), p) == Scaled(RadicalScalar(2), p)
+        assert Scaled(8, p) == Scaled(2, p * 2)
+        assert Scaled(4, p) == Scaled.of(p * 2)
+        assert Scaled(Fraction(9, 4), p) == Scaled(1, p * Fraction(3, 2))
+        assert Scaled(Fraction(1, 2), p * 2) == Scaled(2, p)
+        # the square root is the positive one
+        assert Scaled(8, p) != Scaled(2, p * -2)
 
     def test_radicand_mismatch(self):
         p = x(2, 0)
-        assert Scaled(RadicalScalar.sqrt_of(2), p) != Scaled(RadicalScalar.sqrt_of(3), p)
+        assert Scaled(2, p) != Scaled(3, p)
+        assert Scaled(2, p) != Scaled.of(p)
+        # sqrt(12) = 2 sqrt(3), not 3 sqrt(3)
+        assert Scaled(12, p) == Scaled(3, p * 2)
+        assert Scaled(12, p) != Scaled(3, p * 3)
 
     def test_zero_normalization(self):
-        z = Scaled(RadicalScalar.sqrt_of(2), ExactPoly.zero(2))
-        assert z.is_zero
-        assert z == Scaled(RadicalScalar.sqrt_of(7), ExactPoly.zero(2))
+        z = Scaled(2, ExactPoly.zero(2))
+        assert z.is_zero and z.scale2 == 1
+        assert z == Scaled(7, ExactPoly.zero(2))
+        assert z != Scaled(2, x(2, 0))
+        assert Scaled(2, x(2, 0)) != z
 
     def test_eval(self):
-        s = Scaled(RadicalScalar.sqrt_of(2), x(1, 0))
+        s = Scaled(2, x(1, 0))
         assert abs(s.eval_complex([3.0]) - 3.0 * math.sqrt(2)) < 1e-12
 
     def test_scalar_multiplication(self):
-        s = Scaled(RadicalScalar.sqrt_of(2), x(1, 0))
-        assert s * RadicalScalar.sqrt_of(2) == Scaled(RadicalScalar(2), x(1, 0))
+        s = Scaled(2, x(1, 0))
+        i = GaussianRational(0, 1)
+        assert (s * i).scale2 == 2 and (s * i).poly == x(1, 0) * i
+        assert (s * x(1, 0)).poly == x(1, 0) * x(1, 0)
+        prod = s * Scaled(Fraction(1, 8), x(1, 0))
+        assert prod.scale2 == Fraction(1, 4) and prod.poly == x(1, 0) * x(1, 0)
+        assert s * Scaled(2, ExactPoly.one(1)) == Scaled.of(x(1, 0) * 2)
+
+    def test_negation_folds_into_poly(self):
+        s = Scaled(3, x(1, 0))
+        assert (-s).scale2 == 3 and (-s).poly == -x(1, 0)
+        assert -s == Scaled(3, x(1, 0) * -1)
+        assert -s != s
+
+    def test_scale2_must_be_a_positive_rational(self):
+        for bad in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                Scaled(bad, x(1, 0))
+        with pytest.raises(ValueError):
+            Scaled(0, ExactPoly.zero(1))
+        for bad in (2.0, GaussianRational(2), True, "2", None):
+            with pytest.raises(TypeError):
+                Scaled(bad, x(1, 0))
+
+    def test_equality_matches_termwise_reference(self):
+        rng = random.Random(11)
+        agreed = {True: 0, False: 0}
+        for _ in range(400):
+            q1 = Fraction(rng.randint(1, 30), rng.randint(1, 12))
+            a = rand_gaussian_poly(rng, rng.randint(0, 3))
+            # b = s a with q2 = q1 / s^2 is equal; each change below may break it
+            s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            q2, b = q1 / (s * s), a * s
+            change = rng.randrange(6)
+            if change == 1:
+                q2 *= rng.choice([2, 3, 5, Fraction(1, 7)])
+            elif change == 2:
+                b = b * rng.choice([-1, GaussianRational(0, 1), GaussianRational(1, 1)])
+            elif change == 3 and b.terms:
+                key = next(iter(b.terms))
+                b = b + ExactPoly(2, {exponent_vector(key, 2): b.terms[key] * rng.choice([1, -2])})
+            elif change == 4:
+                b = b + x(2, 0) * x(2, 1) ** 4
+            elif change == 5:
+                q2 = Fraction(rng.randint(1, 30), rng.randint(1, 12))
+            want = scaled_equal_reference(q1, a, q2, b)
+            assert (Scaled(q1, a) == Scaled(q2, b)) is want
+            assert (Scaled(q2, b) == Scaled(q1, a)) is want
+            agreed[want] += 1
+        # both verdicts are exercised
+        assert min(agreed.values()) > 50
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(Scaled.of(ExactPoly.one(1)))
 
 
-class TestScaledBargmann:
-    def test_scaling(self):
-        s = Scaled(RadicalScalar.sqrt_of(2), x(1, 0))
-        assert scaled_bargmann(s, s) == RadicalScalar(2)
-
-    def test_cross_radicands(self):
-        a = Scaled(RadicalScalar.sqrt_of(2), x(1, 0))
-        b = Scaled(RadicalScalar.sqrt_of(3), x(1, 0))
-        assert scaled_bargmann(a, b) == RadicalScalar.sqrt_of(6)
+def scaled_gram(a, b):
+    """q_a <P_a, P_b>: the rational Gram test of sqrt(q_a) P_a against sqrt(q_b) P_b."""
+    return bargmann_inner(a.poly, b.poly) * a.scale2
 
 
 class TestNormalizedAlternants:
@@ -527,29 +614,26 @@ class TestNormalizedAlternants:
         d1 = d_lambda(Partition((1,)), 2)
         d2 = d_lambda(Partition((2,)), 2)
         d11 = d_lambda(Partition((1, 1)), 2)
-        one = RadicalScalar(1)
-        zero = RadicalScalar(0)
-        assert scaled_bargmann(d1, d1) == one
-        assert scaled_bargmann(d2, d2) == one
-        assert scaled_bargmann(d11, d11) == one
-        assert scaled_bargmann(d2, d11) == zero
+        assert scaled_gram(d1, d1) == 1
+        assert scaled_gram(d2, d2) == 1
+        assert scaled_gram(d11, d11) == 1
+        assert scaled_gram(d2, d11) == 0
 
     def test_empty_partition_n2(self):
         d0 = d_lambda(Partition(), 2)
-        assert d0 == Scaled(RadicalScalar.inv_sqrt_of(2), x(2, 0) - x(2, 1))
+        assert d0.scale2 == Fraction(1, 2)
+        assert d0 == Scaled(Fraction(1, 2), x(2, 0) - x(2, 1))
 
     def test_norm_const(self):
-        assert norm_const_c(1) == RadicalScalar(1)
-        assert norm_const_c(2) == RadicalScalar.inv_sqrt_of(2)
-        assert norm_const_c(3) == RadicalScalar.inv_sqrt_of(12)
+        assert norm_const_c2(1) == 1
+        assert norm_const_c2(2) == Fraction(1, 2)
+        assert norm_const_c2(3) == Fraction(1, 12)
 
     def test_norm_const_prefactor_identity(self):
         # 1/c^2 = prod_{p=1}^{n} p!, so (1/c^2)/n! = prod_{p<n} p!, the
         # prefactor of the determinant formula
         for n in range(1, 6):
-            c2 = norm_const_c(n).squared()
-            assert c2.im == 0
-            inv_c2 = 1 / Fraction(c2.re)
+            inv_c2 = 1 / norm_const_c2(n)
             lead = Fraction(1)
             for p in range(1, n):
                 lead *= math.factorial(p)
