@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatchError,
     ExactDivisionError,
     NotAlternatingError,
-    NotInImageError,
 )
 
 # Every other public name, by the module that defines it.  A name is looked
@@ -81,7 +80,6 @@ __all__ = sorted([
     "DimensionMismatchError",
     "ExactDivisionError",
     "NotAlternatingError",
-    "NotInImageError",
     *_MODULE_OF,
 ])
 

@@ -27,7 +27,6 @@ from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     NotAlternatingError,
-    NotInImageError,
 )
 
 # Each command imports what it runs in its own body, so the exact commands
@@ -44,6 +43,10 @@ EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
 RNG_NAME = "philox"
+
+# `schur --exact` expands the n!-term alternant a_{lambda+delta}: n = 8
+# takes seconds, n = 9 over a minute and most of a gigabyte
+SCHUR_EXACT_MAX_N = 8
 
 
 class UsageError(Exception):
@@ -402,6 +405,9 @@ def cmd_schur(args) -> int:
             raise UsageError("--exact needs --n")
         if args.n < 1:
             raise UsageError("n must be positive")
+        if args.n > SCHUR_EXACT_MAX_N:
+            raise UsageError(
+                f"--exact needs n <= {SCHUR_EXACT_MAX_N}: the alternant it divides has n! terms")
         poly = schur_exact(lam, args.n)
         report.results["exact"] = poly.to_text(var_symbol="x")
         lines.append(f"s[{lam}] in {args.n} variables: {report.results['exact']}")
@@ -518,7 +524,6 @@ def main(argv=None) -> int:
         DegenerateSpectrumError,
         DimensionMismatchError,
         NotAlternatingError,
-        NotInImageError,
         NonFiniteValueError,
     ) as exc:
         payload = {

@@ -29,9 +29,5 @@ class NotAlternatingError(ValueError):
     """A polynomial required to be alternating fails the transposition check."""
 
 
-class NotInImageError(ValueError):
-    """Division by the Vandermonde alternant left a nonzero remainder."""
-
-
 class ExactDivisionError(ArithmeticError):
     """Internal consistency failure: an exact polynomial division had a remainder."""

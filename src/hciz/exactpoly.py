@@ -250,13 +250,6 @@ class ExactPoly:
             self.terms.items(), key=lambda kv: _grlex(kv[0], self.n_vars), reverse=reverse
         )
 
-    def leading(self):
-        """(dense exponent tuple, coeff) of the graded-lex leading term; None for zero."""
-        if not self.terms:
-            return None
-        key = max(self.terms, key=lambda k: _grlex(k, self.n_vars))
-        return exponent_vector(key, self.n_vars), self.terms[key]
-
     def _want_same_space(self, other: "ExactPoly"):
         if self.n_vars != other.n_vars:
             raise DimensionMismatchError(

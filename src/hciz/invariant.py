@@ -6,12 +6,15 @@ the three exact pictures the verification suites compare:
     diagonal picture   symmetric / alternating ExactPoly in n eigenvalues
 
 The restriction map psi(F) = c * a_delta * F|_D carries the invariant
-picture to the alternating one; its unitarity, the differential-operator
-identity, Schur-coefficient extraction and the orthonormal bases d_lambda,
-e_lambda are all checked here with rational arithmetic only.  The scales
-c, and those of d_lambda and e_lambda, are square roots of positive
-rationals, held as their squares (`Scaled.scale2`); a Gram entry needs
-only those squares, so no square root is ever taken.
+picture to the alternating one and e_lambda to d_lambda; its inverse reads
+the coefficients g_{lambda+delta} of an alternating g (the ones
+`fourier_coefficients` reads) and returns sum_lambda g_{lambda+delta}
+chi_lambda.  Its unitarity, the differential-operator identity,
+Schur-coefficient extraction and the orthonormal bases d_lambda, e_lambda
+are all checked here with rational arithmetic only.  The scales c, and
+those of d_lambda and e_lambda, are square roots of positive rationals,
+held as their squares (`Scaled.scale2`); a Gram entry needs only those
+squares, so no square root is ever taken.
 
 A caution on presentations: at fixed n the generators t_k with k > n are
 algebraically dependent on the lower ones, so identities between trace
@@ -25,11 +28,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    ExactDivisionError,
-    NotAlternatingError,
-    NotInImageError,
-)
+from .errors import DimensionMismatchError, NotAlternatingError
 from .exactpoly import ExactPoly, bargmann_inner, exponent_pairs, linear_combination
 from .scalars import GaussianRational
 from .symfn import (
@@ -37,7 +36,6 @@ from .symfn import (
     Scaled,
     TracePoly,
     alternant_delta,
-    divide_by_alternant_delta,
     is_alternating,
     norm_const_c2,
     enumerate_partitions,
@@ -117,79 +115,6 @@ def psi_map(f, n: int) -> Scaled:
     return Scaled(f.scale2 * norm_const_c2(n), image)
 
 
-# -- rewriting symmetric polynomials in the trace generators -----------------------------
-
-
-@lru_cache(maxsize=None)
-def elementary_exact(k: int, n: int) -> ExactPoly:
-    """Elementary symmetric polynomial e_k in n variables."""
-    if k > n:
-        return ExactPoly.zero(n)
-    one = GaussianRational(1)
-    return ExactPoly(
-        n,
-        {
-            tuple(int(v in combo) for v in range(n)): one
-            for combo in itertools.combinations(range(n), k)
-        },
-    )
-
-
-@lru_cache(maxsize=None)
-def elementary_in_power_sums(k: int) -> TracePoly:
-    """e_k rewritten in power sums by Newton's identity k e_k = sum (-1)^{i-1} e_{k-i} p_i."""
-    if k == 0:
-        return TracePoly.one()
-    acc = TracePoly.zero()
-    for i in range(1, k + 1):
-        term = elementary_in_power_sums(k - i) * TracePoly.gen(i)
-        acc = acc + (term if (i - 1) % 2 == 0 else -term)
-    return acc * Fraction(1, k)
-
-
-def symmetric_to_traces(s: ExactPoly, n: int) -> TracePoly:
-    """Rewrite a symmetric polynomial in n variables as a trace polynomial.
-
-    Leading-exponent elimination against products of elementary symmetric
-    polynomials, then Newton's identities to reach the t_k.  Only t_1..t_n
-    appear in the output.
-    """
-    residue = s
-    out = TracePoly.zero()
-    while not residue.is_zero:
-        alpha, c = residue.leading()
-        if any(alpha[i] < alpha[i + 1] for i in range(n - 1)):
-            raise NotInImageError("polynomial is not symmetric")
-        mults = [alpha[k - 1] - (alpha[k] if k < n else 0) for k in range(1, n + 1)]
-        e_mono_x = ExactPoly.one(n)
-        e_mono_t = TracePoly.one()
-        for k, m in enumerate(mults, start=1):
-            for _ in range(m):
-                e_mono_x = e_mono_x * elementary_exact(k, n)
-                e_mono_t = e_mono_t * elementary_in_power_sums(k)
-        residue = residue - e_mono_x * c
-        out = out + e_mono_t * c
-    return out
-
-
-def psi_inverse(g, n: int) -> Scaled:
-    """Inverse of psi: divide out a_delta exactly, lift to traces, divide the scale by c.
-
-    Accepts a plain ExactPoly or a Scaled one; the input must be alternating
-    and divisible by a_delta, else NotAlternatingError / NotInImageError.
-    """
-    g = Scaled.of(g)
-    if g.poly.n_vars != n:
-        raise NotInImageError(f"polynomial over {g.poly.n_vars} variables, expected {n}")
-    if not is_alternating(g.poly):
-        raise NotAlternatingError("psi_inverse needs an alternating input")
-    try:
-        sym = divide_by_alternant_delta(g.poly, n)
-    except ExactDivisionError as exc:
-        raise NotInImageError("polynomial is not a multiple of the alternant") from exc
-    return Scaled(g.scale2 / norm_const_c2(n), symmetric_to_traces(sym, n))
-
-
 # -- the canonical bases -------------------------------------------------------------
 
 
@@ -204,6 +129,48 @@ def e_lambda(lam: Partition, n: int) -> Scaled:
         vector_factorial(staircase(n)), vector_factorial(lam.plus_staircase(n))
     )
     return Scaled(ratio, chi_lambda(lam))
+
+
+def _schur_coefficients(h: ExactPoly, n: int, max_weight: int) -> dict:
+    """{lambda: coefficient of x^{lambda+delta} in h} for |lambda| <= max_weight, zeros omitted.
+
+    An alternating h is sum_lambda h_{lambda+delta} a_{lambda+delta}, and
+    x^{lambda+delta} is the one term of a_{lambda+delta} with strictly
+    decreasing exponents, so these are its coordinates in the alternants.
+    """
+    out = {}
+    for lam in enumerate_partitions(max_weight, n):
+        c = h.coefficient(lam.plus_staircase(n))
+        if not c.is_zero:
+            out[lam] = c
+    return out
+
+
+def _character_sum(coeffs: dict) -> TracePoly:
+    """sum_lambda coeffs[lambda] * chi_lambda."""
+    acc = TracePoly.zero()
+    for lam, c in coeffs.items():
+        acc = acc + chi_lambda(lam) * c
+    return acc
+
+
+def psi_inverse(g, n: int) -> Scaled:
+    """Inverse of psi: sum_lambda g_{lambda+delta} a_{lambda+delta} lifts to
+    sum_lambda g_{lambda+delta} chi_lambda, the scale divided by c^2.
+
+    psi sends chi_lambda to c * a_{lambda+delta}, so this sends d_lambda to
+    e_lambda exactly.  Accepts a plain ExactPoly or a Scaled one over n
+    variables, which must be alternating.  The output is written in the
+    chi_lambda and may use t_k with k > n: compare it in the diagonal picture.
+    """
+    g = Scaled.of(g)
+    if g.poly.n_vars != n:
+        raise DimensionMismatchError(f"polynomial over {g.poly.n_vars} variables, expected {n}")
+    if not is_alternating(g.poly):
+        raise NotAlternatingError("psi_inverse needs an alternating input")
+    max_weight = max(g.poly.degree() - n * (n - 1) // 2, 0)
+    lift = _character_sum(_schur_coefficients(g.poly, n, max_weight))
+    return Scaled(g.scale2 / norm_const_c2(n), lift)
 
 
 def invariant_inner(f: TracePoly, g: TracePoly, n: int) -> GaussianRational:
@@ -265,13 +232,7 @@ def fourier_coefficients(f: TracePoly, n: int, max_weight: int | None = None) ->
     """
     if max_weight is None:
         max_weight = max(f.weighted_degree(), 0)
-    h = psi_map(f, n).poly
-    out = {}
-    for lam in enumerate_partitions(max_weight, n):
-        c = h.coefficient(lam.plus_staircase(n))
-        if not c.is_zero:
-            out[lam] = c
-    return out
+    return _schur_coefficients(psi_map(f, n).poly, n, max_weight)
 
 
 def verify_fourier_reconstruction(f: TracePoly, n: int, max_weight: int | None = None):
@@ -282,19 +243,17 @@ def verify_fourier_reconstruction(f: TracePoly, n: int, max_weight: int | None =
     through the relations among t_k for k > n.
     """
     coeffs = fourier_coefficients(f, n, max_weight)
-    acc = TracePoly.zero()
-    for lam, c in coeffs.items():
-        acc = acc + chi_lambda(lam) * c
-    same = acc.substitute_powers(n) == f.substitute_powers(n)
+    same = _character_sum(coeffs).substitute_powers(n) == f.substitute_powers(n)
     return same, coeffs
 
 
 def verify_psi_roundtrip(f: TracePoly, n: int):
-    """psi_inverse(psi_map(F)) == F, compared faithfully in the diagonal picture."""
+    """psi_inverse(psi_map(F)) == F, compared in the diagonal picture.
+
+    Returns (equal, psi_inverse(psi_map(F))).  The lift is written in the
+    chi_lambda, a presentation that can differ from F's through the
+    relations among t_k for k > n, so only the restrictions are compared.
+    """
     back = psi_inverse(psi_map(f, n), n)
-    if back == Scaled.of(f):
-        return True, back
-    # presentations may differ through t_k relations at k > n
-    lhs = back.map_poly(lambda p: p.substitute_powers(n))
-    rhs = Scaled.of(f.substitute_powers(n))
-    return lhs == rhs, back
+    same = back.map_poly(lambda p: p.substitute_powers(n)) == Scaled.of(f.substitute_powers(n))
+    return same, back

@@ -401,9 +401,10 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
     """Truncated expansion sum_lambda delta!/(lambda+delta)! s_lambda(x) conj(s_lambda(y)).
 
     Shells are whole weights; the sum stops early once n consecutive shells
-    have absolute mass below 1e-3 * tol, and in any case at `max_weight`.
-    A single tiny shell can be an accident of the spectrum (a traceless x
-    kills weight 1); n in a row force p_1..p_n ~ 0, hence real convergence.
+    have absolute mass below 1e-3 * tol, and in any case at `max_weight`;
+    `tol` must be finite and >= 0, and 0 never stops early.  A single tiny
+    shell can be an accident of the spectrum (a traceless x kills weight 1);
+    n in a row force p_1..p_n ~ 0, hence real convergence.
     Each shell's spectrum-independent part is built once per process
     (`_shell_plan`); a call computes the h-values and the determinants.
     """
@@ -412,6 +413,9 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
         raise DimensionMismatchError(f"spectra of lengths {x.n} and {y.n}")
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
+    # tol = inf stops after n shells whatever their mass; nan or < 0 never stops early
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     n = x.n
     kmax = max_weight + n - 1
     # x and y share one batch, so each shell gathers from its stacks once

@@ -171,6 +171,8 @@ def suite_fourier(n: int, count: int = 10, max_weight: int = 5, seed: int = 0) -
     _require_positive_n(n)
     if count < 1:
         raise ValueError("count must be positive")
+    if max_weight < 0:
+        raise ValueError("max_weight must be nonnegative")
     rng = random.Random(seed)
     cases = []
     for k in range(count):

@@ -39,9 +39,11 @@ def test_star_import_dir_and_unknown_names():
         hciz.no_such_name
 
 
-@pytest.mark.parametrize("name", ["RadicalScalar", "norm_const_c"])
+@pytest.mark.parametrize("name", ["RadicalScalar", "norm_const_c", "NotInImageError"])
 def test_radical_scale_names_are_gone(name):
-    # scales are kept as their rational squares: Scaled.scale2, norm_const_c2
+    # scales are kept as their rational squares: Scaled.scale2, norm_const_c2;
+    # psi_inverse reads Schur coefficients and divides nothing, so it has no
+    # "not in the image" case
     with pytest.raises(AttributeError, match=name):
         getattr(hciz, name)
     assert "norm_const_c2" in hciz.__all__
@@ -58,3 +60,31 @@ def test_patch_of_a_module_attribute_is_seen_and_undone(monkeypatch):
         m.setattr(numeric, "kernel_series", wrapped)
         assert hciz.kernel_series is wrapped
     assert hciz.kernel_series is orig
+
+
+def test_what_perfbench_reads_exists():
+    # perfbench/ wraps these methods and reads these result fields; it is not
+    # edited alongside the package, so a rename here would show up there only
+    # as failed operations, not as an error
+    from hciz import exactpoly, scalars, suites
+
+    for cls, meth in [(exactpoly.ExactPoly, "__mul__"), (exactpoly.ExactPoly, "apply_diff"),
+                      (exactpoly.ExactPoly, "substitute"),
+                      (scalars.GaussianRational, "__mul__"),
+                      (scalars.GaussianRational, "__add__")]:
+        assert meth in cls.__dict__, (cls.__name__, meth)
+    est = hciz.hciz_mc((0.0, 0.5), (0.1, 0.3), 4, 0, threads=1)
+    for field in ("mean", "stderr", "n_samples"):
+        assert hasattr(est, field), field
+    res = hciz.kernel_series((0.0, 0.5), (0.1, 0.3), max_weight=2)
+    for field in ("value", "max_weight_used", "last_shell_magnitude"):
+        assert hasattr(res, field), field
+    rep = hciz.ginibre_moment_suite(2, 4, 0, threads=1)
+    for field in ("trace_estimate", "trace_expected", "det_estimate", "det_expected"):
+        assert hasattr(rep, field), field
+    report = suites.suite_alt_orthonormal(1, 1)
+    for field in ("suite", "cases", "n_failed"):
+        assert hasattr(report, field), field
+    assert report.cases
+    for field in ("label", "passed"):
+        assert hasattr(report.cases[0], field), field

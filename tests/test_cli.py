@@ -352,6 +352,18 @@ class TestExitCodeContract:
             (["fourier", "--f", "1/0", "--n", "2"], EXIT_USAGE, "zero denominator"),
             (["schur", "--lambda", "0", "--n", "0", "--exact"], EXIT_USAGE, "n must be positive"),
             (["schur", "--lambda", "0", "--n", "-1", "--exact"], EXIT_USAGE, "n must be positive"),
+            (["schur", "--lambda", "1", "--n", "9", "--exact"], EXIT_USAGE,
+             "--exact needs n <= 8: the alternant it divides has n! terms"),
+            (["verify", "fourier", "--n", "2", "--max-weight", "-1"], EXIT_USAGE,
+             "max_weight must be nonnegative"),
+            # inf would pass any det-vs-series delta after n shells; nan and
+            # negative tolerances never stop the series early
+            (["eval", "--n", "2", "--a", "1,2", "--b", "1,2", "--methods", "det,series",
+              "--tol", "inf"], EXIT_USAGE, "tol must be finite and nonnegative, got inf"),
+            (["eval", "--n", "2", "--a", "1,2", "--b", "1,2", "--methods", "det,series",
+              "--tol", "nan"], EXIT_USAGE, "tol must be finite and nonnegative, got nan"),
+            (["eval", "--n", "2", "--a", "1,2", "--b", "1,2", "--methods", "det,series",
+              "--tol", "-1"], EXIT_USAGE, "tol must be finite and nonnegative, got -1"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
@@ -360,7 +372,8 @@ class TestExitCodeContract:
              "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0",
              "threads-100000", "threads-0", "threads-1", "ginibre-threads-0",
              "fourier-exponent-limit", "fourier-zero-denominator", "fourier-constant-over-zero",
-             "schur-exact-n0", "schur-exact-n-1"],
+             "schur-exact-n0", "schur-exact-n-1", "schur-exact-n9", "fourier-max-weight-1",
+             "tol-inf", "tol-nan", "tol-1"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

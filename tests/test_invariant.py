@@ -5,15 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hciz.errors import NotAlternatingError, NotInImageError
+from hciz.errors import DimensionMismatchError, NotAlternatingError
 from hciz import invariant
 from hciz.exactpoly import ExactPoly, bargmann_inner
 from hciz.invariant import (
     TracePoly,
     chi_lambda,
     e_lambda,
-    elementary_exact,
-    elementary_in_power_sums,
     entry_to_diagonal,
     entry_var,
     expand_to_entries,
@@ -22,7 +20,6 @@ from hciz.invariant import (
     psi_inverse,
     psi_map,
     restrict_to_diagonal,
-    symmetric_to_traces,
     trace_power_entry,
     verify_diffop_identity,
     verify_fourier_reconstruction,
@@ -30,13 +27,14 @@ from hciz.invariant import (
     verify_unitarity,
 )
 from hciz.scalars import GaussianRational
-from hciz.suites import random_trace_poly, trace_monomials
+from hciz.suites import random_alternating_poly, random_trace_poly, trace_monomials
 from hciz.symfn import (
     Partition,
     Scaled,
     alternant,
     alternant_delta,
     d_lambda,
+    enumerate_partitions,
     is_alternating,
     norm_const_c2,
     partitions_of_weight,
@@ -275,33 +273,25 @@ class TestPsiInverse:
             psi_inverse(ExactPoly.monomial(2, (1, 1)), 2)
 
     def test_rejects_wrong_width(self):
-        with pytest.raises(NotInImageError):
+        with pytest.raises(DimensionMismatchError):
             psi_inverse(alternant_delta(3), 2)
 
+    def test_maps_d_basis_to_e_basis(self):
+        count = 0
+        for n in (1, 2, 3, 4):
+            for lam in enumerate_partitions(5 if n < 4 else 4, n):
+                got = psi_inverse(d_lambda(lam, n), n)
+                assert got == e_lambda(lam, n), (lam, n)
+                assert got.scale2 == e_lambda(lam, n).scale2
+                count += 1
+        assert count == 46
 
-class TestSymmetricToTraces:
-    def test_elementary_golden(self):
-        # e_2 = (t1^2 - t2) / 2
-        got = elementary_in_power_sums(2)
-        assert got == (t(1) ** 2 - t(2)) * Fraction(1, 2)
-
-    def test_elementary_exact_matches_expansion(self):
-        for n in (2, 3):
-            for k in range(0, n + 1):
-                assert elementary_in_power_sums(k).substitute_powers(n) == elementary_exact(k, n)
-
-    def test_lift_then_restrict_is_identity(self):
-        rng = random.Random(6)
-        for n in (2, 3):
-            for w in range(0, 5):
-                for lam in partitions_of_weight(w, n):
-                    s = schur_exact(lam, n)
-                    lifted = symmetric_to_traces(s, n)
-                    assert lifted.substitute_powers(n) == s
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(NotInImageError):
-            symmetric_to_traces(ExactPoly.variable(2, 0), 2)
+    def test_psi_of_inverse_is_identity_on_alternating(self):
+        rng = random.Random(14)
+        for n in (1, 2, 3):
+            for _ in range(5):
+                g = random_alternating_poly(rng, n, 4)
+                assert psi_map(psi_inverse(g, n), n) == Scaled.of(g)
 
 
 class TestCharacterBasis:

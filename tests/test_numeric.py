@@ -468,6 +468,12 @@ class TestKernelSeries:
         kernel_series((-0.7, 0.2, 1.3), (0.5, 0.1, -0.4), max_weight=10, tol=0.0)
         assert builds == []
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_rejects_a_tolerance_that_cannot_stop_correctly(self, tol):
+        # inf stops after n shells whatever their mass; nan and negative ones never stop
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            kernel_series((1.0, 2.0), (1.0, 2.0), tol=tol)
+
     def test_weight_zero_is_one(self):
         r = kernel_series((0.4, -0.2), (0.3, 0.1), max_weight=0)
         assert r.value == 1.0 + 0j
