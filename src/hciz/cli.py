@@ -23,11 +23,7 @@ import warnings
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import (
-    DegenerateSpectrumError,
-    DimensionMismatchError,
-    NotAlternatingError,
-)
+from .errors import DegenerateSpectrumError, DimensionMismatchError
 
 # Each command imports what it runs in its own body, so the exact commands
 # and --help start without numpy.
@@ -62,45 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-
-
-class Report:
-    """One command's JSON report."""
-
-    def __init__(
-        self,
-        command: str,
-        inputs: dict,
-        results: dict | None = None,
-        checks: list | None = None,
-        passed: bool | None = None,
-    ):
-        self.command = command
-        self.inputs = inputs
-        self.results = {} if results is None else results
-        self.checks = [] if checks is None else checks
-        self.passed = passed
-        self.timing_seconds = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "checks": self.checks,
-            "passed": self.passed,
-            "versions": {
-                "hciz": __version__,
-                "numpy": _numpy_version(),
-                "python": sys.version.split()[0],
-            },
-            "rng": RNG_NAME,
-            "timing_seconds": self.timing_seconds,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _numpy_version() -> str:
@@ -214,16 +171,40 @@ def _spectrum_json(s: Spectrum) -> list:
     return [_cj(e) for e in s.eigs]
 
 
-def _emit(report: Report, args, summary_lines) -> None:
-    text = report.to_json()
+def _fields(result) -> dict:
+    """A result's own fields, complex values as {re, im}."""
+    return {k: _cj(v) if isinstance(v, complex) else v for k, v in vars(result).items()}
+
+
+def _emit(args, command: str, t0: float, inputs: dict, results: dict, lines,
+          passed: bool = True, checks=()) -> int:
+    """Write the JSON report and the summary; returns the exit code `passed` maps to."""
+    elapsed = time.perf_counter() - t0
+    report = {
+        "schema": 1,
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "checks": list(checks),
+        "passed": passed,
+        "versions": {
+            "hciz": __version__,
+            "numpy": _numpy_version(),
+            "python": sys.version.split()[0],
+        },
+        "rng": RNG_NAME,
+        "timing_seconds": elapsed,
+    }
+    text = json.dumps(report, sort_keys=True, indent=2)
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     if args.output == "-":
         print(text)
     elif not args.quiet:
-        for line in summary_lines:
+        for line in lines:
             print(line)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 # -- commands -----------------------------------------------------------------------
@@ -244,51 +225,38 @@ def cmd_eval(args) -> int:
     b = parse_spectrum(args.b, args.n, rng)
 
     t0 = time.perf_counter()
-    report = Report(
-        command="eval",
-        inputs={
-            "n": args.n,
-            "a": args.a,
-            "b": args.b,
-            "a_resolved": _spectrum_json(a),
-            "b_resolved": _spectrum_json(b),
-            "methods": methods,
-            "n_samples": args.samples,
-            "seed": args.seed,
-            "max_weight": args.max_weight,
-            "tolerance": args.tol,
-            "threads": args.threads,
-        },
-    )
+    inputs = {
+        "n": args.n,
+        "a": args.a,
+        "b": args.b,
+        "a_resolved": _spectrum_json(a),
+        "b_resolved": _spectrum_json(b),
+        "methods": methods,
+        "n_samples": args.samples,
+        "seed": args.seed,
+        "max_weight": args.max_weight,
+        "tolerance": args.tol,
+        "threads": args.threads,
+    }
     values: dict[str, complex] = {}
+    results = {}
     if "det" in methods:
-        det = hciz_determinant(a, b)
-        values["det"] = det
-        report.results["det"] = {"value": _cj(det)}
+        values["det"] = hciz_determinant(a, b)
+        results["det"] = {"value": _cj(values["det"])}
     if "mc" in methods:
         est = hciz_mc(a, b, args.samples, args.seed, threads=args.threads)
         values["mc"] = est.mean
-        report.results["mc"] = {
-            "mean": _cj(est.mean),
-            "stderr": est.stderr,
-            "rounding": est.rounding,
-            "n_samples": est.n_samples,
-            "seed": est.seed,
-        }
+        results["mc"] = _fields(est)
     if "series" in methods:
         res = kernel_series(a, b.conj(), max_weight=args.max_weight, tol=args.tol)
         values["series"] = res.value
-        report.results["series"] = {
-            "value": _cj(res.value),
-            "max_weight_used": res.max_weight_used,
-            "last_shell_magnitude": res.last_shell_magnitude,
-        }
+        results["series"] = _fields(res)
 
     bad = [m for m in methods if not cmath.isfinite(values[m])]
     if bad:
         raise NonFiniteValueError(f"non-finite value from {', '.join(bad)}")
 
-    mc = report.results.get("mc", {})
+    mc = results.get("mc", {})
     stderr, rounding = mc.get("stderr", 0.0), mc.get("rounding", 0.0)
 
     def mc_band(m1, m2):
@@ -302,27 +270,26 @@ def cmd_eval(args) -> int:
         ("mc", "series"): mc_band,
         ("det", "series"): lambda m1, m2: args.tol,
     }
+    checks = []
     for (m1, m2), band in policies.items():
         if m1 in values and m2 in values:
             delta = abs(values[m1] - values[m2])
-            report.checks.append(
+            checks.append(
                 {
                     "name": f"{m1} vs {m2}",
                     "delta": delta,
                     "passed": bool(delta <= band(m1, m2)),
                 }
             )
-    report.passed = all(c["passed"] for c in report.checks) if report.checks else True
-    report.timing_seconds = time.perf_counter() - t0
+    passed = all(c["passed"] for c in checks)
 
     lines = [f"{m}: {values[m]!r}" for m in methods]
     lines += [
         f"{c['name']}: delta {c['delta']:.3e} -> {'ok' if c['passed'] else 'FAIL'}"
-        for c in report.checks
+        for c in checks
     ]
-    lines.append(f"verdict: {'pass' if report.passed else 'FAIL'}")
-    _emit(report, args, lines)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    lines.append(f"verdict: {'pass' if passed else 'FAIL'}")
+    return _emit(args, "eval", t0, inputs, results, lines, passed, checks)
 
 
 def _given(args, name: str) -> dict:
@@ -350,26 +317,15 @@ def cmd_verify(args) -> int:
 
     t0 = time.perf_counter()
     rep = _SUITES[args.suite](suites, args)
-    report = Report(
-        command="verify",
-        inputs={"suite": args.suite, **rep.params},
-        results={
-            "cases": len(rep.cases),
-            "failed": rep.n_failed,
-        },
-        checks=[
-            {"name": c.label, "passed": c.passed, "detail": c.detail} for c in rep.cases
-        ],
-        passed=rep.passed,
-    )
-    report.timing_seconds = time.perf_counter() - t0
+    results = {"cases": len(rep.cases), "failed": rep.n_failed}
+    checks = [{"name": c.label, "passed": c.passed, "detail": c.detail} for c in rep.cases]
     lines = [
         f"{args.suite}: {len(rep.cases)} cases, {rep.n_failed} failed "
         f"-> {'pass' if rep.passed else 'FAIL'}"
     ]
     lines += [f"  {c.label}: FAIL ({c.detail})" for c in rep.cases if not c.passed]
-    _emit(report, args, lines)
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    return _emit(args, "verify", t0, {"suite": args.suite, **rep.params}, results, lines,
+                 rep.passed, checks)
 
 
 def cmd_schur(args) -> int:
@@ -379,16 +335,14 @@ def cmd_schur(args) -> int:
     if args.eigs is None and args.n is None and not args.power_sums:
         raise UsageError("need --eigs, or --n with --exact, or --power-sums")
     t0 = time.perf_counter()
-    report = Report(
-        command="schur",
-        inputs={
-            "lambda": lam.to_text(),
-            "eigs": args.eigs,
-            "n": args.n,
-            "exact": args.exact,
-            "power_sums": args.power_sums,
-        },
-    )
+    inputs = {
+        "lambda": lam.to_text(),
+        "eigs": args.eigs,
+        "n": args.n,
+        "exact": args.exact,
+        "power_sums": args.power_sums,
+    }
+    results = {}
     lines = []
     if args.eigs is not None:
         from .numeric import Spectrum
@@ -398,7 +352,7 @@ def cmd_schur(args) -> int:
         value = schur_numeric(lam, eigs)
         if not cmath.isfinite(value):
             raise NonFiniteValueError(f"non-finite value of s[{lam}]")
-        report.results["value"] = _cj(value)
+        results["value"] = _cj(value)
         lines.append(f"s[{lam}]({args.eigs}) = {value!r}")
     if args.exact:
         if args.n is None:
@@ -408,17 +362,12 @@ def cmd_schur(args) -> int:
         if args.n > SCHUR_EXACT_MAX_N:
             raise UsageError(
                 f"--exact needs n <= {SCHUR_EXACT_MAX_N}: the alternant it divides has n! terms")
-        poly = schur_exact(lam, args.n)
-        report.results["exact"] = poly.to_text(var_symbol="x")
-        lines.append(f"s[{lam}] in {args.n} variables: {report.results['exact']}")
+        results["exact"] = schur_exact(lam, args.n).to_text(var_symbol="x")
+        lines.append(f"s[{lam}] in {args.n} variables: {results['exact']}")
     if args.power_sums:
-        ps = schur_to_power_sums(lam)
-        report.results["power_sums"] = ps.to_text(var_symbol="p")
-        lines.append(f"s[{lam}] in power sums: {report.results['power_sums']}")
-    report.passed = True
-    report.timing_seconds = time.perf_counter() - t0
-    _emit(report, args, lines)
-    return EXIT_OK
+        results["power_sums"] = schur_to_power_sums(lam).to_text(var_symbol="p")
+        lines.append(f"s[{lam}] in power sums: {results['power_sums']}")
+    return _emit(args, "schur", t0, inputs, results, lines)
 
 
 def cmd_fourier(args) -> int:
@@ -427,25 +376,14 @@ def cmd_fourier(args) -> int:
     f = parse_trace_poly(args.f)
     t0 = time.perf_counter()
     ok, coeffs = verify_fourier_reconstruction(f, args.n, args.max_weight)
-    report = Report(
-        command="fourier",
-        inputs={
-            "f": args.f,
-            "canonical": f.to_text(),
-            "n": args.n,
-            "max_weight": args.max_weight,
-        },
-        results={
-            "coefficients": {lam.to_text(): str(c) for lam, c in coeffs.items()},
-            "reconstruction": ok,
-        },
-        passed=ok,
-    )
-    report.timing_seconds = time.perf_counter() - t0
+    inputs = {"f": args.f, "canonical": f.to_text(), "n": args.n, "max_weight": args.max_weight}
+    results = {
+        "coefficients": {lam.to_text(): str(c) for lam, c in coeffs.items()},
+        "reconstruction": ok,
+    }
     lines = [f"f[{lam}] = {c}" for lam, c in coeffs.items()]
     lines.append(f"reconstruction: {'pass' if ok else 'FAIL'}")
-    _emit(report, args, lines)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _emit(args, "fourier", t0, inputs, results, lines, ok)
 
 
 # -- wiring --------------------------------------------------------------------------
@@ -523,7 +461,6 @@ def main(argv=None) -> int:
     except (
         DegenerateSpectrumError,
         DimensionMismatchError,
-        NotAlternatingError,
         NonFiniteValueError,
     ) as exc:
         payload = {

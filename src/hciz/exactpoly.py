@@ -115,7 +115,7 @@ def _grlex(key: int, n_vars: int):
 
 @lru_cache(maxsize=1 << 16)
 def _factorial(key: int) -> int:
-    """a! = prod_v (exponent of v)!, cached since Gram loops pair each key many times."""
+    """a! = prod_v (exponent of v)!, cached: Gram loops and `apply_diff` meet each key often."""
     return math.prod(math.factorial(e) for _, e in exponent_pairs(key))
 
 
@@ -244,11 +244,9 @@ class ExactPoly:
         """The coefficient of a dense exponent tuple (or of a key from `terms`)."""
         return self.terms.get(_as_key(exponents), QQI_ZERO)
 
-    def items_grlex(self, reverse: bool = True):
-        """(key, coeff) terms in canonical order (leading term first by default)."""
-        return sorted(
-            self.terms.items(), key=lambda kv: _grlex(kv[0], self.n_vars), reverse=reverse
-        )
+    def items_grlex(self):
+        """(key, coeff) terms in canonical order, leading term first."""
+        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0], self.n_vars), reverse=True)
 
     def _want_same_space(self, other: "ExactPoly"):
         if self.n_vars != other.n_vars:
@@ -359,28 +357,24 @@ class ExactPoly:
         self._want_same_space(g)
         guards = _guards(self.n_vars)
         real = _is_real(self) and _is_real(g)
-        g_terms = [
-            (beta, exponent_vector(beta, g.n_vars), gb.re, gb.im) for beta, gb in g.terms.items()
-        ]
+        g_terms = [(beta, _factorial(beta), gb.re, gb.im) for beta, gb in g.terms.items()]
 
         def products():
             for alpha, fa in self.terms.items():
-                alpha_pairs = exponent_pairs(alpha)
                 fr, fi = fa.re, fa.im
-                for beta, beta_exps, gr, gi in g_terms:
+                for beta, beta_fact, gr, gi in g_terms:
                     # every field of beta | guards stays at or above its guard bit
                     # after the subtraction exactly when alpha <= beta there
                     k = (beta | guards) - alpha
                     if k & guards != guards:
                         continue
-                    # the falling factorial prod_v b_v (b_v - 1) ... (b_v - a_v + 1)
-                    fall = 1
-                    for v, a in alpha_pairs:
-                        fall *= math.perm(beta_exps[v], a)
+                    k ^= guards
+                    # the falling factorial beta! / (beta - alpha)!
+                    fall = beta_fact // _factorial(k)
                     if real:
-                        yield k ^ guards, fr * gr * fall
+                        yield k, fr * gr * fall
                     else:
-                        yield k ^ guards, (fr * gr - fi * gi) * fall, (fr * gi + fi * gr) * fall
+                        yield k, (fr * gr - fi * gi) * fall, (fr * gi + fi * gr) * fall
 
         return ExactPoly._raw(self.n_vars, _summed_terms(products(), real))
 

@@ -197,8 +197,9 @@ def verify_unitarity(fs, n: int) -> dict:
     pairing of the alternating polynomials, a rational number.  Returns
     {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
     """
-    entries = [expand_to_entries(f, n) for f in fs]
+    # the images first: they build the alternant, whose size limit fails fast
     images = [psi_map(f, n).poly for f in fs]
+    entries = [expand_to_entries(f, n) for f in fs]
     c2 = norm_const_c2(n)
     return _gram(
         len(fs),
@@ -214,9 +215,10 @@ def verify_diffop_identity(fs, n: int) -> dict:
     is equality for every x at once.  Each F is imaged once; returns
     {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
     """
+    # the images first, as in verify_unitarity
+    images = [psi_map(f, n).poly for f in fs]
     entries = [expand_to_entries(f, n) for f in fs]
     diagonals = [restrict_to_diagonal(f, n) for f in fs]
-    images = [psi_map(f, n).poly for f in fs]
     a_delta = alternant_delta(n)
     return _gram(
         len(fs),

@@ -530,25 +530,19 @@ def coherent_reproducing_check(a, f: ExactPoly, max_weight: int) -> float:
     return abs(acc - f.eval_complex(a.eigs))
 
 
-def random_real_spectrum(
-    n: int,
-    rng: np.random.Generator,
-    low: float = -1.0,
-    high: float = 1.0,
-    min_gap: float = 0.1,
-) -> Spectrum:
-    """Uniform draw from the sorted points of [low, high]^n whose gaps all
-    clear min_gap.
+def random_real_spectrum(n: int, rng: np.random.Generator) -> Spectrum:
+    """Uniform draw from the sorted points of [-1, 1]^n whose gaps all clear 0.1.
 
-    Subtracting i * min_gap from the i-th smallest point maps these
-    configurations one to one, with unit Jacobian, onto the sorted points of
-    [0, high - low - (n - 1) * min_gap]^n, so the draw is n sorted uniforms
-    there, shifted back.
+    Subtracting 0.1 i from the i-th smallest point maps these configurations
+    one to one, with unit Jacobian, onto the sorted points of
+    [0, 2 - 0.1 (n - 1)]^n, so the draw is n sorted uniforms there, shifted
+    back.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n * min_gap >= (high - low):
+    gap = 0.1
+    if n * gap >= 2.0:
         raise ValueError("gap constraint cannot be met on this interval")
-    slack = (high - low) - (n - 1) * min_gap
-    vals = low + np.sort(rng.uniform(0.0, slack, n)) + min_gap * np.arange(n)
+    slack = 2.0 - (n - 1) * gap
+    vals = -1.0 + np.sort(rng.uniform(0.0, slack, n)) + gap * np.arange(n)
     return Spectrum(tuple(float(v) for v in vals))

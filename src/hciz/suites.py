@@ -143,13 +143,8 @@ def suite_diffop(n: int, max_degree: int = 4, max_gen: int = 3) -> SuiteReport:
     return _report("diffop", {"n": n, "max_degree": max_degree, "max_gen": max_gen}, cases)
 
 
-def random_trace_poly(
-    rng: random.Random,
-    max_weight: int = 5,
-    n_terms: int = 4,
-    complex_coeffs: bool = True,
-) -> TracePoly:
-    """Sparse random trace polynomial of weighted degree <= max_weight."""
+def random_trace_poly(rng: random.Random, max_weight: int = 5, n_terms: int = 4) -> TracePoly:
+    """Sparse random trace polynomial of weighted degree <= max_weight, complex coefficients."""
     out = TracePoly.zero()
     for _ in range(n_terms):
         w = rng.randint(0, max_weight)
@@ -161,7 +156,7 @@ def random_trace_poly(
             for part in rho.parts:
                 mono = mono * TracePoly.gen(part)
         re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        im = Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if complex_coeffs else 0
+        im = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         out = out + mono * GaussianRational(re, im)
     return out
 

@@ -34,6 +34,10 @@ from .errors import (
 from .exactpoly import MAX_EXPONENT, ExactPoly, exponent_pairs, exponent_vector
 from .scalars import QQI_ONE, GaussianRational
 
+# the largest n whose n!-term alternant is built: n = 9 takes seconds and
+# about 160 MB, and each step up multiplies both by n
+MAX_ALTERNANT_N = 9
+
 
 class Partition:
     """Weakly decreasing tuple of positive parts; trailing zeros dropped."""
@@ -179,6 +183,9 @@ def alternant(mu, n: int) -> ExactPoly:
     mu = tuple(int(m) for m in mu)
     if len(mu) != n:
         raise DimensionMismatchError(f"exponent vector of length {len(mu)}, expected {n}")
+    if n > MAX_ALTERNANT_N:
+        raise ValueError(
+            f"n = {n} is above {MAX_ALTERNANT_N}: an alternant in n variables has n! terms")
     if any(m < 0 for m in mu):
         raise ValueError("negative exponent in alternant")
     if len(set(mu)) != n:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hciz.cli import (
     parse_trace_poly,
 )
 from hciz.invariant import TracePoly
+from hciz.numeric import MCEstimate, SeriesResult
 from hciz.scalars import GaussianRational
 
 
@@ -124,6 +126,18 @@ class TestEval:
         assert code == EXIT_OK
         assert {c["name"] for c in rep["checks"]} == {"det vs mc", "mc vs series", "det vs series"}
         assert rep["passed"] is True
+
+    def test_results_are_the_fields_of_each_result(self, tmp_path):
+        _, rep = run(
+            tmp_path,
+            ["eval", "--n", "2", "--a", "0.3,-0.6", "--b", "0.9,0.1",
+             "--methods", "det,mc,series", "--samples", "1000"],
+        )
+        res = rep["results"]
+        assert set(res["mc"]) == {f.name for f in dataclasses.fields(MCEstimate)}
+        assert set(res["series"]) == {f.name for f in dataclasses.fields(SeriesResult)}
+        assert set(res["mc"]["mean"]) == set(res["series"]["value"]) == {"re", "im"}
+        assert set(res["det"]) == {"value"}
 
     def test_random_spectra_reproducible(self, tmp_path):
         argv = ["eval", "--n", "2", "--a", "r", "--b", "r", "--seed", "3", "--methods", "det"]
@@ -364,6 +378,14 @@ class TestExitCodeContract:
               "--tol", "nan"], EXIT_USAGE, "tol must be finite and nonnegative, got nan"),
             (["eval", "--n", "2", "--a", "1,2", "--b", "1,2", "--methods", "det,series",
               "--tol", "-1"], EXIT_USAGE, "tol must be finite and nonnegative, got -1"),
+            # each would build an alternant with n! terms before any check ran
+            (["fourier", "--f", "t1^2", "--n", "30"], EXIT_USAGE,
+             "n = 30 is above 9: an alternant in n variables has n! terms"),
+            (["verify", "unitarity", "--n", "30", "--max-degree", "1"], EXIT_USAGE,
+             "n = 30 is above 9"),
+            (["verify", "diffop", "--n", "30", "--max-degree", "1"], EXIT_USAGE,
+             "n = 30 is above 9"),
+            (["verify", "alt-orthonormal", "--n", "10"], EXIT_USAGE, "n = 10 is above 9"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
@@ -373,7 +395,8 @@ class TestExitCodeContract:
              "threads-100000", "threads-0", "threads-1", "ginibre-threads-0",
              "fourier-exponent-limit", "fourier-zero-denominator", "fourier-constant-over-zero",
              "schur-exact-n0", "schur-exact-n-1", "schur-exact-n9", "fourier-max-weight-1",
-             "tol-inf", "tol-nan", "tol-1"],
+             "tol-inf", "tol-nan", "tol-1", "fourier-n30", "unitarity-n30", "diffop-n30",
+             "alt-orthonormal-n10"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

@@ -14,6 +14,7 @@ from hciz.errors import (
 from hciz.exactpoly import ExactPoly, bargmann_inner, exponent_vector
 from hciz.scalars import GaussianRational
 from hciz.symfn import (
+    MAX_ALTERNANT_N,
     Partition,
     Scaled,
     TracePoly,
@@ -228,6 +229,12 @@ class TestAlternant:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             alternant((1, 0), 3)
+
+    def test_size_limit(self):
+        # n = 10 would build 3.6 million terms before returning
+        assert MAX_ALTERNANT_N == 9
+        with pytest.raises(ValueError, match="n! terms"):
+            alternant(staircase(MAX_ALTERNANT_N + 1), MAX_ALTERNANT_N + 1)
 
     def test_derivative_pairing_equals_superfactorial(self):
         # the staircase alternant paired with itself under F(d)G|_0 gives
