@@ -17,7 +17,6 @@ from .errors import (
     DegenerateExponentError,
     DegenerateSpectrumError,
     DimensionMismatchError,
-    ExactDivisionError,
     NotAlternatingError,
 )
 
@@ -33,7 +32,6 @@ _EXPORTS = {
         "Scaled",
         "TracePoly",
         "alternant",
-        "alternating_projection",
         "d_lambda",
         "enumerate_partitions",
         "norm_const_c2",
@@ -41,7 +39,6 @@ _EXPORTS = {
         "schur_numeric",
         "schur_to_power_sums",
         "staircase",
-        "vandermonde",
     ),
     "invariant": (
         "chi_lambda",
@@ -78,7 +75,6 @@ __all__ = sorted([
     "DegenerateExponentError",
     "DegenerateSpectrumError",
     "DimensionMismatchError",
-    "ExactDivisionError",
     "NotAlternatingError",
     *_MODULE_OF,
 ])

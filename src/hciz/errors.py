@@ -27,7 +27,3 @@ class DegenerateSpectrumError(ValueError):
 
 class NotAlternatingError(ValueError):
     """A polynomial required to be alternating fails the transposition check."""
-
-
-class ExactDivisionError(ArithmeticError):
-    """Internal consistency failure: an exact polynomial division had a remainder."""

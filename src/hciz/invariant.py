@@ -45,6 +45,12 @@ from .symfn import (
 )
 
 
+# the most entries `trace_power_entry` writes, n^2 for each of n^k index paths:
+# (k, n) = (4, 16), 16.8 million, takes 1.5 s and (3, 30), 24.3 million, 5 s,
+# but (6, 6), with more paths than (3, 30), takes 0.3 s
+MAX_TRACE_ENTRIES = 20_000_000
+
+
 def entry_var(i: int, j: int, n: int) -> int:
     """Row-major variable id of the entry z_{ij} (0-based indices)."""
     return i * n + j
@@ -55,6 +61,9 @@ def trace_power_entry(k: int, n: int) -> ExactPoly:
     """Tr(z^k) as a polynomial in the n^2 entries: sum over cyclic index paths."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
+    if n**k * n * n > MAX_TRACE_ENTRIES:
+        raise ValueError(f"Tr(z^{k}) at n = {n} walks n^k = {n**k} index paths of n^2 = {n * n} "
+                         f"entries each, above {MAX_TRACE_ENTRIES} entries")
     counts: dict[tuple, int] = {}
     for path in itertools.product(range(n), repeat=k):
         exps = [0] * (n * n)

@@ -7,16 +7,8 @@ returns ExactPoly values or exact scalars.  A normalization constant is the
 square root of a positive rational; `Scaled` carries it as that rational,
 its square, next to the polynomial it scales.
 
-Conventions.  The staircase is delta = (n-1, n-2, ..., 0).  Two signed
-products of differences coexist:
-
-    vandermonde(n)      = prod_{i<j} (x_j - x_i)
-    alternant(delta, n) = det[x_i^{delta_j}] = prod_{i<j} (x_i - x_j)
-
-They differ by (-1)^{n(n-1)/2}, exposed as `alternant_vandermonde_sign`.
-All bialternant and basis formulas here use the alternant form; the
-`vandermonde` product convention belongs to the determinant evaluator of
-the integral.
+Conventions.  The staircase is delta = (n-1, n-2, ..., 0), and
+alternant(delta, n) = det[x_i^{delta_j}] = prod_{i<j} (x_i - x_j).
 """
 
 from __future__ import annotations
@@ -26,17 +18,18 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    DegenerateExponentError,
-    DimensionMismatchError,
-    ExactDivisionError,
-)
+from .errors import DegenerateExponentError, DimensionMismatchError
 from .exactpoly import MAX_EXPONENT, ExactPoly, exponent_pairs, exponent_vector
 from .scalars import QQI_ONE, GaussianRational
 
 # the largest n whose n!-term alternant is built: n = 9 takes seconds and
 # about 160 MB, and each step up multiplies both by n
 MAX_ALTERNANT_N = 9
+
+# the most exponents `schur_exact` may build, n for each of the at most
+# C(n+|lambda|-1, |lambda|) monomials: lambda = (3,2,1), n = 18 (1.8 million)
+# takes about 2 s, and (1,1), n = 300 (13.5 million, 45,150 monomials) 7 s
+MAX_SCHUR_EXPONENTS = 2_000_000
 
 
 class Partition:
@@ -196,22 +189,6 @@ def alternant(mu, n: int) -> ExactPoly:
     return ExactPoly(n, terms)
 
 
-def vandermonde(n: int) -> ExactPoly:
-    """prod_{i<j} (x_j - x_i); equals 1 for n = 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    out = ExactPoly.one(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (ExactPoly.variable(n, j) - ExactPoly.variable(n, i))
-    return out
-
-
-def alternant_vandermonde_sign(n: int) -> int:
-    """Sign relating the two conventions: alternant(delta, n) == sign * vandermonde(n)."""
-    return -1 if (n * (n - 1) // 2) & 1 else 1
-
-
 @lru_cache(maxsize=None)
 def alternant_delta(n: int) -> ExactPoly:
     return alternant(staircase(n), n)
@@ -229,75 +206,46 @@ def is_alternating(f: ExactPoly) -> bool:
     )
 
 
-def alternating_projection(f: ExactPoly) -> ExactPoly:
-    """P F = (1/n!) sum_sigma sgn(sigma) F(z_{sigma^-1(1)}, ..., z_{sigma^-1(n)})."""
-    n = f.n_vars
-    acc = ExactPoly.zero(n)
-    for perm in itertools.permutations(range(n)):
-        g = f.permute_vars(perm)
-        acc = acc + (g if _perm_sign(perm) == 1 else -g)
-    return acc * Fraction(1, math.factorial(n))
-
-
-def divide_by_linear(f: ExactPoly, i: int, j: int) -> ExactPoly:
-    """Exact quotient F / (x_i - x_j); raises if the division leaves a remainder.
-
-    Synthetic division in x_i about the root x_i = x_j: the remainder is
-    F restricted to x_i = x_j, which vanishes iff the factor divides F.
-    """
-    n = f.n_vars
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise DimensionMismatchError(f"bad variable pair ({i}, {j}) for n_vars={n}")
-    if f.is_zero:
-        return f
-    # F = sum_k coeffs[k] x_i^k, each coefficient free of x_i
-    by_deg: dict[int, dict] = {}
-    for key, c in f.terms.items():
-        exps = list(exponent_vector(key, n))
-        k, exps[i] = exps[i], 0
-        by_deg.setdefault(k, {})[tuple(exps)] = c
-    top = max(by_deg)
-    coeffs = [
-        ExactPoly(n, by_deg.get(k, {})) for k in range(top + 1)
-    ]
-    xj = ExactPoly.variable(n, j)
-    quots = [ExactPoly.zero(n)] * top
-    carry = coeffs[top]
-    for k in range(top - 1, -1, -1):
-        quots[k] = carry
-        carry = coeffs[k] + xj * carry
-    if not carry.is_zero:
-        raise ExactDivisionError(f"(x{i} - x{j}) does not divide the polynomial")
-    out = {}
-    for k, q in enumerate(quots):
-        # q is free of x_i, so x_i^k only sets its exponent of x_i
-        for key, c in q.terms.items():
-            exps = list(exponent_vector(key, n))
-            exps[i] = k
-            out[tuple(exps)] = c
-    return ExactPoly(n, out)
-
-
-def divide_by_alternant_delta(f: ExactPoly, n: int) -> ExactPoly:
-    """Exact quotient F / a_delta, dividing out each factor (x_i - x_j), i < j."""
-    out = f.with_n_vars(n) if f.n_vars != n else f
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = divide_by_linear(out, i, j)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _schur_exact(parts: tuple, n: int) -> ExactPoly:
-    lam = Partition(parts)
-    return divide_by_alternant_delta(alternant(lam.plus_staircase(n), n), n)
-
-
 def schur_exact(lam: Partition, n: int) -> ExactPoly:
-    """s_lambda in n variables via the bialternant ratio a_{lambda+delta} / a_delta."""
+    """s_lambda in n variables, which is the bialternant a_{lambda+delta} / a_delta.
+
+    By the branching rule (Macdonald I.5.11), s_lambda(x_1..x_m) is the sum of
+    s_mu(x_1..x_{m-1}) x_m^{|lambda|-|mu|} over the horizontal strips lambda/mu,
+    lambda_1 >= mu_1 >= lambda_2 >= ... >= mu_{m-1} >= lambda_m.  The
+    coefficients count tableaux, so they are summed as ints.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
     if lam.length > n:
         raise DimensionMismatchError(f"partition {lam} needs more than {n} variables")
-    return _schur_exact(lam.parts, n)
+    w = lam.weight
+    bound = math.comb(n + w - 1, w)
+    if bound * n > MAX_SCHUR_EXPONENTS:
+        raise ValueError(f"s[{lam}] in n = {n} variables may have C({n + w - 1}, {w}) = {bound} "
+                         f"monomials of n exponents each, above {MAX_SCHUR_EXPONENTS} exponents")
+    if not w:
+        return ExactPoly.one(n)
+    # before the step for x_m, m = n-1 down to 0: {a partition in x_0..x_m, so of
+    # at most m + 1 parts: {the exponents of x_{m+1}.. as (variable, exponent) pairs: count}}
+    states = {lam.parts: {(): 1}}
+    for m in range(n - 1, -1, -1):
+        below = {}
+        for parts, suffixes in states.items():
+            slots = [range(q, p + 1) for p, q in zip(parts, parts[1:] + (0,))][:m]
+            for mu in itertools.product(*slots):
+                e = sum(parts) - sum(mu)
+                out = below.setdefault(tuple(p for p in mu if p), {})
+                for suffix, c in suffixes.items():
+                    key = ((m, e),) + suffix if e else suffix
+                    out[key] = out.get(key, 0) + c
+        states = below
+    terms = {}
+    for pairs, c in states[()].items():
+        exps = [0] * n
+        for v, e in pairs:
+            exps[v] = e
+        terms[tuple(exps)] = c
+    return ExactPoly(n, terms)
 
 
 # -- numeric Schur values ---------------------------------------------------------

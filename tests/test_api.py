@@ -49,6 +49,18 @@ def test_radical_scale_names_are_gone(name):
     assert "norm_const_c2" in hciz.__all__
 
 
+@pytest.mark.parametrize("name", ["ExactDivisionError", "vandermonde", "alternating_projection"])
+def test_division_names_are_gone(name):
+    # schur_exact sums over horizontal strips and divides nothing; the
+    # staircase alternant is the one product of differences
+    from hciz import errors, symfn
+
+    with pytest.raises(AttributeError, match=name):
+        getattr(hciz, name)
+    assert name not in hciz.__all__
+    assert not hasattr(errors, name) and not hasattr(symfn, name)
+
+
 def test_patch_of_a_module_attribute_is_seen_and_undone(monkeypatch):
     # what perfbench's Tracer does: wrap numeric.kernel_series, then restore it
     orig = numeric.kernel_series

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +234,12 @@ class TestSchur:
         assert code == EXIT_OK
         assert rep["results"]["exact"] == "(1, 0) : x0^2 x1 + (1, 0) : x0 x1^2"
 
+    def test_exact_expansion_above_the_alternant_sizes(self, tmp_path):
+        # no n!-term alternant is built, so n = 9 costs what its nine terms cost
+        code, rep = run(tmp_path, ["schur", "--lambda", "1", "--n", "9", "--exact"])
+        assert code == EXIT_OK
+        assert rep["results"]["exact"] == " + ".join(f"(1, 0) : x{i}" for i in range(9))
+
     def test_power_sum_expansion(self, tmp_path):
         code, rep = run(tmp_path, ["schur", "--lambda", "2", "--power-sums"])
         assert code == EXIT_OK
@@ -366,8 +373,8 @@ class TestExitCodeContract:
             (["fourier", "--f", "1/0", "--n", "2"], EXIT_USAGE, "zero denominator"),
             (["schur", "--lambda", "0", "--n", "0", "--exact"], EXIT_USAGE, "n must be positive"),
             (["schur", "--lambda", "0", "--n", "-1", "--exact"], EXIT_USAGE, "n must be positive"),
-            (["schur", "--lambda", "1", "--n", "9", "--exact"], EXIT_USAGE,
-             "--exact needs n <= 8: the alternant it divides has n! terms"),
+            (["schur", "--lambda", "3,2,1", "--n", "40", "--exact"], EXIT_USAGE,
+             "s[3,2,1] in n = 40 variables may have C(45, 6) = 8145060 monomials of n exponents"),
             (["verify", "fourier", "--n", "2", "--max-weight", "-1"], EXIT_USAGE,
              "max_weight must be nonnegative"),
             # inf would pass any det-vs-series delta after n shells; nan and
@@ -386,6 +393,9 @@ class TestExitCodeContract:
             (["verify", "diffop", "--n", "30", "--max-degree", "1"], EXIT_USAGE,
              "n = 30 is above 9"),
             (["verify", "alt-orthonormal", "--n", "10"], EXIT_USAGE, "n = 10 is above 9"),
+            # the entry expansion of Tr(z^k) walks n^k index paths of n^2 entries
+            (["verify", "inv-orthonormal", "--n", "30"], EXIT_USAGE,
+             "Tr(z^3) at n = 30 walks n^k = 27000 index paths of n^2 = 900 entries each"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
@@ -394,9 +404,9 @@ class TestExitCodeContract:
              "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0",
              "threads-100000", "threads-0", "threads-1", "ginibre-threads-0",
              "fourier-exponent-limit", "fourier-zero-denominator", "fourier-constant-over-zero",
-             "schur-exact-n0", "schur-exact-n-1", "schur-exact-n9", "fourier-max-weight-1",
+             "schur-exact-n0", "schur-exact-n-1", "schur-exact-n40", "fourier-max-weight-1",
              "tol-inf", "tol-nan", "tol-1", "fourier-n30", "unitarity-n30", "diffop-n30",
-             "alt-orthonormal-n10"],
+             "alt-orthonormal-n10", "inv-orthonormal-n30"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):
@@ -407,6 +417,18 @@ class TestExitCodeContract:
             assert err.startswith("hciz: error: ")
         else:
             assert json.loads(err)["error"]["type"] == "NonFiniteValueError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["schur", "--lambda", "3,2,1", "--n", "40", "--exact"],
+         ["verify", "inv-orthonormal", "--n", "30"]],
+        ids=["schur-exact-n40", "inv-orthonormal-n30"],
+    )
+    def test_size_limits_stop_before_the_work(self, argv, capsys):
+        t0 = time.perf_counter()
+        assert main(argv + ["--quiet"]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 1.0
+        assert "above" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "", "100000", "0"])
     def test_bad_threads_environment_exits_usage(self, value, monkeypatch, capsys):

@@ -124,6 +124,12 @@ class TestEntryExpansion:
                 want = want + ExactPoly.variable(n * n, entry_var(i, i, n))
             assert trace_power_entry(1, n) == want
 
+    def test_size_limit_counts_paths_times_entries(self):
+        # n^k index paths of n^2 entries: (6, 6) and (4, 16) pass, (3, 30) does not
+        assert max(6**6 * 6**2, 16**4 * 16**2) <= invariant.MAX_TRACE_ENTRIES < 30**3 * 30**2
+        with pytest.raises(ValueError, match="n = 30 walks n.k = 27000 index paths"):
+            trace_power_entry(3, 30)
+
     def test_numeric_against_matrix_power(self):
         import numpy as np
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,26 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hciz.errors import (
-    DegenerateExponentError,
-    DimensionMismatchError,
-    ExactDivisionError,
-)
+from hciz.errors import DegenerateExponentError, DimensionMismatchError
 from hciz.exactpoly import ExactPoly, bargmann_inner, exponent_vector
 from hciz.scalars import GaussianRational
 from hciz.symfn import (
     MAX_ALTERNANT_N,
+    MAX_SCHUR_EXPONENTS,
     Partition,
     Scaled,
     TracePoly,
     alternant,
     alternant_delta,
-    alternant_vandermonde_sign,
-    alternating_projection,
     character,
     d_lambda,
-    divide_by_alternant_delta,
-    divide_by_linear,
     enumerate_partitions,
     homogeneous_values,
     is_alternating,
@@ -37,7 +31,6 @@ from hciz.symfn import (
     schur_to_power_sums,
     staircase,
     superfactorial,
-    vandermonde,
     vector_factorial,
     zee,
 )
@@ -189,6 +182,14 @@ def x(n, i):
     return ExactPoly.variable(n, i)
 
 
+def difference_product(n):
+    """prod_{i<j} (x_i - x_j), one factor at a time."""
+    out = ExactPoly.one(n)
+    for i, j in itertools.combinations(range(n), 2):
+        out = out * (x(n, i) - x(n, j))
+    return out
+
+
 def is_symmetric(f):
     """f is fixed by every permutation of its variables."""
     perms = itertools.permutations(range(f.n_vars))
@@ -205,14 +206,15 @@ class TestAlternant:
         assert alternant((3,), 1) == ExactPoly.monomial(1, (3,))
 
     def test_delta_is_signed_vandermonde(self):
+        # the Vandermonde product prod_{i<j} (x_j - x_i) up to (-1)^{n(n-1)/2}
         for n in range(1, 5):
-            sign = alternant_vandermonde_sign(n)
-            assert alternant_delta(n) == vandermonde(n) * sign
+            assert alternant_delta(n) == difference_product(n)
 
     def test_vandermonde_n3_shape(self):
-        v = vandermonde(3)
+        v = alternant_delta(3)
         assert len(v.terms) == 6 and v.degree() == 3
-        assert v.coefficient((0, 1, 2)) == GaussianRational(1)
+        assert v.coefficient((2, 1, 0)) == GaussianRational(1)
+        assert v.coefficient((0, 1, 2)) == GaussianRational(-1)
 
     def test_antisymmetry(self):
         a = alternant((3, 1, 0), 3)
@@ -250,53 +252,9 @@ class TestSymmetryPredicates:
         e2 = ExactPoly.monomial(2, (1, 1))
         assert is_symmetric(e2)
         assert not is_alternating(e2)
-        assert is_alternating(vandermonde(3))
+        assert is_alternating(alternant_delta(3))
         assert not is_symmetric(x(2, 0))
         assert not is_alternating(x(2, 0))
-
-
-class TestAlternatingProjection:
-    def test_staircase_monomial(self):
-        for n in (2, 3):
-            p = alternating_projection(ExactPoly.monomial(n, staircase(n)))
-            assert p == alternant_delta(n) * Fraction(1, math.factorial(n))
-
-    def test_kills_symmetric(self):
-        assert alternating_projection(ExactPoly.monomial(2, (1, 1))).is_zero
-        assert alternating_projection(ExactPoly.monomial(3, (2, 2, 2))).is_zero
-
-    def test_fixes_alternating(self):
-        a = alternant((3, 1, 0), 3)
-        assert alternating_projection(a) == a
-
-    def test_output_is_alternating(self):
-        rng = random.Random(0)
-        for _ in range(5):
-            exps = tuple(rng.randint(0, 3) for _ in range(3))
-            p = alternating_projection(ExactPoly.monomial(3, exps))
-            assert is_alternating(p)
-
-
-class TestExactDivision:
-    def test_difference_of_squares(self):
-        f = ExactPoly.monomial(2, (2, 0)) - ExactPoly.monomial(2, (0, 2))
-        assert divide_by_linear(f, 0, 1) == x(2, 0) + x(2, 1)
-
-    def test_nondivisible_raises(self):
-        with pytest.raises(ExactDivisionError):
-            divide_by_linear(x(2, 0), 0, 1)
-
-    def test_quotient_times_divisor_roundtrip(self):
-        rng = random.Random(1)
-        lin = x(3, 0) - x(3, 2)
-        for _ in range(10):
-            exps = tuple(rng.randint(0, 3) for _ in range(3))
-            g = ExactPoly.monomial(3, exps, Fraction(rng.randint(1, 5), 2))
-            assert divide_by_linear(g * lin, 0, 2) == g
-
-    def test_divide_by_staircase_alternant(self):
-        got = divide_by_alternant_delta(alternant((2, 0), 2), 2)
-        assert got == x(2, 0) + x(2, 1)
 
 
 # -- Schur polynomials -------------------------------------------------------------
@@ -337,8 +295,9 @@ class TestSchurExact:
             assert all(sum(exponent_vector(key, 3)) == sum(lam) for key in s.terms)
 
     def test_bialternant_identity(self):
-        # s_lambda * a_delta == a_{lambda+delta}
-        for n in (2, 3):
+        # s_lambda * a_delta == a_{lambda+delta}: the definition as a
+        # bialternant, checked by multiplying instead of dividing
+        for n in range(2, 7):
             for w in range(0, 7):
                 for lam in partitions_of_weight(w, n):
                     lam = Partition(lam)
@@ -348,6 +307,43 @@ class TestSchurExact:
     def test_too_many_parts(self):
         with pytest.raises(DimensionMismatchError):
             schur_exact(Partition((1, 1, 1)), 2)
+
+    def test_size_limit_is_the_monomial_count_times_n(self):
+        # at most C(n+|lambda|-1, |lambda|) monomials, each n exponents
+        assert math.comb(18 + 5, 6) * 18 <= MAX_SCHUR_EXPONENTS < math.comb(19 + 5, 6) * 19
+        assert len(schur_exact(Partition((1,)), 40).terms) == 40
+        assert schur_exact(Partition(), 10**6) == ExactPoly.one(10**6)
+        with pytest.raises(ValueError, match=r"C\(45, 6\) = 8145060 monomials of n exponents"):
+            schur_exact(Partition((3, 2, 1)), 40)
+        # one monomial per variable, but n^2 exponents
+        with pytest.raises(ValueError, match="above"):
+            schur_exact(Partition((1,)), 10**5)
+
+
+class TestRecordedSchur:
+    """`schur_exact` text over every lambda of weight <= 6, pinned by its SHA-256 per n.
+
+    Recorded from the bialternant quotient a_{lambda+delta} / a_delta
+    before `schur_exact` moved to the branching rule.
+    """
+
+    DIGESTS = {
+        1: "2930b08579db7ae08ab1783c1143540f8c0bd5f019ce72f1c96d3fa44e188c83",
+        2: "a437f021c129801384ce42d1329237c84b7fe843bb0051abb51e1d739c466bc1",
+        3: "b6b7471655b8db03f9784347a462289e74b0c3569d879c534b0a405cab5d1bfe",
+        4: "28c560a336ceeaa9d4e3768238528f9c31a7282f6b05286265d53442a652b2bb",
+        5: "b7d1b1cf9c9c376d081efad0fc39db9399265df5f2e1bc2cf5a7c13ff2796d6b",
+        6: "26d5d120a38084a650f5200f11ca55864bd7643dbda72fd28e499649c251feb2",
+    }
+
+    @pytest.mark.parametrize("n", sorted(DIGESTS))
+    def test_text_digest(self, n):
+        text = "".join(
+            f"{lam}\t{schur_exact(lam, n).to_text(var_symbol='x')}\n"
+            for w in range(7)
+            for lam in partitions_of_weight(w, n)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[n]
 
 
 class TestHomogeneousValues:
