@@ -42,6 +42,7 @@ _EXPORTS = {
     ),
     "invariant": (
         "chi_lambda",
+        "coherent_reproducing_check",
         "e_lambda",
         "expand_to_entries",
         "fourier_coefficients",
@@ -58,7 +59,6 @@ _EXPORTS = {
         "MCEstimate",
         "SeriesResult",
         "Spectrum",
-        "coherent_reproducing_check",
         "ginibre_moment_suite",
         "hciz_determinant",
         "hciz_mc",

@@ -11,10 +11,11 @@ the coefficients g_{lambda+delta} of an alternating g (the ones
 `fourier_coefficients` reads) and returns sum_lambda g_{lambda+delta}
 chi_lambda.  Its unitarity, the differential-operator identity,
 Schur-coefficient extraction and the orthonormal bases d_lambda, e_lambda
-are all checked here with rational arithmetic only.  The scales c, and
-those of d_lambda and e_lambda, are square roots of positive rationals,
-held as their squares (`Scaled.scale2`); a Gram entry needs only those
-squares, so no square root is ever taken.
+are all checked here with rational arithmetic only; the one float is the
+reproducing check's residual, an exact pairing evaluated at a point.  The
+scales c, and those of d_lambda and e_lambda, are square roots of positive
+rationals, held as their squares (`Scaled.scale2`); a Gram entry needs only
+those squares, so no square root is ever taken.
 
 A caution on presentations: at fixed n the generators t_k with k > n are
 algebraically dependent on the lower ones, so identities between trace
@@ -24,6 +25,7 @@ invariants), never coefficientwise in the t_k.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +38,7 @@ from .symfn import (
     Scaled,
     TracePoly,
     alternant_delta,
+    d_lambda,
     is_alternating,
     norm_const_c2,
     enumerate_partitions,
@@ -268,3 +271,30 @@ def verify_psi_roundtrip(f: TracePoly, n: int):
     back = psi_inverse(psi_map(f, n), n)
     same = back.map_poly(lambda p: p.substitute_powers(n)) == Scaled.of(f.substitute_powers(n))
     return same, back
+
+
+def coherent_reproducing_check(a, f: ExactPoly, max_weight: int) -> float:
+    """|<R_a truncated, F> - F(a)| for alternating F; exact pairing, numeric value.
+
+    The kernel section R_a = sum_lambda d_lambda conj(d_lambda(a)) reproduces
+    point evaluation; once max_weight reaches deg F the truncation error is
+    exactly zero, so the residual is pure floating rounding.
+    """
+    a = tuple(complex(e) for e in a)
+    if not a:
+        raise ValueError("empty spectrum")
+    if not all(cmath.isfinite(e) for e in a):
+        raise ValueError("non-finite eigenvalue")
+    n = len(a)
+    if f.n_vars != n:
+        raise DimensionMismatchError(f"polynomial over {f.n_vars} variables, expected {n}")
+    if not is_alternating(f):
+        raise NotAlternatingError("the reproducing check needs an alternating polynomial")
+    acc = 0j
+    for lam in enumerate_partitions(max_weight, n):
+        dl = d_lambda(lam, n)
+        pairing = bargmann_inner(dl.poly, f)
+        if pairing.is_zero:
+            continue
+        acc += complex(dl.scale2) * dl.poly.eval_complex(a) * pairing.to_complex()
+    return abs(acc - f.eval_complex(a))

@@ -27,17 +27,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    DimensionMismatchError,
-    NotAlternatingError,
-)
-from .exactpoly import ExactPoly, bargmann_inner
+from .errors import DegenerateSpectrumError, DimensionMismatchError
 from .symfn import (
-    d_lambda,
-    enumerate_partitions,
     homogeneous_values,
-    is_alternating,
     jacobi_trudi_stacks,
     partitions_of_weight,
     schur_values,
@@ -105,8 +97,8 @@ class MCEstimate:
     seed: int
     rounding: float = 0.0
 
-    def within(self, target: complex, k: float = 4.0) -> bool:
-        return abs(self.mean - target) <= k * self.stderr + self.rounding
+    def within(self, target: complex) -> bool:
+        return abs(self.mean - target) <= 4.0 * self.stderr + self.rounding
 
 
 @dataclass(frozen=True)
@@ -505,29 +497,6 @@ def ginibre_moment_suite(
         trace_expected=float(n),
         det_expected=float(math.factorial(n)),
     )
-
-
-def coherent_reproducing_check(a, f: ExactPoly, max_weight: int) -> float:
-    """|<R_a truncated, F> - F(a)| for alternating F; exact pairing, numeric value.
-
-    The kernel section R_a = sum_lambda d_lambda conj(d_lambda(a)) reproduces
-    point evaluation; once max_weight reaches deg F the truncation error is
-    exactly zero, so the residual is pure floating rounding.
-    """
-    a = as_spectrum(a)
-    n = a.n
-    if f.n_vars != n:
-        raise DimensionMismatchError(f"polynomial over {f.n_vars} variables, expected {n}")
-    if not is_alternating(f):
-        raise NotAlternatingError("the reproducing check needs an alternating polynomial")
-    acc = 0j
-    for lam in enumerate_partitions(max_weight, n):
-        dl = d_lambda(lam, n)
-        pairing = bargmann_inner(dl.poly, f)
-        if pairing.is_zero:
-            continue
-        acc += complex(dl.scale2) * dl.poly.eval_complex(a.eigs) * pairing.to_complex()
-    return abs(acc - f.eval_complex(a.eigs))
 
 
 def random_real_spectrum(n: int, rng: np.random.Generator) -> Spectrum:

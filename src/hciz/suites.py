@@ -17,6 +17,7 @@ from fractions import Fraction
 from .invariant import (
     TracePoly,
     _gram,
+    coherent_reproducing_check,
     e_lambda,
     expand_to_entries,
     verify_diffop_identity,
@@ -33,6 +34,7 @@ from .symfn import (
     partitions_of_weight,
 )
 
+REPRODUCING_TOL = 1e-10  # reproducing residuals are pure rounding, about 1e-15
 
 # named tuples, not dataclasses: `dataclasses` and the `inspect` it imports
 # would add about 9 ms to the start of every exact `verify` command
@@ -222,12 +224,8 @@ def random_alternating_poly(rng: random.Random, n: int, max_weight: int) -> Exac
     return out
 
 
-def suite_reproducing(
-    n: int, count: int = 10, max_weight: int = 8, seed: int = 0, tol: float = 1e-10
-) -> SuiteReport:
+def suite_reproducing(n: int, count: int = 10, max_weight: int = 8, seed: int = 0) -> SuiteReport:
     """Truncated kernel sections reproduce point evaluation of alternating polynomials."""
-    from .numeric import coherent_reproducing_check
-
     _require_positive_n(n)
     if count < 1:
         raise ValueError("count must be positive")
@@ -247,14 +245,14 @@ def suite_reproducing(
         cases.append(
             SuiteCase(
                 label=f"random alternating #{done}",
-                passed=resid < tol,
+                passed=resid < REPRODUCING_TOL,
                 detail=f"residual {resid:.3e}",
             )
         )
         done += 1
     return _report(
         "reproducing",
-        {"n": n, "count": count, "max_weight": max_weight, "seed": seed, "tol": tol},
+        {"n": n, "count": count, "max_weight": max_weight, "seed": seed, "tol": REPRODUCING_TOL},
         cases,
     )
 

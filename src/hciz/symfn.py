@@ -1,11 +1,11 @@
 """Partitions, alternants, Schur polynomials and their normalizations.
 
 Exact throughout, except for `schur_values` and `schur_numeric`: the one
-floating-point Schur evaluator (Jacobi-Trudi determinants of Newton-identity
-h-values), which the truncated character series also uses.  Everything else
-returns ExactPoly values or exact scalars.  A normalization constant is the
-square root of a positive rational; `Scaled` carries it as that rational,
-its square, next to the polynomial it scales.
+floating-point Schur evaluator (Jacobi-Trudi determinants of the h-values
+of prod_i 1/(1 - x_i t)), which the truncated character series also uses.
+Everything else returns ExactPoly values or exact scalars.  A normalization
+constant is the square root of a positive rational; `Scaled` carries it as
+that rational, its square, next to the polynomial it scales.
 
 Conventions.  The staircase is delta = (n-1, n-2, ..., 0), and
 alternant(delta, n) = det[x_i^{delta_j}] = prod_{i<j} (x_i - x_j).
@@ -252,20 +252,17 @@ def schur_exact(lam: Partition, n: int) -> ExactPoly:
 
 
 def homogeneous_values(eigs, kmax: int):
-    """h_0..h_kmax at the given points, by Newton's identities on power sums.
+    """h_0..h_kmax at the given points: sum_k h_k t^k = prod_i 1/(1 - x_i t).
 
-    Stable at coincident points, unlike the bialternant ratio.
+    Each point x multiplies in as h_k += x h_{k-1}, k = 1..kmax (Macdonald
+    I.2).  Stable at coincident points, unlike the bialternant ratio: h_k is
+    within (n+k) roundings of h_k(|x|).
     """
-    import numpy as np
-
-    pts = np.asarray(eigs, dtype=complex)
-    p = [complex(np.sum(pts**k)) for k in range(1, kmax + 1)]
-    h = [1.0 + 0j] * (kmax + 1)
-    for k in range(1, kmax + 1):
-        acc = 0j
-        for i in range(1, k + 1):
-            acc += p[i - 1] * h[k - i]
-        h[k] = acc / k
+    h = [1.0 + 0j] + [0j] * kmax
+    for x in eigs:
+        x = complex(x)
+        for k in range(1, kmax + 1):
+            h[k] += x * h[k - 1]
     return h
 
 

@@ -4,7 +4,8 @@ The exact commands and --help must start without numpy, --help also
 without dataclasses and platform, the exact `verify` commands without
 dataclasses and inspect, a one-worker
 Monte Carlo command without concurrent.futures, and `import hciz` with
-nothing but the package and its error types.
+nothing but the package and its error types.  Two commands whose setup
+once grew quadratically with a size argument must finish within seconds.
 """
 
 import json
@@ -38,9 +39,9 @@ def _env() -> dict:
     return env
 
 
-def _python(*args):
+def _python(*args, timeout=120):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=_env(), timeout=120)
+                          env=_env(), timeout=timeout)
 
 
 def probe(argv):
@@ -62,7 +63,8 @@ def test_import_hciz_loads_only_the_error_types():
 EXACT_COMMANDS = [
     ["--help"],
     *(["verify", suite, "--n", "2"]
-      for suite in ("alt-orthonormal", "inv-orthonormal", "unitarity", "diffop", "fourier")),
+      for suite in ("alt-orthonormal", "inv-orthonormal", "unitarity", "diffop", "fourier",
+                    "reproducing")),
     ["fourier", "--f", "t1^2", "--n", "2"],
     ["schur", "--lambda", "2,1", "--n", "2", "--exact", "--power-sums"],
 ]
@@ -132,3 +134,19 @@ def test_overflow_leaves_one_json_line_on_stderr(argv):
     assert "RuntimeWarning" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["error"]["type"] == "NonFiniteValueError"
+
+
+# computing the h-values costs n*kmax steps; when it cost kmax^2, the eval
+# took about 14 s already at --max-weight 10000 and the schur command 27 s
+def test_series_max_weight_does_not_set_the_cost():
+    proc = _python("-m", "hciz.cli", "eval", "--n", "2", "--a", "1,2", "--b", "1,2",
+                   "--methods", "series", "--max-weight", "100000", "--output", "-",
+                   timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["series"]["max_weight_used"] < 100
+
+
+def test_schur_of_a_long_row_is_fast():
+    proc = _python("-m", "hciz.cli", "schur", "--lambda", "20000", "--eigs", "0.5",
+                   timeout=10)
+    assert proc.returncode == 0, proc.stderr
