@@ -46,7 +46,8 @@ class UsageError(Exception):
 
 
 class NonFiniteValueError(ArithmeticError):
-    """An evaluator returned inf or nan; maps to exit code 2."""
+    """An evaluator returned inf or nan, or a nonzero value that underflowed
+    below the smallest normal double; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -348,6 +349,10 @@ def cmd_schur(args) -> int:
         value = schur_numeric(lam, eigs)
         if not cmath.isfinite(value):
             raise NonFiniteValueError(f"non-finite value of s[{lam}]")
+        # s_lambda(|x|) > 0 with no more parts than nonzero points: if it underflows, so did this
+        if (abs(value) < sys.float_info.min and lam.length <= sum(1 for e in eigs if e)
+                and abs(schur_numeric(lam, [abs(e) for e in eigs])) < sys.float_info.min):
+            raise NonFiniteValueError(f"s[{lam}] underflows below the smallest normal double")
         results["value"] = _cj(value)
         lines.append(f"s[{lam}]({args.eigs}) = {value!r}")
     if args.exact:
@@ -389,6 +394,8 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--output", help="write the JSON report here ('-' for stdout)")
         p.add_argument("--quiet", action="store_true", help="suppress the human summary")
+
+    def sampling(p):
         p.add_argument(
             "--threads",
             type=int,
@@ -402,6 +409,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate the integral by det, mc and/or series")
     common(p)
+    sampling(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", required=True, help="comma-separated a+bi literals, or 'r'")
     p.add_argument("--b", required=True, help="comma-separated a+bi literals, or 'r'")
@@ -413,6 +421,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
+    sampling(p)
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--max-weight", type=int, help="default: the suite's")

@@ -30,6 +30,7 @@ D once.  The built dict keeps the order that adding the products one at a
 time gives, a key that cancels to zero re-entering at the end, because
 `eval_complex` sums the terms in that order.  `+` makes at most one
 GaussianRational sum per shared key, so it keeps its own per-term loop.
+`substitute` sums its terms' images with `linear_combination`.
 
 Beyond ring arithmetic the module provides the three operations the exact
 verification layer is built on: formal differentiation, the action of a
@@ -426,23 +427,12 @@ class ExactPoly:
 
     def substitute(self, images: dict, n_vars_out: int) -> "ExactPoly":
         """Substitute every variable v by the polynomial images[v] (over the new space)."""
-        pow_cache: dict[tuple[int, int], ExactPoly] = {}
-
-        def power(v, e):
-            got = pow_cache.get((v, e))
-            if got is None:
-                got = images[v] if e == 1 else power(v, e - 1) * images[v]
-                pow_cache[(v, e)] = got
-            return got
-
-        def image(key):
-            term = ExactPoly.one(n_vars_out)
-            for v, e in exponent_pairs(key):
-                term = term * power(v, e)
-            return term
-
-        # each image is built as the sum reaches it, so they are not all alive at once
-        return _weighted_sum(self.terms.values(), map(image, self.terms), n_vars_out)
+        one = ExactPoly.one(n_vars_out)
+        return linear_combination(
+            ((math.prod((images[v] ** e for v, e in exponent_pairs(key)), start=one), c)
+             for key, c in self.terms.items()),
+            n_vars_out,
+        )
 
     def eval_complex(self, point) -> complex:
         """Numeric value at a complex point (coefficients rounded to doubles)."""
@@ -480,40 +470,32 @@ class ExactPoly:
 
 
 def linear_combination(pairs, n_vars: int) -> ExactPoly:
-    """sum c * P over (P, c) pairs, each P over `n_vars` variables."""
-    pairs = list(pairs)
-    polys = [poly for poly, _ in pairs]
-    return _weighted_sum([c for _, c in pairs], polys, n_vars, all(map(_is_real, polys)))
-
-
-def _weighted_sum(weights, polys, n_vars: int, real_polys: bool = False) -> ExactPoly:
-    """sum c * P over the weights c and the polynomials P, taken in step.
+    """sum c * P over (P, c) pairs, each P over `n_vars` variables.
 
     Every weight is scaled by the lcm D of the weights' denominators, so sums
     over integer polynomials stay ints; each coefficient is divided by D once.
-    `polys` is read one polynomial at a time.  `real_polys` says that every P
-    is real, so that with real weights no imaginary product is formed.
+    When every P and every weight is real, no imaginary product is formed.
     """
-    weights = [GaussianRational.coerce(c) for c in weights]
-    denom = math.lcm(*(x.denominator for c in weights for x in (c.re, c.im)))
+    pairs = [(poly, GaussianRational.coerce(c)) for poly, c in pairs]
+    denom = math.lcm(*(x.denominator for _, c in pairs for x in (c.re, c.im)))
 
     def scaled(x) -> int:
         # x * D as an int: D is a multiple of x's denominator
         return x.numerator * (denom // x.denominator)
 
-    scaled_weights = [(scaled(c.re), scaled(c.im)) for c in weights]
-    real = real_polys and not any(ci for _, ci in scaled_weights)
+    scaled_pairs = [(poly, scaled(c.re), scaled(c.im)) for poly, c in pairs]
+    real = not any(ci for _, _, ci in scaled_pairs) and all(_is_real(p) for p, _, _ in scaled_pairs)
     if real:
         products = (
             (k, a.re * cr)
-            for (cr, _), poly in zip(scaled_weights, polys)
+            for poly, cr, _ in scaled_pairs
             if cr
             for k, a in poly.terms.items()
         )
     else:
         products = (
             (k, a.re * cr - a.im * ci, a.re * ci + a.im * cr)
-            for (cr, ci), poly in zip(scaled_weights, polys)
+            for poly, cr, ci in scaled_pairs
             if cr or ci
             for k, a in poly.terms.items()
         )

@@ -77,34 +77,41 @@ def trace_power_entry(k: int, n: int) -> ExactPoly:
     return ExactPoly(n * n, {exps: GaussianRational(c) for exps, c in counts.items()})
 
 
-@lru_cache(maxsize=512)
-def _entry_monomial(gens: tuple, n: int) -> ExactPoly:
-    """The trace monomial prod_k Tr(z^k)^(e_k) in the entries, from its (k - 1, e_k) pairs.
+@lru_cache(maxsize=None)
+def power_sum(k: int, n: int) -> ExactPoly:
+    """p_k = x_1^k + ... + x_n^k, the diagonal image of t_k."""
+    return ExactPoly(n, {(0,) * i + (k,): 1 for i in range(n)})
 
-    Built as the monomial without its largest generator, itself cached, times
-    that generator, so the monomials of one weight share their prefixes.
+
+@lru_cache(maxsize=512)
+def _monomial_image(gens: tuple, n: int, diagonal: bool) -> ExactPoly:
+    """prod_k t_k^(e_k) from its (k - 1, e_k) pairs, t_k -> p_k on the diagonal, else Tr(z^k).
+
+    Built as the cached monomial without its largest generator times that
+    generator's image, so the monomials of one weight share their prefixes.
     """
     if not gens:
-        return ExactPoly.one(n * n)
+        return ExactPoly.one(n if diagonal else n * n)
     *rest, (v, e) = gens
     prefix = (*rest, (v, e - 1)) if e > 1 else tuple(rest)
-    return _entry_monomial(prefix, n) * trace_power_entry(v + 1, n)
+    image = power_sum(v + 1, n) if diagonal else trace_power_entry(v + 1, n)
+    return _monomial_image(prefix, n, diagonal) * image
+
+
+def _image(f: TracePoly, n: int, diagonal: bool) -> ExactPoly:
+    """f in one picture: the linear combination of its monomials' cached images."""
+    pairs = ((_monomial_image(exponent_pairs(key), n, diagonal), c) for key, c in f.terms.items())
+    return linear_combination(pairs, n if diagonal else n * n)
 
 
 def expand_to_entries(f: TracePoly, n: int) -> ExactPoly:
-    """Substitute t_k -> Tr(z^k); ring homomorphism into the entry picture.
-
-    Each distinct trace monomial is expanded once per process (a bounded
-    cache), then f is their linear combination.
-    """
-    return linear_combination(
-        ((_entry_monomial(exponent_pairs(key), n), c) for key, c in f.terms.items()), n * n
-    )
+    """Substitute t_k -> Tr(z^k); ring homomorphism into the entry picture."""
+    return _image(f, n, diagonal=False)
 
 
 def restrict_to_diagonal(f: TracePoly, n: int) -> ExactPoly:
     """Substitute t_k -> x_1^k + ... + x_n^k; the diagonal picture F|_D, symmetric."""
-    return f.substitute_powers(n)
+    return _image(f, n, diagonal=True)
 
 
 def entry_to_diagonal(e: ExactPoly, n: int) -> ExactPoly:
@@ -257,7 +264,7 @@ def verify_fourier_reconstruction(f: TracePoly, n: int, max_weight: int | None =
     through the relations among t_k for k > n.
     """
     coeffs = fourier_coefficients(f, n, max_weight)
-    same = _character_sum(coeffs).substitute_powers(n) == f.substitute_powers(n)
+    same = restrict_to_diagonal(_character_sum(coeffs), n) == restrict_to_diagonal(f, n)
     return same, coeffs
 
 
@@ -269,7 +276,7 @@ def verify_psi_roundtrip(f: TracePoly, n: int):
     relations among t_k for k > n, so only the restrictions are compared.
     """
     back = psi_inverse(psi_map(f, n), n)
-    same = back.map_poly(lambda p: p.substitute_powers(n)) == Scaled.of(f.substitute_powers(n))
+    same = back.map_poly(lambda p: restrict_to_diagonal(p, n)) == restrict_to_diagonal(f, n)
     return same, back
 
 
@@ -291,10 +298,8 @@ def coherent_reproducing_check(a, f: ExactPoly, max_weight: int) -> float:
     if not is_alternating(f):
         raise NotAlternatingError("the reproducing check needs an alternating polynomial")
     acc = 0j
-    for lam in enumerate_partitions(max_weight, n):
-        dl = d_lambda(lam, n)
-        pairing = bargmann_inner(dl.poly, f)
-        if pairing.is_zero:
-            continue
-        acc += complex(dl.scale2) * dl.poly.eval_complex(a) * pairing.to_complex()
+    # <d_lambda, F> is zero unless F has the term x^{lambda+delta}
+    for lam in _schur_coefficients(f, n, max_weight):
+        d = d_lambda(lam, n)
+        acc += complex(d.scale2) * d.poly.eval_complex(a) * bargmann_inner(d.poly, f).to_complex()
     return abs(acc - f.eval_complex(a))

@@ -405,7 +405,7 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
         raise DimensionMismatchError(f"spectra of lengths {x.n} and {y.n}")
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
-    # tol = inf stops after n shells whatever their mass; nan or < 0 never stops early
+    # inf would stop after n shells whatever their mass, nan or < 0 never early: all rejected
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     n = x.n

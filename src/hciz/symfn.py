@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import DegenerateExponentError, DimensionMismatchError
 from .exactpoly import MAX_EXPONENT, ExactPoly, exponent_pairs, exponent_vector
-from .scalars import QQI_ONE, GaussianRational
+from .scalars import GaussianRational
 
 # the largest n whose n!-term alternant is built: n = 9 takes seconds and
 # about 160 MB, and each step up multiplies both by n
@@ -393,7 +393,7 @@ class TracePoly:
     """Polynomial in weighted generators t_1, t_2, ... (deg t_k = k).
 
     One ring, two readings: on matrices t_k = Tr(z^k), on eigenvalues
-    t_k = p_k = x_1^k + ... + x_n^k, which `substitute_powers` realizes.
+    t_k = p_k = x_1^k + ... + x_n^k (`expand_to_entries`, `restrict_to_diagonal`).
     Thin wrapper over ExactPoly with variable id k-1 standing for t_k; the
     stored polynomial is always trimmed to the highest generator in use, so
     equal values compare and hash equal regardless of how they were built.
@@ -510,20 +510,6 @@ class TracePoly:
 
     def __bool__(self):
         return bool(self.poly)
-
-    def substitute_gens(self, images: dict, n_vars_out: int) -> ExactPoly:
-        """Substitute t_k by images[k] (ExactPoly values over the target space)."""
-        return self.poly.substitute(
-            {k - 1: img for k, img in images.items()}, n_vars_out
-        )
-
-    def substitute_powers(self, n: int) -> ExactPoly:
-        """Realize t_k as the power sum x_1^k + ... + x_n^k."""
-        images = {
-            k: ExactPoly(n, {(0,) * i + (k,): QQI_ONE for i in range(n)})
-            for k in range(1, self.max_gen() + 1)
-        }
-        return self.substitute_gens(images, n)
 
     def items_canonical(self):
         """Terms ordered by weighted degree, then exponent vector, descending."""

@@ -328,6 +328,10 @@ class TestExitCodeContract:
             ),
             (["schur", "--lambda", "2", "--eigs", "nan,1"], EXIT_USAGE, "non-finite"),
             (["schur", "--lambda", "2", "--eigs", "1e200,1"], EXIT_DOMAIN, ""),
+            # nonzero values lost below the normal range, not printed as 0
+            (["schur", "--lambda", "1100", "--eigs", "0.5"], EXIT_DOMAIN, "s[1100] underflows"),
+            (["schur", "--lambda", "2,1", "--eigs", "1e-110,1e-110,0"], EXIT_DOMAIN,
+             "s[2,1] underflows"),
             (
                 ["verify", "fourier", "--n", "2", "--count", "0"],
                 EXIT_USAGE,
@@ -398,7 +402,8 @@ class TestExitCodeContract:
              "Tr(z^3) at n = 30 walks n^k = 27000 index paths of n^2 = 900 entries each"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
-             "det-nan", "schur-nan-point", "schur-overflow", "fourier-count-0",
+             "det-nan", "schur-nan-point", "schur-overflow", "schur-underflow",
+             "schur-underflow-zero-point", "fourier-count-0",
              "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0", "diffop-n0",
              "alt-orthonormal-n0", "inv-orthonormal-n0", "fourier-n0", "reproducing-n0",
              "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0",
@@ -429,6 +434,27 @@ class TestExitCodeContract:
         assert main(argv + ["--quiet"]) == EXIT_USAGE
         assert time.perf_counter() - t0 < 1.0
         assert "above" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eigs", ["1,-1", "0,0"], ids=["cancelling", "zero-points"])
+    def test_exact_zero_schur_value_exits_0(self, eigs, tmp_path):
+        code, rep = run(tmp_path, ["schur", "--lambda", "1", "--eigs", eigs])
+        assert code == EXIT_OK
+        assert rep["results"]["value"] == {"re": 0.0, "im": 0.0}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["schur", "--lambda", "2", "--n", "2", "--exact"], ["fourier", "--f", "t1", "--n", "2"]],
+        ids=["schur", "fourier"],
+    )
+    def test_commands_without_sampling_ignore_threads_environment(self, argv, monkeypatch):
+        monkeypatch.setenv("HCIZ_THREADS", "abc")
+        assert main(argv + ["--quiet"]) == EXIT_OK
+
+    def test_schur_rejects_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schur", "--lambda", "2", "--n", "2", "--exact", "--seed", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "", "100000", "0"])
     def test_bad_threads_environment_exits_usage(self, value, monkeypatch, capsys):

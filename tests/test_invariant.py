@@ -159,10 +159,10 @@ class TestEntryExpansion:
         for n in (1, 2, 3):
             for cold in (True, False):
                 if cold:
-                    invariant._entry_monomial.cache_clear()
+                    invariant._monomial_image.cache_clear()
                 for f in polys:
-                    images = {k: trace_power_entry(k, n) for k in range(1, f.max_gen() + 1)}
-                    assert expand_to_entries(f, n) == f.substitute_gens(images, n * n)
+                    images = {k - 1: trace_power_entry(k, n) for k in range(1, f.max_gen() + 1)}
+                    assert expand_to_entries(f, n) == f.poly.substitute(images, n * n)
 
     def test_each_monomial_is_expanded_once(self, monkeypatch):
         builds = []
@@ -174,7 +174,7 @@ class TestEntryExpansion:
 
         # every monomial built multiplies its cached prefix by one Tr(z^k), its largest k
         monkeypatch.setattr(invariant, "trace_power_entry", counting)
-        invariant._entry_monomial.cache_clear()
+        invariant._monomial_image.cache_clear()
         monos = [f for _, f in trace_monomials(4)]
         n = 2
         expand_to_entries(sum(monos, TracePoly.zero()), n)
@@ -183,6 +183,47 @@ class TestEntryExpansion:
         builds.clear()
         for f in monos:
             expand_to_entries(f * Fraction(3, 2), n)
+        assert builds == []
+
+    def test_restriction_matches_substitution(self):
+        # the reference route substitutes t_k -> p_k term by term, with no cache
+        rng = random.Random(12)
+        polys = [random_trace_poly(rng, max_weight=4, n_terms=4) for _ in range(6)]
+        polys += [
+            TracePoly.from_terms([({1: 2, 3: 1}, Fraction(-3, 4)), ({2: 1}, Fraction(5, 2)),
+                                  ({}, Fraction(1, 3))]),
+            TracePoly.const(Fraction(7, 5)),
+        ]
+        for n in (1, 2, 3, 4):
+            for cold in (True, False):
+                if cold:
+                    invariant._monomial_image.cache_clear()
+                for f in polys:
+                    # p_k as the sum of the n monomials x_i^k
+                    images = {k - 1: sum((ExactPoly.variable(n, i) ** k for i in range(n)),
+                                         ExactPoly.zero(n))
+                              for k in range(1, f.max_gen() + 1)}
+                    assert restrict_to_diagonal(f, n) == f.poly.substitute(images, n)
+
+    def test_each_monomial_is_restricted_once(self, monkeypatch):
+        builds = []
+        power_sum = invariant.power_sum
+
+        def counting(k, n):
+            builds.append((k, n))
+            return power_sum(k, n)
+
+        # every monomial built multiplies its cached prefix by one p_k, its largest k
+        monkeypatch.setattr(invariant, "power_sum", counting)
+        invariant._monomial_image.cache_clear()
+        monos = [f for _, f in trace_monomials(4)]
+        n = 3
+        restrict_to_diagonal(sum(monos, TracePoly.zero()), n)
+        want = [(f.max_gen(), n) for f in monos if f.max_gen()]
+        assert sorted(builds) == sorted(want)
+        builds.clear()
+        for f in monos:
+            restrict_to_diagonal(f * Fraction(3, 2), n)
         assert builds == []
 
     def test_conjugation_invariance_under_permutations(self):
@@ -305,7 +346,7 @@ class TestCharacterBasis:
         for n in (1, 2, 3):
             for w in range(0, 5):
                 for lam in partitions_of_weight(w, n):
-                    assert chi_lambda(lam).substitute_powers(n) == schur_exact(lam, n)
+                    assert restrict_to_diagonal(chi_lambda(lam), n) == schur_exact(lam, n)
 
     def test_chi_empty(self):
         assert chi_lambda(Partition()) == TracePoly.one()

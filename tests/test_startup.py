@@ -147,6 +147,8 @@ def test_series_max_weight_does_not_set_the_cost():
 
 
 def test_schur_of_a_long_row_is_fast():
-    proc = _python("-m", "hciz.cli", "schur", "--lambda", "20000", "--eigs", "0.5",
-                   timeout=10)
+    # at a point of modulus 1 the value neither overflows nor underflows: s = 1^20000
+    proc = _python("-m", "hciz.cli", "schur", "--lambda", "20000", "--eigs", "1",
+                   "--output", "-", timeout=10)
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["value"] == {"re": 1.0, "im": 0.0}
