@@ -329,7 +329,7 @@ def cmd_schur(args) -> int:
     from .symfn import schur_exact, schur_numeric, schur_to_power_sums
 
     lam = parse_partition(args.lam)
-    if args.eigs is None and args.n is None and not args.power_sums:
+    if args.eigs is None and not args.exact and not args.power_sums:
         raise UsageError("need --eigs, or --n with --exact, or --power-sums")
     t0 = time.perf_counter()
     inputs = {

@@ -11,10 +11,11 @@ v fills the 16-bit field at bit 16 v.  A key does not depend on the variable
 count, and the product of two monomials is the sum of their keys.  The top
 bit of each field is a guard, so an exponent runs from 0 to MAX_EXPONENT =
 32767; a product, power or relabeling that would pass it raises ValueError
-instead of carrying into the next variable.  Only this module builds or
-reads keys.  Callers give exponents as dense tuples (`ExactPoly(3, {(2, 0,
-1): c})`, `monomial`, `coefficient`) and read them back with
-`exponent_vector` or `exponent_pairs`.
+instead of carrying into the next variable.  Callers give exponents as
+dense tuples (`ExactPoly(3, {(2, 0, 1): c})`, `monomial`, `coefficient`) and
+read them back with `exponent_vector` or `exponent_pairs`.  Builders holding
+(variable, exponent) pairs pack them with the private `_pack`, and
+`trace_power_entry` sums k <= MAX_EXPONENT one-entry keys per term.
 
 Coefficients are summed by component, not as GaussianRational objects.
 The kernels that add up many products (`*`, `apply_diff`, `map_vars` and
@@ -80,7 +81,7 @@ def _pack(pairs) -> int:
 
 
 def _as_key(mono) -> int:
-    """The key of a dense exponent tuple, or a key taken from some `terms`, checked."""
+    """The key of a dense exponent tuple, or a packed key, checked."""
     if isinstance(mono, int):
         if mono < 0 or mono & _guards(_n_fields(mono)):
             raise ValueError(f"{mono} is not a monomial key")
@@ -170,7 +171,7 @@ class ExactPoly:
     __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars: int, terms=None):
-        """`terms` maps dense exponent tuples (or keys from another `terms`) to coefficients."""
+        """`terms` maps dense exponent tuples, or packed keys, to coefficients."""
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
         clean = {}

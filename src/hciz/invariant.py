@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import cmath
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, NotAlternatingError
-from .exactpoly import ExactPoly, bargmann_inner, exponent_pairs, linear_combination
+from .exactpoly import (MAX_EXPONENT, ExactPoly, _pack, bargmann_inner, exponent_pairs,
+                         linear_combination)
 from .scalars import GaussianRational
 from .symfn import (
     Partition,
@@ -48,9 +50,9 @@ from .symfn import (
 )
 
 
-# the most entries `trace_power_entry` writes, n^2 for each of n^k index paths:
-# (k, n) = (4, 16), 16.8 million, takes 1.5 s and (3, 30), 24.3 million, 5 s,
-# but (6, 6), with more paths than (3, 30), takes 0.3 s
+# the most entries `trace_power_entry` walks, n^2 fields in each of n^k index paths' keys:
+# (k, n) = (4, 16), 16.8 million, takes 0.25 s and (3, 30), 24.3 million, 0.2 s,
+# but a path costs k key additions, so (20, 2), 4.2 million, takes 2.8 s
 MAX_TRACE_ENTRIES = 20_000_000
 
 
@@ -62,25 +64,22 @@ def entry_var(i: int, j: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def trace_power_entry(k: int, n: int) -> ExactPoly:
     """Tr(z^k) as a polynomial in the n^2 entries: sum over cyclic index paths."""
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
+    if not 1 <= k <= MAX_EXPONENT or n < 1:
+        raise ValueError(f"need 1 <= k <= {MAX_EXPONENT} and n >= 1")
     if n**k * n * n > MAX_TRACE_ENTRIES:
         raise ValueError(f"Tr(z^{k}) at n = {n} walks n^k = {n**k} index paths of n^2 = {n * n} "
                          f"entries each, above {MAX_TRACE_ENTRIES} entries")
-    counts: dict[tuple, int] = {}
-    for path in itertools.product(range(n), repeat=k):
-        exps = [0] * (n * n)
-        for s in range(k):
-            exps[entry_var(path[s], path[(s + 1) % k], n)] += 1
-        key = tuple(exps)
-        counts[key] = counts.get(key, 0) + 1
-    return ExactPoly(n * n, {exps: GaussianRational(c) for exps, c in counts.items()})
+    # rows[i][j] is the key of z_{ij}, and a path's key the sum of its k entries' keys:
+    # no exponent passes k <= MAX_EXPONENT, so no field carries into the next
+    rows = [[_pack([(entry_var(i, j, n), 1)]) for j in range(n)] for i in range(n)]
+    return ExactPoly(n * n, Counter(sum([rows[i][j] for i, j in zip(path, path[1:] + path[:1])])
+                                    for path in itertools.product(range(n), repeat=k)))
 
 
 @lru_cache(maxsize=None)
 def power_sum(k: int, n: int) -> ExactPoly:
     """p_k = x_1^k + ... + x_n^k, the diagonal image of t_k."""
-    return ExactPoly(n, {(0,) * i + (k,): 1 for i in range(n)})
+    return ExactPoly(n, {_pack([(i, k)]): 1 for i in range(n)})
 
 
 @lru_cache(maxsize=512)
@@ -249,10 +248,11 @@ def verify_diffop_identity(fs, n: int) -> dict:
 def fourier_coefficients(f: TracePoly, n: int, max_weight: int | None = None) -> dict:
     """Schur-basis coefficients: f_lambda = coefficient of z^{lambda+delta} in a_delta F|_D.
 
-    Returns {Partition: GaussianRational}, zero coefficients omitted.
+    Returns {Partition: GaussianRational}, zero coefficients omitted.  psi(F) has
+    degree at most wdeg(F) + |delta|, so max_weight is capped at wdeg(F), its default.
     """
-    if max_weight is None:
-        max_weight = max(f.weighted_degree(), 0)
+    top = max(f.weighted_degree(), 0)
+    max_weight = top if max_weight is None else min(max_weight, top)
     return _schur_coefficients(psi_map(f, n).poly, n, max_weight)
 
 

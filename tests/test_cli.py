@@ -245,6 +245,12 @@ class TestSchur:
         assert code == EXIT_OK
         assert rep["results"]["power_sums"] == "(1/2, 0) p1^2 + (1/2, 0) p2"
 
+    def test_power_sums_ignore_n(self, tmp_path):
+        # the README example: --n is only for --exact, and does not stop --power-sums
+        code, rep = run(tmp_path, ["schur", "--lambda", "2,1", "--n", "3", "--power-sums"])
+        assert code == EXIT_OK
+        assert rep["results"] == {"power_sums": "(1/3, 0) p1^3 + (-1/3, 0) p3"}
+
     def test_too_many_parts_exits_2(self, tmp_path, capsys):
         code = main(["schur", "--lambda", "2,1,1", "--n", "2", "--exact", "--quiet"])
         assert code == EXIT_DOMAIN
@@ -400,6 +406,12 @@ class TestExitCodeContract:
             # the entry expansion of Tr(z^k) walks n^k index paths of n^2 entries
             (["verify", "inv-orthonormal", "--n", "30"], EXIT_USAGE,
              "Tr(z^3) at n = 30 walks n^k = 27000 index paths of n^2 = 900 entries each"),
+            # the message shows the parts given, not an emptied generator
+            (["schur", "--lambda", "2,3", "--eigs", "1"], EXIT_USAGE,
+             "parts not weakly decreasing: (2, 3)"),
+            # --n alone asks for nothing: --exact is what needs it
+            (["schur", "--lambda", "1", "--n", "3"], EXIT_USAGE,
+             "need --eigs, or --n with --exact, or --power-sums"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "schur-underflow",
@@ -411,7 +423,8 @@ class TestExitCodeContract:
              "fourier-exponent-limit", "fourier-zero-denominator", "fourier-constant-over-zero",
              "schur-exact-n0", "schur-exact-n-1", "schur-exact-n40", "fourier-max-weight-1",
              "tol-inf", "tol-nan", "tol-1", "fourier-n30", "unitarity-n30", "diffop-n30",
-             "alt-orthonormal-n10", "inv-orthonormal-n30"],
+             "alt-orthonormal-n10", "inv-orthonormal-n30", "schur-increasing-parts",
+             "schur-n-without-exact"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

@@ -130,6 +130,30 @@ class TestEntryExpansion:
         with pytest.raises(ValueError, match="n = 30 walks n.k = 27000 index paths"):
             trace_power_entry(3, 30)
 
+    def test_walk_matches_a_dense_reference(self):
+        # the reference writes one dense exponent vector per index path
+        def dense_walk(k, n):
+            counts = {}
+            for path in itertools.product(range(n), repeat=k):
+                exps = [0] * (n * n)
+                for s in range(k):
+                    exps[entry_var(path[s], path[(s + 1) % k], n)] += 1
+                counts[tuple(exps)] = counts.get(tuple(exps), 0) + 1
+            return ExactPoly(n * n, counts)
+
+        trace_power_entry.cache_clear()
+        sizes = [(k, n) for n in (1, 2, 3) for k in range(1, 7)] + [(k, 4) for k in range(1, 5)]
+        for k, n in sizes:
+            want = dense_walk(k, n)
+            assert list(trace_power_entry(k, n).terms.items()) == list(want.terms.items())
+
+    def test_exponent_limit_is_checked_before_the_walk(self):
+        # at n = 1 the one path's key is k times z_00's: past 32767 it would carry
+        assert trace_power_entry(32767, 1) == ExactPoly.monomial(1, (32767,))
+        for k in (40000, 65536):
+            with pytest.raises(ValueError, match="k <= 32767"):
+                trace_power_entry(k, 1)
+
     def test_numeric_against_matrix_power(self):
         import numpy as np
 

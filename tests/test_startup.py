@@ -5,7 +5,8 @@ without dataclasses and platform, the exact `verify` commands without
 dataclasses and inspect, a one-worker
 Monte Carlo command without concurrent.futures, and `import hciz` with
 nothing but the package and its error types.  Two commands whose setup
-once grew quadratically with a size argument must finish within seconds.
+once grew quadratically with a size argument, and one whose cost once
+followed an argument that changes nothing, must finish within seconds.
 """
 
 import json
@@ -144,6 +145,18 @@ def test_series_max_weight_does_not_set_the_cost():
                    timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["series"]["max_weight_used"] < 100
+
+
+# no lambda above f's weighted degree has a coefficient; when every lambda up to
+# --max-weight was looked up, --max-weight 1000 took 21 s
+def test_fourier_max_weight_does_not_set_the_cost():
+    def coefficients(*argv):
+        proc = _python("-m", "hciz.cli", "fourier", "--f", "t1", "--n", "2", *argv,
+                       "--output", "-", timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)["results"]["coefficients"]
+
+    assert coefficients("--max-weight", "100000") == coefficients() == {"1": "1"}
 
 
 def test_schur_of_a_long_row_is_fast():

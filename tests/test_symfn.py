@@ -310,6 +310,28 @@ class TestSchurExact:
         with pytest.raises(DimensionMismatchError):
             schur_exact(Partition((1, 1, 1)), 2)
 
+    def test_term_order_matches_a_dense_build(self):
+        # the branching rule on dense exponent vectors, x_{n-1} first
+        def dense_branching(lam, n):
+            states = {lam.parts: {(0,) * n: 1}}
+            for m in range(n - 1, -1, -1):
+                below = {}
+                for parts, vecs in states.items():
+                    slots = [range(q, p + 1) for p, q in zip(parts, parts[1:] + (0,))][:m]
+                    for mu in itertools.product(*slots):
+                        out = below.setdefault(tuple(p for p in mu if p), {})
+                        for vec, c in vecs.items():
+                            vec = vec[:m] + (sum(parts) - sum(mu),) + vec[m + 1:]
+                            out[vec] = out.get(vec, 0) + c
+                states = below
+            return ExactPoly(n, states[()])
+
+        for n in range(1, 6):
+            for w in range(5):
+                for lam in partitions_of_weight(w, n):
+                    got, want = schur_exact(lam, n), dense_branching(lam, n)
+                    assert list(got.terms.items()) == list(want.terms.items())
+
     def test_size_limit_is_the_monomial_count_times_n(self):
         # at most C(n+|lambda|-1, |lambda|) monomials, each n exponents
         assert math.comb(18 + 5, 6) * 18 <= MAX_SCHUR_EXPONENTS < math.comb(19 + 5, 6) * 19
