@@ -32,13 +32,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, NotAlternatingError
-from .exactpoly import (MAX_EXPONENT, ExactPoly, _pack, bargmann_inner, exponent_pairs,
-                         linear_combination)
+from .exactpoly import MAX_EXPONENT, ExactPoly, _pack, bargmann_inner, linear_combination
 from .scalars import GaussianRational
 from .symfn import (
     Partition,
     Scaled,
     TracePoly,
+    _partition,
     alternant_delta,
     d_lambda,
     is_alternating,
@@ -83,23 +83,21 @@ def power_sum(k: int, n: int) -> ExactPoly:
 
 
 @lru_cache(maxsize=512)
-def _monomial_image(gens: tuple, n: int, diagonal: bool) -> ExactPoly:
-    """prod_k t_k^(e_k) from its (k - 1, e_k) pairs, t_k -> p_k on the diagonal, else Tr(z^k).
+def _monomial_image(rho: tuple, n: int, diagonal: bool) -> ExactPoly:
+    """p_rho = prod_i t_(rho_i) from its partition, t_k -> p_k on the diagonal, else Tr(z^k).
 
-    Built as the cached monomial without its largest generator times that
-    generator's image, so the monomials of one weight share their prefixes.
+    Built as the cached monomial of rho without its largest part times that
+    part's image, so the monomials of one weight share their prefixes.
     """
-    if not gens:
+    if not rho:
         return ExactPoly.one(n if diagonal else n * n)
-    *rest, (v, e) = gens
-    prefix = (*rest, (v, e - 1)) if e > 1 else tuple(rest)
-    image = power_sum(v + 1, n) if diagonal else trace_power_entry(v + 1, n)
-    return _monomial_image(prefix, n, diagonal) * image
+    image = power_sum(rho[0], n) if diagonal else trace_power_entry(rho[0], n)
+    return _monomial_image(rho[1:], n, diagonal) * image
 
 
 def _image(f: TracePoly, n: int, diagonal: bool) -> ExactPoly:
     """f in one picture: the linear combination of its monomials' cached images."""
-    pairs = ((_monomial_image(exponent_pairs(key), n, diagonal), c) for key, c in f.terms.items())
+    pairs = ((_monomial_image(_partition(key), n, diagonal), c) for key, c in f.terms.items())
     return linear_combination(pairs, n if diagonal else n * n)
 
 
@@ -253,6 +251,8 @@ def fourier_coefficients(f: TracePoly, n: int, max_weight: int | None = None) ->
     """
     top = max(f.weighted_degree(), 0)
     max_weight = top if max_weight is None else min(max_weight, top)
+    if max_weight < 0:
+        raise ValueError("max_weight must be nonnegative")
     return _schur_coefficients(psi_map(f, n).poly, n, max_weight)
 
 

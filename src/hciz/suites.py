@@ -11,7 +11,7 @@ standard errors, plus a rounding bound, of the exact values.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .invariant import (
@@ -27,7 +27,6 @@ from .invariant import (
 from .exactpoly import ExactPoly, bargmann_inner
 from .scalars import GaussianRational
 from .symfn import (
-    Partition,
     alternant,
     d_lambda,
     enumerate_partitions,
@@ -105,20 +104,12 @@ def suite_inv_orthonormal(n: int, max_weight: int = 4) -> SuiteReport:
 
 
 def trace_monomials(max_degree: int, max_gen: int | None = None) -> list:
-    """Monomials in the t_k of weighted degree <= max_degree, via partitions."""
+    """(rho, p_rho) for the trace monomials of weighted degree <= max_degree, parts <= max_gen."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    out = []
-    for w in range(max_degree + 1):
-        cap = max_gen if max_gen is not None else w
-        for rho in partitions_of_weight(w, w) if w else [Partition()]:
-            if rho.parts and rho.parts[0] > cap:
-                continue
-            mono = TracePoly.one()
-            for part in rho.parts:
-                mono = mono * TracePoly.gen(part)
-            out.append((rho, mono))
-    return out
+    return [(rho, TracePoly.from_terms([(Counter(rho), 1)]))
+            for w in range(max_degree + 1) for rho in partitions_of_weight(w, w)
+            if max_gen is None or rho.part(0) <= max_gen]
 
 
 def suite_unitarity(n: int, max_degree: int = 4) -> SuiteReport:
@@ -150,16 +141,10 @@ def random_trace_poly(rng: random.Random, max_weight: int = 5, n_terms: int = 4)
     out = TracePoly.zero()
     for _ in range(n_terms):
         w = rng.randint(0, max_weight)
-        if w == 0:
-            mono = TracePoly.one()
-        else:
-            rho = rng.choice(list(partitions_of_weight(w, w)))
-            mono = TracePoly.one()
-            for part in rho.parts:
-                mono = mono * TracePoly.gen(part)
+        rho = rng.choice(list(partitions_of_weight(w, w))) if w else ()
         re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         im = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        out = out + mono * GaussianRational(re, im)
+        out = out + TracePoly.from_terms([(Counter(rho), GaussianRational(re, im))])
     return out
 
 

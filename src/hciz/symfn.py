@@ -8,13 +8,18 @@ constant is the square root of a positive rational; `Scaled` carries it as
 that rational, its square, next to the polynomial it scales.
 
 Conventions.  The staircase is delta = (n-1, n-2, ..., 0), and
-alternant(delta, n) = det[x_i^{delta_j}] = prod_{i<j} (x_i - x_j).
+alternant(delta, n) = det[x_i^{delta_j}] = prod_{i<j} (x_i - x_j).  A
+`Partition` is the tuple of its parts, so it and the plain tuple are one
+cache key.  The trace monomial p_rho = prod_i t_{rho_i} is built from its
+partition's multiplicities, `TracePoly.from_terms([(Counter(rho), c)])`,
+and its key is read back as rho by `_partition`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,29 +36,31 @@ MAX_ALTERNANT_N = 9
 # takes about 0.7 s, and (1,1), n = 300 (13.5 million, 45,150 monomials) 1.5 s
 MAX_SCHUR_EXPONENTS = 2_000_000
 
+# the most classes rho that `schur_to_power_sums` may visit: at |lambda| = 32,
+# p(32) = 8349 classes, lambda = (6,6,6,6,6,2) takes about 1.5 s and (32) 0.5 s,
+# and at 33, p(33) = 10,143, (6,6,6,5,5,5) takes 2 s
+MAX_POWER_SUM_CLASSES = 10_000
 
-class Partition:
-    """Weakly decreasing tuple of positive parts; trailing zeros dropped."""
 
-    __slots__ = ("parts",)
+class Partition(tuple):
+    """Weakly decreasing tuple of positive parts; trailing zeros dropped.
 
-    def __init__(self, parts=()):
+    A tuple of its parts, so it compares and hashes as that plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, parts=()):
         parts = tuple(parts)
-        clean = []
-        prev = None
-        for p in parts:
-            p = int(p)
+        ints = tuple(map(int, parts))
+        for prev, p in zip(ints[:1] + ints, ints):
             if p < 0:
                 raise ValueError("negative part")
-            if prev is not None and p > prev:
+            if p > prev:
                 raise ValueError(f"parts not weakly decreasing: {parts}")
-            prev = p
-            if p > 0:
-                clean.append(p)
-        object.__setattr__(self, "parts", tuple(clean))
+        return super().__new__(cls, filter(None, ints))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    parts = property(tuple, doc="The parts as a plain tuple.")
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -64,46 +71,27 @@ class Partition:
         return cls(int(p) for p in text.split(","))
 
     def to_text(self) -> str:
-        return ",".join(str(p) for p in self.parts) if self.parts else "0"
+        return ",".join(map(str, self)) or "0"
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def part(self, i: int) -> int:
-        return self.parts[i] if i < len(self.parts) else 0
+        return self[i] if i < len(self) else 0
 
     def plus_staircase(self, n: int) -> tuple:
         """lambda + delta padded to length n; strictly decreasing."""
-        if len(self.parts) > n:
-            raise DimensionMismatchError(
-                f"partition has {len(self.parts)} parts, more than n={n}"
-            )
+        if len(self) > n:
+            raise DimensionMismatchError(f"partition has {len(self)} parts, more than n={n}")
         return tuple(self.part(i) + (n - 1 - i) for i in range(n))
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            # plain tuple equality: it never raises, and equal values hash alike
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
-        return f"Partition({self.parts!r})"
+        return f"Partition({tuple(self)!r})"
 
     def __str__(self):
         return self.to_text()
@@ -145,8 +133,9 @@ def partitions_of_weight(weight: int, max_parts: int):
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
+    # rec builds weakly decreasing positive parts: nothing for Partition() to check
     for parts in rec(weight, weight, max_parts):
-        yield Partition(parts)
+        yield tuple.__new__(Partition, parts)
 
 
 def enumerate_partitions(max_weight: int, max_parts: int) -> list:
@@ -228,7 +217,7 @@ def schur_exact(lam: Partition, n: int) -> ExactPoly:
         return ExactPoly.one(n)
     # before the step for x_m, m = n-1 down to 0: {a partition in x_0..x_m, so of
     # at most m + 1 parts: {the exponents of x_{m+1}.. as (variable, exponent) pairs: count}}
-    states = {lam.parts: {(): 1}}
+    states = {lam: {(): 1}}
     for m in range(n - 1, -1, -1):
         below = {}
         for parts, suffixes in states.items():
@@ -264,10 +253,7 @@ def homogeneous_values(eigs, kmax: int):
 def jacobi_trudi_indices(lam: Partition):
     """Row-major index matrix (lambda_i - i + j) of the h-determinant; -1 marks a zero."""
     ell = lam.length
-    return [
-        [lam.parts[i] - (i + 1) + (j + 1) for j in range(ell)]
-        for i in range(ell)
-    ]
+    return [[lam[i] - (i + 1) + (j + 1) for j in range(ell)] for i in range(ell)]
 
 
 def jacobi_trudi_stacks(partitions) -> list:
@@ -331,13 +317,7 @@ def schur_numeric(lam: Partition, eigs) -> complex:
 
 def zee(rho: Partition) -> int:
     """z_rho = prod_k k^{m_k} m_k! for multiplicities m_k of the parts."""
-    out = 1
-    mult: dict[int, int] = {}
-    for p in rho.parts:
-        mult[p] = mult.get(p, 0) + 1
-    for k, m in mult.items():
-        out *= k**m * math.factorial(m)
-    return out
+    return math.prod(k**m * math.factorial(m) for k, m in Counter(rho).items())
 
 
 @lru_cache(maxsize=None)
@@ -368,20 +348,23 @@ def character(shape: tuple, rho: tuple) -> int:
     return total
 
 
-def _generator_vector(exps: dict) -> tuple:
-    """Dense exponents of t_1, t_2, ... from {generator index: exponent}."""
-    used = [k for k, e in exps.items() if e]
-    if min(used, default=1) < 1:
+def _generator_key(exps: dict) -> int:
+    """The key of prod_k t_k^(e_k), t_k packed as variable k - 1, from {k: e_k}."""
+    used = [(k, e) for k, e in exps.items() if e]
+    if any(k < 1 for k, _ in used):
         raise ValueError("generator index must be >= 1")
-    for k in used:
-        if not 0 <= exps[k] <= MAX_EXPONENT:
-            raise ValueError(f"exponent {exps[k]} of t{k} outside 0..{MAX_EXPONENT}")
-    return tuple(exps.get(k, 0) for k in range(1, max(used, default=0) + 1))
+    for k, e in used:
+        # p_k and Tr(z^k) hold the exponent k, so k has the exponents' range
+        if k > MAX_EXPONENT:
+            raise ValueError(f"generator t{k} outside t1..t{MAX_EXPONENT}")
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(f"exponent {e} of t{k} outside 0..{MAX_EXPONENT}")
+    return _pack((k - 1, e) for k, e in used)
 
 
-def _weight(key: int) -> int:
-    """Weighted degree of a monomial key in the generators, t_k weighing k."""
-    return sum((v + 1) * e for v, e in exponent_pairs(key))
+def _partition(key: int) -> tuple:
+    """The partition rho of a generator key's monomial p_rho: e parts k for each t_k^e."""
+    return tuple(v + 1 for v, e in reversed(exponent_pairs(key)) for _ in range(e))
 
 
 class TracePoly:
@@ -416,16 +399,13 @@ class TracePoly:
 
     @classmethod
     def gen(cls, k: int):
-        """The generator t_k, k >= 1."""
-        if k < 1:
-            raise ValueError("generator index must be >= 1")
-        return cls(ExactPoly.variable(k, k - 1))
+        """The generator t_k, 1 <= k <= MAX_EXPONENT."""
+        return cls.from_terms([({k: 1}, 1)])
 
     @classmethod
     def from_terms(cls, terms):
-        """terms: iterable of (dict generator-index -> exponent, coeff)."""
-        pairs = [(_generator_vector(exps), c) for exps, c in terms]
-        return cls(ExactPoly(max((len(vec) for vec, _ in pairs), default=1), pairs))
+        """terms: iterable of (dict generator-index -> exponent, coeff); a Counter(rho) is p_rho."""
+        return cls(ExactPoly(MAX_EXPONENT, [(_generator_key(exps), c) for exps, c in terms]))
 
     @property
     def terms(self):
@@ -443,10 +423,10 @@ class TracePoly:
         """Total degree with t_k weighing k; -1 for the zero value."""
         if self.poly.is_zero:
             return -1
-        return max(map(_weight, self.poly.terms))
+        return max(sum(_partition(key)) for key in self.poly.terms)
 
     def coefficient(self, exps: dict) -> GaussianRational:
-        return self.poly.coefficient(_generator_vector(exps))
+        return self.poly.coefficient(_generator_key(exps))
 
     def _aligned(self, other):
         m = max(self.poly.n_vars, other.poly.n_vars)
@@ -506,7 +486,7 @@ class TracePoly:
         nv = self.poly.n_vars
         return sorted(
             self.poly.terms.items(),
-            key=lambda kv: (_weight(kv[0]), exponent_vector(kv[0], nv)),
+            key=lambda kv: (sum(_partition(kv[0])), exponent_vector(kv[0], nv)),
             reverse=True,
         )
 
@@ -528,26 +508,18 @@ class TracePoly:
 
 
 @lru_cache(maxsize=None)
-def _schur_to_power_sums(parts: tuple) -> TracePoly:
-    lam = Partition(parts)
-    w = lam.weight
-    if w == 0:
-        return TracePoly.one()
-    terms = []
-    for rho in partitions_of_weight(w, w):
-        chi = character(lam.parts, rho.parts)
-        if chi == 0:
-            continue
-        mult: dict[int, int] = {}
-        for p in rho.parts:
-            mult[p] = mult.get(p, 0) + 1
-        terms.append((mult, Fraction(chi, zee(rho))))
-    return TracePoly.from_terms(terms)
-
-
 def schur_to_power_sums(lam: Partition) -> TracePoly:
-    """s_lambda = sum_rho chi^lambda(rho) p_rho / z_rho over classes rho of |lambda|."""
-    return _schur_to_power_sums(lam.parts)
+    """s_lambda = sum_rho chi^lambda(rho) p_rho / z_rho over classes rho of |lambda|.
+
+    Cached by the parts: a Partition and its plain tuple share one entry.
+    """
+    w = sum(lam)
+    classes = list(itertools.islice(partitions_of_weight(w, w), MAX_POWER_SUM_CLASSES + 1))
+    if len(classes) > MAX_POWER_SUM_CLASSES:
+        raise ValueError(f"s[{Partition(lam)}] in power sums is a sum over the p({w}) classes "
+                         f"of weight {w}, above {MAX_POWER_SUM_CLASSES} classes")
+    chis = ((rho, character(lam, rho)) for rho in classes)
+    return TracePoly.from_terms((Counter(rho), Fraction(chi, zee(rho))) for rho, chi in chis if chi)
 
 
 # -- scaled polynomials and normalization constants --------------------------------------

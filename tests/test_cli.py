@@ -379,6 +379,12 @@ class TestExitCodeContract:
             # the message names the generator, not the internal variable id
             (["fourier", "--f", "t1^40000", "--n", "2"], EXIT_USAGE,
              "exponent 40000 of t1 outside 0..32767"),
+            (["fourier", "--f", "t40000", "--n", "2"], EXIT_USAGE,
+             "generator t40000 outside t1..t32767"),
+            (["fourier", "--f", "t1", "--n", "2", "--max-weight", "-1"], EXIT_USAGE,
+             "max_weight must be nonnegative"),
+            (["schur", "--lambda", "33", "--power-sums"], EXIT_USAGE,
+             "s[33] in power sums is a sum over the p(33) classes of weight 33, above 10000"),
             (["fourier", "--f", "1/0 t1", "--n", "2"], EXIT_USAGE, "zero denominator"),
             (["fourier", "--f", "1/0", "--n", "2"], EXIT_USAGE, "zero denominator"),
             (["schur", "--lambda", "0", "--n", "0", "--exact"], EXIT_USAGE, "n must be positive"),
@@ -420,7 +426,8 @@ class TestExitCodeContract:
              "alt-orthonormal-n0", "inv-orthonormal-n0", "fourier-n0", "reproducing-n0",
              "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0",
              "threads-100000", "threads-0", "threads-1", "ginibre-threads-0",
-             "fourier-exponent-limit", "fourier-zero-denominator", "fourier-constant-over-zero",
+             "fourier-exponent-limit", "fourier-generator-limit", "fourier-negative-max-weight",
+             "schur-power-sum-classes", "fourier-zero-denominator", "fourier-constant-over-zero",
              "schur-exact-n0", "schur-exact-n-1", "schur-exact-n40", "fourier-max-weight-1",
              "tol-inf", "tol-nan", "tol-1", "fourier-n30", "unitarity-n30", "diffop-n30",
              "alt-orthonormal-n10", "inv-orthonormal-n30", "schur-increasing-parts",
@@ -439,8 +446,9 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv",
         [["schur", "--lambda", "3,2,1", "--n", "40", "--exact"],
-         ["verify", "inv-orthonormal", "--n", "30"]],
-        ids=["schur-exact-n40", "inv-orthonormal-n30"],
+         ["verify", "inv-orthonormal", "--n", "30"],
+         ["schur", "--lambda", "100", "--power-sums"]],
+        ids=["schur-exact-n40", "inv-orthonormal-n30", "schur-power-sums-100"],
     )
     def test_size_limits_stop_before_the_work(self, argv, capsys):
         t0 = time.perf_counter()

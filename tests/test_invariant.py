@@ -99,6 +99,18 @@ class TestTracePolyAlignment:
             t(1).coefficient({0: 2})
         assert TracePoly.from_terms([({0: 0, 2: 1}, 1)]) == t(2)
 
+    def test_generator_index_has_the_exponent_range(self):
+        # p_k and Tr(z^k) hold the exponent k, so t_k stops where exponents do
+        top = TracePoly.from_terms([({32767: 1}, 1)])
+        assert top.max_gen() == 32767 and top == t(32767)
+        assert top.coefficient({32767: 1}) == GaussianRational(1)
+        with pytest.raises(ValueError, match=r"^generator t32768 outside t1\.\.t32767$"):
+            TracePoly.from_terms([({32768: 1}, 1)])
+        with pytest.raises(ValueError, match="generator t32768"):
+            t(32768)
+        with pytest.raises(ValueError, match="generator t40000"):
+            top.coefficient({40000: 1})
+
     def test_cancelling_the_top_generator_trims(self):
         got = (t(3) + t(1)) - t(3)
         assert got == t(1)

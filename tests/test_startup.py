@@ -6,7 +6,8 @@ dataclasses and inspect, a one-worker
 Monte Carlo command without concurrent.futures, and `import hciz` with
 nothing but the package and its error types.  Two commands whose setup
 once grew quadratically with a size argument, and one whose cost once
-followed an argument that changes nothing, must finish within seconds.
+followed an argument that changes nothing, must finish within seconds, and
+so must two that the power-sum class limit refuses.
 """
 
 import json
@@ -165,3 +166,17 @@ def test_schur_of_a_long_row_is_fast():
                    "--output", "-", timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["value"] == {"re": 1.0, "im": 0.0}
+
+
+# the power-sum expansion of s_lambda visits every class of weight |lambda|:
+# without a limit, --lambda 45 took 5 s and --lambda 100 would visit p(100),
+# about 1.9e8 classes; fourier expands each s_lambda it needs the same way
+@pytest.mark.parametrize(
+    "argv",
+    [["schur", "--lambda", "100", "--power-sums"], ["fourier", "--f", "t100", "--n", "2"]],
+    ids=["schur", "fourier"],
+)
+def test_power_sum_class_limit_exits_64_quickly(argv):
+    proc = _python("-m", "hciz.cli", *argv, timeout=10)
+    assert proc.returncode == 64
+    assert "in power sums is a sum over the p(100) classes of weight 100" in proc.stderr

@@ -19,7 +19,7 @@ from hciz.suites import (
     suite_unitarity,
     trace_monomials,
 )
-from hciz.symfn import Partition, Scaled, is_alternating
+from hciz.symfn import Partition, Scaled, TracePoly, is_alternating
 
 
 class TestReportStructure:
@@ -64,6 +64,19 @@ class TestGenerators:
     def test_trace_monomials_generator_cap(self):
         for rho, _ in trace_monomials(5, max_gen=3):
             assert all(p <= 3 for p in rho.parts)
+
+    # 1+1+2+3+5+7+11 partitions of weight <= 6; 1+1+2+3+4+5 of weight <= 5 with parts <= 3
+    @pytest.mark.parametrize("max_degree, max_gen, count", [(6, None, 30), (5, 3, 16)])
+    def test_trace_monomials_are_the_generator_products(self, max_degree, max_gen, count):
+        monos = trace_monomials(max_degree, max_gen)
+        assert len(monos) == count
+        for rho, mono in monos:
+            want = TracePoly.one()
+            for part in rho:
+                want = want * TracePoly.gen(part)
+            assert isinstance(rho, Partition)
+            assert list(mono.terms.items()) == list(want.terms.items())
+            assert mono.poly.n_vars == want.poly.n_vars
 
     def test_random_trace_poly_degree(self):
         rng = random.Random(0)

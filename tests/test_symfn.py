@@ -14,6 +14,7 @@ from hciz.invariant import restrict_to_diagonal
 from hciz.scalars import GaussianRational
 from hciz.symfn import (
     MAX_ALTERNANT_N,
+    MAX_POWER_SUM_CLASSES,
     MAX_SCHUR_EXPONENTS,
     Partition,
     Scaled,
@@ -141,6 +142,28 @@ class TestPartition:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             Partition((1,)).parts = (2,)
+
+    def test_is_a_tuple_of_its_parts(self):
+        lam = Partition((2, 1, 0))
+        assert isinstance(lam, tuple)
+        assert tuple(lam) == lam.parts == (2, 1) and type(lam.parts) is tuple
+        assert lam[1:] == (1,) and lam + (1,) == (2, 1, 1)
+        assert repr(lam) == "Partition((2, 1))" and str(lam) == "2,1"
+        with pytest.raises(AttributeError):
+            lam.weight_cache = 3
+
+    def test_constructor_messages(self):
+        with pytest.raises(ValueError, match=r"^negative part$"):
+            Partition((2, -1))
+        # the first bad part decides: 3 > 1 comes before the negative -1
+        with pytest.raises(ValueError, match=r"^parts not weakly decreasing: \(1, 3, -1\)$"):
+            Partition((1, 3, -1))
+        with pytest.raises(ValueError, match=r"^negative part$"):
+            Partition((-1, 0))
+        # a generator is read once, and the message names its parts
+        with pytest.raises(ValueError, match=r"^parts not weakly decreasing: \(2, 3\)$"):
+            Partition(p for p in (2, 3))
+        assert Partition(p for p in (3, 1, 0)) == (3, 1)
 
 
 class TestEnumeration:
@@ -551,6 +574,17 @@ class TestSchurToPowerSums:
                     if lam.length > n:
                         continue
                     assert restrict_to_diagonal(ps, n) == schur_exact(lam, n)
+
+    def test_partition_and_tuple_share_one_cache_entry(self):
+        assert schur_to_power_sums(Partition((3, 2, 1))) is schur_to_power_sums((3, 2, 1))
+
+    def test_class_limit(self):
+        # p(32) = 8349 classes are accepted, p(33) = 10143 are not
+        assert sum(1 for _ in partitions_of_weight(32, 32)) <= MAX_POWER_SUM_CLASSES
+        with pytest.raises(ValueError, match=r"s\[33\] in power sums is a sum over the p\(33\)"):
+            schur_to_power_sums(Partition((33,)))
+        with pytest.raises(ValueError, match=r"s\[50,50\] in power sums"):
+            schur_to_power_sums((50, 50))
 
     def test_power_substitution_golden(self):
         p2 = TracePoly.gen(2)
