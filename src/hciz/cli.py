@@ -208,7 +208,8 @@ def _emit(args, command: str, t0: float, inputs: dict, results: dict, lines,
 
 
 def cmd_eval(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    # each method once, in first-seen order
+    methods = list(dict.fromkeys(m.strip() for m in args.methods.split(",") if m.strip()))
     bad = [m for m in methods if m not in ("det", "mc", "series")]
     if bad or not methods:
         raise UsageError(f"unknown methods {bad or args.methods!r}; pick from det,mc,series")
@@ -253,14 +254,9 @@ def cmd_eval(args) -> int:
     if bad:
         raise NonFiniteValueError(f"non-finite value from {', '.join(bad)}")
 
-    mc = results.get("mc", {})
-    stderr, rounding = mc.get("stderr", 0.0), mc.get("rounding", 0.0)
-
     def mc_band(m1, m2):
-        # the estimate's own error, 4 standard errors plus its rounding
-        # bound, and a floor for the other method's rounding
-        floor = 1e-12 * max(abs(values[m1]), abs(values[m2]), 1.0)
-        return 4 * stderr + rounding + floor
+        # the estimate's own band, and a floor for the other method's rounding
+        return est.band + 1e-12 * max(abs(values[m1]), abs(values[m2]), 1.0)
 
     policies = {
         ("det", "mc"): mc_band,

@@ -33,11 +33,12 @@ time gives, a key that cancels to zero re-entering at the end, because
 GaussianRational sum per shared key, so it keeps its own per-term loop.
 `substitute` sums its terms' images with `linear_combination`.
 
-Beyond ring arithmetic the module provides the three operations the exact
-verification layer is built on: formal differentiation, the action of a
-polynomial as a constant-coefficient differential operator, and the
-Bargmann inner product  <F, G> = sum_a conj(f_a) g_a a!  under which the
-scaled monomials z^a / sqrt(a!) are orthonormal.
+Beyond ring arithmetic the module provides the two operations the exact
+verification layer is built on: the action of a polynomial as a
+constant-coefficient differential operator (`apply_diff`; the partial
+derivative d/dz_v is the action of z_v), and the Bargmann inner product
+<F, G> = sum_a conj(f_a) g_a a!  under which the scaled monomials
+z^a / sqrt(a!) are orthonormal and d/dz_v is the adjoint of z_v.
 """
 
 from __future__ import annotations
@@ -341,18 +342,6 @@ class ExactPoly:
         return bool(self.terms)
 
     # -- calculus -------------------------------------------------------------------
-
-    def diff(self, var: int) -> "ExactPoly":
-        """Formal partial derivative with respect to variable `var`."""
-        if not 0 <= var < self.n_vars:
-            raise DimensionMismatchError(f"variable {var} out of range for n_vars={self.n_vars}")
-        shift = _BITS * var
-        out = {}
-        for key, c in self.terms.items():
-            e = (key >> shift) & _FIELD
-            if e:
-                out[key - (1 << shift)] = c * e
-        return ExactPoly._raw(self.n_vars, out)
 
     def apply_diff(self, g: "ExactPoly") -> "ExactPoly":
         """F(d)G: replace each monomial z^a of F=self by the operator d^a, apply to G."""

@@ -6,16 +6,18 @@ the three exact pictures the verification suites compare:
     diagonal picture   symmetric / alternating ExactPoly in n eigenvalues
 
 The restriction map psi(F) = c * a_delta * F|_D carries the invariant
-picture to the alternating one and e_lambda to d_lambda; its inverse reads
-the coefficients g_{lambda+delta} of an alternating g (the ones
-`fourier_coefficients` reads) and returns sum_lambda g_{lambda+delta}
-chi_lambda.  Its unitarity, the differential-operator identity,
-Schur-coefficient extraction and the orthonormal bases d_lambda, e_lambda
-are all checked here with rational arithmetic only; the one float is the
-reproducing check's residual, an exact pairing evaluated at a point.  The
-scales c, and those of d_lambda and e_lambda, are square roots of positive
-rationals, held as their squares (`Scaled.scale2`); a Gram entry needs only
-those squares, so no square root is ever taken.
+picture to the alternating one and e_lambda to d_lambda.  Its coordinates
+are the coefficients g_{lambda+delta} of an alternating g, read in one
+place (`_schur_coefficients`) up to |lambda| = deg g - |delta|, and its
+inverse and the Fourier reconstruction sum g_{lambda+delta} chi_lambda as
+one linear combination (`_character_sum`).  Its unitarity, the
+differential-operator identity, Schur-coefficient extraction and the
+orthonormal bases d_lambda, e_lambda are all checked here with rational
+arithmetic only; the one float is the reproducing check's residual, an
+exact pairing evaluated at a point.  The scales c, and those of d_lambda
+and e_lambda, are square roots of positive rationals, held as their
+squares (`Scaled.scale2`); a Gram entry needs only those squares, so no
+square root is ever taken.
 
 A caution on presentations: at fixed n the generators t_k with k > n are
 algebraically dependent on the lower ones, so identities between trace
@@ -147,15 +149,17 @@ def e_lambda(lam: Partition, n: int) -> Scaled:
     return Scaled(ratio, chi_lambda(lam))
 
 
-def _schur_coefficients(h: ExactPoly, n: int, max_weight: int) -> dict:
+def _schur_coefficients(h: ExactPoly, n: int, max_weight: int | None = None) -> dict:
     """{lambda: coefficient of x^{lambda+delta} in h} for |lambda| <= max_weight, zeros omitted.
 
     An alternating h is sum_lambda h_{lambda+delta} a_{lambda+delta}, and
     x^{lambda+delta} is the one term of a_{lambda+delta} with strictly
     decreasing exponents, so these are its coordinates in the alternants.
+    They run to |lambda| = deg h - |delta|: past it every coefficient is zero.
     """
+    top = max(h.degree() - n * (n - 1) // 2, 0)
     out = {}
-    for lam in enumerate_partitions(max_weight, n):
+    for lam in enumerate_partitions(top if max_weight is None else min(max_weight, top), n):
         c = h.coefficient(lam.plus_staircase(n))
         if not c.is_zero:
             out[lam] = c
@@ -163,11 +167,9 @@ def _schur_coefficients(h: ExactPoly, n: int, max_weight: int) -> dict:
 
 
 def _character_sum(coeffs: dict) -> TracePoly:
-    """sum_lambda coeffs[lambda] * chi_lambda."""
-    acc = TracePoly.zero()
-    for lam, c in coeffs.items():
-        acc = acc + chi_lambda(lam) * c
-    return acc
+    """sum_lambda coeffs[lambda] * chi_lambda, one linear combination of the chi_lambda."""
+    pairs = ((chi_lambda(lam).poly, c) for lam, c in coeffs.items())
+    return TracePoly(linear_combination(pairs, MAX_EXPONENT))
 
 
 def psi_inverse(g, n: int) -> Scaled:
@@ -184,8 +186,7 @@ def psi_inverse(g, n: int) -> Scaled:
         raise DimensionMismatchError(f"polynomial over {g.poly.n_vars} variables, expected {n}")
     if not is_alternating(g.poly):
         raise NotAlternatingError("psi_inverse needs an alternating input")
-    max_weight = max(g.poly.degree() - n * (n - 1) // 2, 0)
-    lift = _character_sum(_schur_coefficients(g.poly, n, max_weight))
+    lift = _character_sum(_schur_coefficients(g.poly, n))
     return Scaled(g.scale2 / norm_const_c2(n), lift)
 
 
@@ -246,12 +247,10 @@ def verify_diffop_identity(fs, n: int) -> dict:
 def fourier_coefficients(f: TracePoly, n: int, max_weight: int | None = None) -> dict:
     """Schur-basis coefficients: f_lambda = coefficient of z^{lambda+delta} in a_delta F|_D.
 
-    Returns {Partition: GaussianRational}, zero coefficients omitted.  psi(F) has
-    degree at most wdeg(F) + |delta|, so max_weight is capped at wdeg(F), its default.
+    Returns {Partition: GaussianRational}, zero coefficients omitted.  By default
+    they run to psi(F)'s own degree less |delta|, which is at most wdeg(F).
     """
-    top = max(f.weighted_degree(), 0)
-    max_weight = top if max_weight is None else min(max_weight, top)
-    if max_weight < 0:
+    if max_weight is not None and max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
     return _schur_coefficients(psi_map(f, n).poly, n, max_weight)
 

@@ -97,8 +97,13 @@ class MCEstimate:
     seed: int
     rounding: float = 0.0
 
+    @property
+    def band(self) -> float:
+        """The agreement band: 4 standard errors plus the rounding bound."""
+        return 4.0 * self.stderr + self.rounding
+
     def within(self, target: complex) -> bool:
-        return abs(self.mean - target) <= 4.0 * self.stderr + self.rounding
+        return abs(self.mean - target) <= self.band
 
 
 @dataclass(frozen=True)

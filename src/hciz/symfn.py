@@ -5,7 +5,8 @@ floating-point Schur evaluator (Jacobi-Trudi determinants of the h-values
 of prod_i 1/(1 - x_i t)), which the truncated character series also uses.
 Everything else returns ExactPoly values or exact scalars.  A normalization
 constant is the square root of a positive rational; `Scaled` carries it as
-that rational, its square, next to the polynomial it scales.
+that rational, its square, next to the polynomial it scales, and is only
+compared or mapped, never multiplied or evaluated, so no root is formed.
 
 Conventions.  The staircase is delta = (n-1, n-2, ..., 0), and
 alternant(delta, n) = det[x_i^{delta_j}] = prod_{i<j} (x_i - x_j).  A
@@ -419,12 +420,6 @@ class TracePoly:
         """Largest generator index appearing; 0 for constants."""
         return self.poly.min_n_vars()
 
-    def weighted_degree(self) -> int:
-        """Total degree with t_k weighing k; -1 for the zero value."""
-        if self.poly.is_zero:
-            return -1
-        return max(sum(_partition(key)) for key in self.poly.terms)
-
     def coefficient(self, exps: dict) -> GaussianRational:
         return self.poly.coefficient(_generator_key(exps))
 
@@ -556,21 +551,8 @@ class Scaled:
     def is_zero(self) -> bool:
         return not self.poly
 
-    def __mul__(self, other):
-        if isinstance(other, Scaled):
-            return Scaled(self.scale2 * other.scale2, self.poly * other.poly)
-        return Scaled(self.scale2, self.poly * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scaled(self.scale2, -self.poly)
-
     def map_poly(self, fn) -> "Scaled":
         return Scaled(self.scale2, fn(self.poly))
-
-    def eval_complex(self, point) -> complex:
-        return math.sqrt(self.scale2) * self.poly.eval_complex(point)
 
     def __eq__(self, other):
         if not isinstance(other, Scaled):

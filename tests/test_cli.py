@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -169,6 +170,37 @@ class TestEval:
         code = main(["eval", "--n", "3", "--a", "1,2", "--b", "1,2,3", "--quiet"])
         assert code == EXIT_USAGE
 
+    def test_repeated_methods_run_once(self, tmp_path, capsys):
+        argv = ["eval", "--n", "2", "--a", "1,2", "--b", "0.5,0.25"]
+        code, rep = run(tmp_path, argv + ["--methods", "det,det,series"])
+        _, once = run(tmp_path, argv + ["--methods", "det,series"])
+        assert code == EXIT_OK
+        assert rep["inputs"]["methods"] == ["det", "series"]
+        del rep["timing_seconds"], once["timing_seconds"]
+        assert rep == once
+        main(argv + ["--methods", "series,det,series,det"])
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == ["series", "det", "det vs series", "verdict"]
+
+    # 2 samples at seed 2 and 3 at seed 11 fall outside the band, the others inside
+    @pytest.mark.parametrize("samples, seed", [(200, 0), (200, 1), (200, 2), (2, 0), (2, 2), (3, 11)])
+    def test_mc_checks_use_the_estimate_band(self, tmp_path, samples, seed):
+        code, rep = run(tmp_path, ["eval", "--n", "2", "--a", "r", "--b", "r", "--seed", str(seed),
+                                   "--methods", "det,mc,series", "--samples", str(samples)])
+        mc = rep["results"]["mc"]
+        est = MCEstimate(**{**mc, "mean": complex(mc["mean"]["re"], mc["mean"]["im"])})
+        values = {"det": rep["results"]["det"]["value"], "series": rep["results"]["series"]["value"],
+                  "mc": mc["mean"]}
+        mc_checks = [c for c in rep["checks"] if "mc" in c["name"]]
+        assert len(mc_checks) == 2
+        for check in mc_checks:
+            m1, m2 = (complex(values[m]["re"], values[m]["im"]) for m in check["name"].split(" vs "))
+            assert check["delta"] == abs(m1 - m2)
+            floor = 1e-12 * max(abs(m1), abs(m2), 1.0)
+            assert check["passed"] == (check["delta"] <= est.band + floor)
+        assert rep["passed"] == ((samples, seed) not in [(2, 2), (3, 11)])
+        assert code == (EXIT_OK if rep["passed"] else EXIT_CHECK_FAILED)
+
 
 class TestVerify:
     def test_alt_orthonormal(self, tmp_path):
@@ -275,6 +307,45 @@ class TestFourier:
 
     def test_parse_error_exits_64(self):
         assert main(["fourier", "--f", "zz", "--n", "2", "--quiet"]) == EXIT_USAGE
+
+    # SHA-256 of each `--output -` report, re-serialized without `timing_seconds`
+    # and `versions`, the two fields that vary between runs and installs
+    F = "t1^2 - 1/2 t2 t3 + 3i"
+    DIGESTS = {
+        (F, "1", None):
+            "bd77a452a9d473280567a6fa4d8185ca85cc8cb633370bad2894efff4ea75028",
+        (F, "2", None):
+            "6ff5a29bcae7e77756c0d70a5973e164394fc4abc63fc2d6802804f37c7e7222",
+        (F, "3", None):
+            "a49c440b2714473dcd25b7f2ad0f5d495458585f0c5a47a01ada7366c1395012",
+        (F, "4", None):
+            "edf60bef1480abd1b09014dacb03324e878a36df18d700c3ae5b69edb3cd5fbc",
+        (F, "3", "0"):
+            "47f2bea81168632b7da8b94cb59c7ddc1c9cd3a72863d28d34853e30a621930b",
+        (F, "3", "1"):
+            "58d27cae4ddea8726597586ab9f9947a218983fc76720facdb071180b642b4d9",
+        (F, "3", "100000"):
+            "5c415f8b9692ab492b9ee308e37f68cbe3bcbdc412a69022fa09df071871213a",
+        ("t4 t1 + 2 t2^2", "2", "3"):
+            "31ca170b39049d052d880a0699c863b77feda03c5afb08e2d3b0d494b137262b",
+        ("t6 - t1^6", "1", None):
+            "e27ffccc7e54700abf11b1ffa08fd731ef3f5657153c6383b9507a5a3fcdc21c",
+        ("t6 - t1^6", "3", None):
+            "ad07436517f3373318b6f92795000bc44a0f7f8ad9ca07014d740dde687a26c7",
+        ("0", "2", None):
+            "37079a2f01a51759d853bec44d579905c9a6311d4b9b54e4934f099d21bffd37",
+    }
+
+    @pytest.mark.parametrize("f, n, max_weight", sorted(DIGESTS, key=str), ids=str)
+    def test_report_digest(self, f, n, max_weight, capsys):
+        argv = ["fourier", "--f", f, "--n", n, "--output", "-"]
+        code = main(argv + ([] if max_weight is None else ["--max-weight", max_weight]))
+        report = json.loads(capsys.readouterr().out)
+        # a weight bound below f's degree fails the reconstruction, exit 1
+        assert code == (EXIT_OK if report["passed"] else EXIT_CHECK_FAILED)
+        del report["timing_seconds"], report["versions"]
+        text = json.dumps(report, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[f, n, max_weight]
 
 
 class TestReport:

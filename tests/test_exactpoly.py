@@ -171,24 +171,29 @@ class TestConjugation:
             assert conj_coeffs(conj_coeffs(f)) == f
 
 
+def diff(f, v):
+    """d/dz_v f, as the operator z_v(d) applied to f."""
+    return ExactPoly.variable(f.n_vars, v).apply_diff(f)
+
+
 class TestDifferentiation:
     def test_power_rule(self):
         p = ExactPoly.monomial(2, (3, 0))
-        assert p.diff(0) == ExactPoly.monomial(2, (2, 0), 3)
+        assert diff(p, 0) == ExactPoly.monomial(2, (2, 0), 3)
 
     def test_other_variable(self):
-        assert z(2, 0).diff(1).is_zero
+        assert diff(z(2, 0), 1).is_zero
 
     def test_out_of_range(self):
         with pytest.raises(DimensionMismatchError):
-            z(2, 0).diff(2)
+            diff(z(2, 0), 2)
 
     def test_leibniz(self):
         rng = random.Random(4)
         for _ in range(10):
             f, g = random_poly(rng, 2), random_poly(rng, 2)
             for v in range(2):
-                assert (f * g).diff(v) == f.diff(v) * g + f * g.diff(v)
+                assert diff(f * g, v) == diff(f, v) * g + f * diff(g, v)
 
 
 class TestApplyDiff:
@@ -261,7 +266,7 @@ class TestBargmannInner:
             f, g = random_poly(rng, 2), random_poly(rng, 2)
             for v in range(2):
                 lhs = bargmann_inner(ExactPoly.variable(2, v) * f, g)
-                rhs = bargmann_inner(f, g.diff(v))
+                rhs = bargmann_inner(f, diff(g, v))
                 assert lhs == rhs
 
 

@@ -68,11 +68,6 @@ class TestTracePolySerialization:
         assert p.to_text() == "(0, 1) t1^2 + (1, 0) t2"
         assert TracePoly.zero().to_text() == "0"
 
-    def test_weighted_degree(self):
-        assert (t(1) ** 2 * t(3)).weighted_degree() == 5
-        assert TracePoly.one().weighted_degree() == 0
-        assert TracePoly.zero().weighted_degree() == -1
-
 
 class TestTracePolyAlignment:
     def test_mixed_generator_counts_match_direct_construction(self):
@@ -321,7 +316,7 @@ class TestPsiMap:
                 f = random_trace_poly(rng, max_weight=3, n_terms=2)
                 g = random_trace_poly(rng, max_weight=3, n_terms=2)
                 lhs = psi_map(f * g, n)
-                rhs = psi_map(g, n) * restrict_to_diagonal(f, n)
+                rhs = psi_map(g, n).map_poly(lambda p: p * restrict_to_diagonal(f, n))
                 assert lhs == rhs
 
     def test_maps_e_basis_to_d_basis(self):
@@ -375,6 +370,25 @@ class TestPsiInverse:
             for _ in range(5):
                 g = random_alternating_poly(rng, n, 4)
                 assert psi_map(psi_inverse(g, n), n) == Scaled.of(g)
+
+    @staticmethod
+    def running_sum_lift(g, n):
+        """sum_lambda g_{lambda+delta} chi_lambda, added one chi_lambda at a time."""
+        acc = TracePoly.zero()
+        for lam in enumerate_partitions(max(g.degree() - n * (n - 1) // 2, 0), n):
+            c = g.coefficient(lam.plus_staircase(n))
+            if not c.is_zero:
+                acc = acc + chi_lambda(lam) * c
+        return acc
+
+    def test_lift_terms_match_the_running_sum(self):
+        # term for term and in `terms` order, which eval_complex sums in
+        rng = random.Random(23)
+        for n in (1, 2, 3, 4):
+            for _ in range(6):
+                g = random_alternating_poly(rng, n, 4 if n < 4 else 3)
+                want = self.running_sum_lift(g, n)
+                assert list(psi_inverse(g, n).poly.terms.items()) == list(want.terms.items())
 
 
 class TestCharacterBasis:

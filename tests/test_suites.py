@@ -19,7 +19,7 @@ from hciz.suites import (
     suite_unitarity,
     trace_monomials,
 )
-from hciz.symfn import Partition, Scaled, TracePoly, is_alternating
+from hciz.symfn import Partition, Scaled, TracePoly, _partition, is_alternating
 
 
 class TestReportStructure:
@@ -55,7 +55,7 @@ class TestGenerators:
         # one monomial per partition of each weight 0..4: 1+1+2+3+5
         assert len(monos) == 12
         for rho, m in monos:
-            assert m.weighted_degree() == rho.weight
+            assert [sum(_partition(key)) for key in m.terms] == [rho.weight]
 
     def test_trace_monomials_reject_negative_degree(self):
         with pytest.raises(ValueError, match="max_degree"):
@@ -82,7 +82,7 @@ class TestGenerators:
         rng = random.Random(0)
         for _ in range(10):
             f = random_trace_poly(rng, max_weight=5)
-            assert f.weighted_degree() <= 5
+            assert all(sum(_partition(key)) <= 5 for key in f.terms)
 
     def test_random_alternating_poly(self):
         rng = random.Random(1)

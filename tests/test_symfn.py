@@ -648,25 +648,6 @@ class TestScaled:
         assert z != Scaled(2, x(2, 0))
         assert Scaled(2, x(2, 0)) != z
 
-    def test_eval(self):
-        s = Scaled(2, x(1, 0))
-        assert abs(s.eval_complex([3.0]) - 3.0 * math.sqrt(2)) < 1e-12
-
-    def test_scalar_multiplication(self):
-        s = Scaled(2, x(1, 0))
-        i = GaussianRational(0, 1)
-        assert (s * i).scale2 == 2 and (s * i).poly == x(1, 0) * i
-        assert (s * x(1, 0)).poly == x(1, 0) * x(1, 0)
-        prod = s * Scaled(Fraction(1, 8), x(1, 0))
-        assert prod.scale2 == Fraction(1, 4) and prod.poly == x(1, 0) * x(1, 0)
-        assert s * Scaled(2, ExactPoly.one(1)) == Scaled.of(x(1, 0) * 2)
-
-    def test_negation_folds_into_poly(self):
-        s = Scaled(3, x(1, 0))
-        assert (-s).scale2 == 3 and (-s).poly == -x(1, 0)
-        assert -s == Scaled(3, x(1, 0) * -1)
-        assert -s != s
-
     def test_scale2_must_be_a_positive_rational(self):
         for bad in (0, -1, Fraction(-1, 2)):
             with pytest.raises(ValueError):
