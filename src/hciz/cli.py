@@ -216,8 +216,10 @@ def cmd_eval(args) -> int:
 
     import numpy as np
 
-    from .numeric import hciz_determinant, hciz_mc, kernel_series
+    from .numeric import _check_series_limits, hciz_determinant, hciz_mc, kernel_series
 
+    # the series' limits, checked whatever runs: `tolerance` and `max_weight` are reported
+    _check_series_limits(args.max_weight, args.tol)
     rng = np.random.Generator(np.random.Philox(args.seed))
     a = parse_spectrum(args.a, args.n, rng)
     b = parse_spectrum(args.b, args.n, rng)

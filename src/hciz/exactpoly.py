@@ -39,6 +39,10 @@ constant-coefficient differential operator (`apply_diff`; the partial
 derivative d/dz_v is the action of z_v), and the Bargmann inner product
 <F, G> = sum_a conj(f_a) g_a a!  under which the scaled monomials
 z^a / sqrt(a!) are orthonormal and d/dz_v is the adjoint of z_v.
+`bargmann_inner` returns an exact zero without a pass over the terms when
+its operands share no monomial.  `bargmann_gram` gives the Gram matrix
+of a list of polynomials: it pairs each unordered pair once, and the
+mirror entry <P_j, P_i> is the conjugate of <P_i, P_j>.
 """
 
 from __future__ import annotations
@@ -154,6 +158,8 @@ def _summed_terms(products, real: bool = False, denom: int = 1) -> dict:
     raw = GaussianRational._raw
     if denom == 1:
         return {k: raw(x, im.get(k, 0)) for k, x in re.items()}
+    if real:
+        return {k: raw(Fraction(x, denom), 0) for k, x in re.items()}
     return {k: raw(Fraction(x, denom), Fraction(im.get(k, 0), denom)) for k, x in re.items()}
 
 
@@ -496,9 +502,13 @@ def bargmann_inner(f: ExactPoly, g: ExactPoly) -> GaussianRational:
     """Exact Segal-Bargmann inner product of polynomials.
 
     <F, G> = sum_a conj(f_a) g_a a!, conjugate-linear in the first slot.
+    Operands with no monomial in common pair to zero without a pass over
+    their terms.
     """
     f._want_same_space(g)
     small, big, flip = (f, g, False) if len(f.terms) <= len(g.terms) else (g, f, True)
+    if small.terms.keys().isdisjoint(big.terms.keys()):
+        return QQI_ZERO
     re = im = 0
     for key, cs in small.terms.items():
         cb = big.terms.get(key)
@@ -509,3 +519,20 @@ def bargmann_inner(f: ExactPoly, g: ExactPoly) -> GaussianRational:
             re += (a.re * b.re + a.im * b.im) * w
             im += (a.re * b.im - a.im * b.re) * w
     return GaussianRational(re, im)
+
+
+def bargmann_gram(polys) -> dict:
+    """{(i, j): <P_i, P_j>} over every ordered pair of `polys`, row-major.
+
+    <P_j, P_i> is the conjugate of <P_i, P_j>, so each unordered pair is
+    paired once, by `bargmann_inner`, and its mirror entry is the conjugate.
+    """
+    polys = list(polys)
+    size = len(polys)
+    upper = {(i, j): bargmann_inner(polys[i], polys[j])
+             for i in range(size) for j in range(i, size)}
+    return {
+        (i, j): upper[i, j] if i <= j else upper[j, i].conjugate()
+        for i in range(size)
+        for j in range(size)
+    }

@@ -34,7 +34,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, NotAlternatingError
-from .exactpoly import MAX_EXPONENT, ExactPoly, _pack, bargmann_inner, linear_combination
+from .exactpoly import (
+    MAX_EXPONENT, ExactPoly, _pack, bargmann_gram, bargmann_inner, linear_combination,
+)
 from .scalars import GaussianRational
 from .symfn import (
     Partition,
@@ -211,18 +213,16 @@ def verify_unitarity(fs, n: int) -> dict:
     """The Gram identity <F_i, F_j> == <psi F_i, psi F_j> on a basis, each F imaged once.
 
     psi carries the one real scale c, so <psi F_i, psi F_j> is c^2 times the
-    pairing of the alternating polynomials, a rational number.  Returns
-    {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
+    pairing of the alternating polynomials, a rational number.  Both Gram
+    matrices come from `bargmann_gram`, which pairs each unordered pair once.
+    Returns {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
     """
     # the images first: they build the alternant, whose size limit fails fast
     images = [psi_map(f, n).poly for f in fs]
     entries = [expand_to_entries(f, n) for f in fs]
     c2 = norm_const_c2(n)
-    return _gram(
-        len(fs),
-        lambda i, j: bargmann_inner(entries[i], entries[j]),
-        lambda i, j: bargmann_inner(images[i], images[j]) * c2,
-    )
+    lhs, rhs = bargmann_gram(entries), bargmann_gram(images)
+    return _gram(len(fs), lambda i, j: lhs[i, j], lambda i, j: rhs[i, j] * c2)
 
 
 def verify_diffop_identity(fs, n: int) -> dict:

@@ -394,6 +394,15 @@ def _shell_plan(n: int, w: int) -> tuple:
     return coeffs, stacks
 
 
+def _check_series_limits(max_weight: int, tol: float) -> None:
+    """ValueError unless `kernel_series` accepts this max_weight and tol."""
+    if max_weight < 0:
+        raise ValueError("max_weight must be nonnegative")
+    # inf would stop after n shells whatever their mass, nan or < 0 never early: all rejected
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult:
     """Truncated expansion sum_lambda delta!/(lambda+delta)! s_lambda(x) conj(s_lambda(y)).
 
@@ -404,27 +413,33 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
     n in a row force p_1..p_n ~ 0, hence real convergence.
     Each shell's spectrum-independent part is built once per process
     (`_shell_plan`); a call computes the h-values and the determinants.
+    The h-tables grow as the shells reach them, doubling, from one that
+    covers weight 24, so a large `max_weight` costs nothing until it is used.
     """
     x, y = as_spectrum(x), as_spectrum(y)
     if x.n != y.n:
         raise DimensionMismatchError(f"spectra of lengths {x.n} and {y.n}")
-    if max_weight < 0:
-        raise ValueError("max_weight must be nonnegative")
-    # inf would stop after n shells whatever their mass, nan or < 0 never early: all rejected
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _check_series_limits(max_weight, tol)
     n = x.n
-    kmax = max_weight + n - 1
-    # x and y share one batch, so each shell gathers from its stacks once
-    h = np.stack([
-        np.array(homogeneous_values(x.eigs, kmax)),
-        np.array(homogeneous_values([e.conjugate() for e in y.eigs], kmax)),
-    ])
+    y_conj = [e.conjugate() for e in y.eigs]
+
+    def h_tables(kmax):
+        # x and y share one batch, so each shell gathers from its stacks once;
+        # h_k does not depend on kmax, so a regrown table keeps every value
+        return np.stack([
+            np.array(homogeneous_values(x.eigs, kmax)),
+            np.array(homogeneous_values(y_conj, kmax)),
+        ])
+
+    h = h_tables(min(max_weight, 24) + n - 1)
     total = 0j
     shell_mag = 0.0
     used = 0
     small_run = 0
     for w in range(max_weight + 1):
+        # shell w reads h_0..h_w: its Jacobi-Trudi indices run to lambda_1 + length - 1 <= w
+        if w >= h.shape[-1]:
+            h = h_tables(min(2 * w, max_weight + n - 1))
         coeffs, stacks = _shell_plan(n, w)
         sx, sy = schur_values(stacks, h)
         terms = coeffs * sx * sy

@@ -24,7 +24,7 @@ from .invariant import (
     verify_fourier_reconstruction,
     verify_unitarity,
 )
-from .exactpoly import ExactPoly, bargmann_inner
+from .exactpoly import ExactPoly, bargmann_gram
 from .scalars import GaussianRational
 from .symfn import (
     alternant,
@@ -75,14 +75,17 @@ def _orthonormal(suite: str, letter: str, n: int, max_weight: int, image) -> Sui
     b_lambda = sqrt(q_lambda) P_lambda, and the test is q_lambda <P_lambda, P_mu>
     == delta_{lambda mu}: with S = diag(sqrt(q)), q > 0, and g the Gram matrix
     of the P, S g S = I exactly when S^2 g = I entry by entry, so the verdicts
-    are those of the scaled pairing and no square root is ever formed.
+    are those of the scaled pairing and no square root is ever formed.  The
+    Gram matrix comes from `bargmann_gram`, which pairs each unordered pair
+    once, and only its nonzero entries are scaled by q_lambda.
     """
     _require_positive_n(n)
     lams = enumerate_partitions(max_weight, n)
     images = [image(lam) for lam in lams]
+    gram = bargmann_gram(b.poly for b in images)
     results = _gram(
         len(lams),
-        lambda i, j: bargmann_inner(images[i].poly, images[j].poly) * images[i].scale2,
+        lambda i, j: gram[i, j] * images[i].scale2 if gram[i, j] else gram[i, j],
         lambda i, j: GaussianRational(int(i == j)),
     )
     label = f"<{letter}[{{}}], {letter}[{{}}]>"

@@ -472,6 +472,12 @@ class TestExitCodeContract:
               "--tol", "nan"], EXIT_USAGE, "tol must be finite and nonnegative, got nan"),
             (["eval", "--n", "2", "--a", "1,2", "--b", "1,2", "--methods", "det,series",
               "--tol", "-1"], EXIT_USAGE, "tol must be finite and nonnegative, got -1"),
+            # the series' limits hold whatever runs: NaN would be written as invalid JSON
+            (["eval", "--n", "2", "--a", "1,2", "--b", "0.5,0.25", "--methods", "det,mc",
+              "--tol", "nan", "--output", "-"], EXIT_USAGE,
+             "tol must be finite and nonnegative, got nan"),
+            (["eval", "--n", "2", "--a", "1,2", "--b", "0.5,0.25", "--methods", "det",
+              "--max-weight", "-1"], EXIT_USAGE, "max_weight must be nonnegative"),
             # each would build an alternant with n! terms before any check ran
             (["fourier", "--f", "t1^2", "--n", "30"], EXIT_USAGE,
              "n = 30 is above 9: an alternant in n variables has n! terms"),
@@ -500,7 +506,8 @@ class TestExitCodeContract:
              "fourier-exponent-limit", "fourier-generator-limit", "fourier-negative-max-weight",
              "schur-power-sum-classes", "fourier-zero-denominator", "fourier-constant-over-zero",
              "schur-exact-n0", "schur-exact-n-1", "schur-exact-n40", "fourier-max-weight-1",
-             "tol-inf", "tol-nan", "tol-1", "fourier-n30", "unitarity-n30", "diffop-n30",
+             "tol-inf", "tol-nan", "tol-1", "tol-nan-without-series",
+             "max-weight-1-without-series", "fourier-n30", "unitarity-n30", "diffop-n30",
              "alt-orthonormal-n10", "inv-orthonormal-n30", "schur-increasing-parts",
              "schur-n-without-exact"],
     )

@@ -10,12 +10,13 @@ from hciz.exactpoly import (
     MAX_EXPONENT,
     ExactPoly,
     _guards,
+    bargmann_gram,
     bargmann_inner,
     exponent_pairs,
     exponent_vector,
     linear_combination,
 )
-from hciz.scalars import GaussianRational, QQI_I
+from hciz.scalars import GaussianRational, QQI_I, QQI_ZERO
 
 
 def z(n, i):
@@ -577,3 +578,80 @@ class TestNoScalarPerTermPair:
         monkeypatch.undo()
         assert len(calls) <= len(h.terms) < len(f.terms) * len(g.terms)
         assert_same(h, ref_mul(f, g))
+
+
+class TestBargmannGram:
+    KINDS = sorted(COEFFICIENT_KINDS)
+
+    def random_family(self, rng, n_vars):
+        """Random polynomials of every coefficient kind, with repeats, zeros and disjoint supports."""
+        polys = [small_poly(rng, kind, n_vars) for kind in self.KINDS]
+        polys += [ExactPoly.zero(n_vars), polys[0], -polys[2]]
+        # a shifted copy shares no monomial with any of the small polynomials
+        polys.append(polys[3] * z(n_vars, 0) ** 5)
+        rng.shuffle(polys)
+        return polys
+
+    @pytest.mark.parametrize("n_vars", [1, 2, 3])
+    def test_every_entry_is_the_pairing(self, n_vars):
+        rng = random.Random(f"gram/{n_vars}")
+        for _ in range(8):
+            polys = self.random_family(rng, n_vars)
+            gram = bargmann_gram(iter(polys))
+            pairs = list(itertools.product(range(len(polys)), repeat=2))
+            assert list(gram) == pairs
+            for i, j in pairs:
+                want = bargmann_inner(polys[i], polys[j])
+                assert gram[i, j] == want
+                assert str(gram[i, j]) == str(want)
+                assert type(gram[i, j].re) is type(want.re)
+                assert type(gram[i, j].im) is type(want.im)
+
+    def test_empty_and_single(self):
+        assert bargmann_gram([]) == {}
+        p = ExactPoly(2, {(1, 0): GaussianRational(1, 2)})
+        assert bargmann_gram([p]) == {(0, 0): GaussianRational(5)}
+
+    def test_mixed_variable_counts_raise(self):
+        with pytest.raises(DimensionMismatchError):
+            bargmann_gram([z(2, 0), z(2, 1), z(3, 0)])
+        with pytest.raises(DimensionMismatchError):
+            bargmann_gram([ExactPoly.zero(1), ExactPoly.zero(2)])
+
+    def test_pairs_each_unordered_pair_once(self, monkeypatch):
+        import hciz.exactpoly as exactpoly
+
+        calls = []
+
+        def counting(f, g):
+            calls.append(None)
+            return bargmann_inner(f, g)
+
+        monkeypatch.setattr(exactpoly, "bargmann_inner", counting)
+        bargmann_gram([z(3, v) for v in range(3)] * 2)
+        assert len(calls) == 6 * 7 // 2
+
+
+class TestDisjointPairing:
+    def test_disjoint_supports_pair_to_a_canonical_zero(self):
+        rng = random.Random(17)
+        for kind in sorted(COEFFICIENT_KINDS):
+            f = small_poly(rng, kind)
+            g = small_poly(rng, kind, n_terms=3) * z(2, 1) ** 3
+            assert f.terms.keys().isdisjoint(g.terms)
+            for got in (bargmann_inner(f, g), bargmann_inner(g, f)):
+                assert got == 0
+                assert got == QQI_ZERO
+                assert str(got) == "0"
+                assert (type(got.re), type(got.im)) == (int, int)
+
+    def test_zero_operands(self):
+        for f in (ExactPoly.zero(2), z(2, 0)):
+            assert str(bargmann_inner(ExactPoly.zero(2), f)) == "0"
+            assert str(bargmann_inner(f, ExactPoly.zero(2))) == "0"
+
+    def test_disjoint_supports_still_check_the_space(self):
+        with pytest.raises(DimensionMismatchError):
+            bargmann_inner(z(2, 0), z(3, 1))
+        with pytest.raises(DimensionMismatchError):
+            bargmann_inner(ExactPoly.zero(2), ExactPoly.zero(3))

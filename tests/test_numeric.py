@@ -538,6 +538,37 @@ class TestKernelSeries:
         with pytest.raises(DimensionMismatchError):
             kernel_series((0.1,), (0.1, 0.2))
 
+    def test_a_large_max_weight_costs_only_the_shells_used(self):
+        import tracemalloc
+
+        x, y = (1.0, 2.0), (0.5, 0.25)
+        want = kernel_series(x, y, max_weight=64)
+        assert want.max_weight_used < 64
+        tracemalloc.start()
+        try:
+            got = kernel_series(x, y, max_weight=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array(got.value).tobytes() == np.array(want.value).tobytes()
+        assert got.max_weight_used == want.max_weight_used
+        assert peak < 4 * 2**20
+
+    def test_grown_tables_keep_every_bit(self):
+        # tol=0 runs past the first table, which covers weight 24
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            x = tuple(rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n))
+            y = tuple(rng.uniform(-0.5, 0.5, n))
+            for mw in (25, 40, 57):
+                value, used, shell_mag = series_reference(x, y, mw, 0.0)
+                got = kernel_series(x, y, max_weight=mw, tol=0.0)
+                assert np.array(got.value).tobytes() == np.array(value).tobytes()
+                assert got.max_weight_used == used == mw
+                assert np.array(got.last_shell_magnitude).tobytes() == (
+                    np.array(shell_mag).tobytes()
+                )
+
 
 class TestKernelQMC:
     def test_zero_second_argument(self):

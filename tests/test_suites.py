@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hciz import invariant, suites
+from hciz import exactpoly, invariant, suites
 from hciz.suites import (
     SuiteCase,
     SuiteReport,
@@ -215,6 +215,39 @@ class TestRationalGramChecksBite:
         monkeypatch.setattr(invariant, "norm_const_c2", lambda n: c2(n) * 2)
         rep = suite_unitarity(2, 3)
         assert {c.label for c in rep.cases if not c.passed} == nonzero
+
+
+class TestGramPairsEachUnorderedPairOnce:
+    """A Gram suite of N elements calls `bargmann_inner` N(N+1)/2 times, not N^2."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        inner = exactpoly.bargmann_inner
+
+        def counting(f, g):
+            calls.append(None)
+            return inner(f, g)
+
+        # every module that holds the name, so a direct call is counted too
+        for mod in (exactpoly, invariant, suites):
+            if hasattr(mod, "bargmann_inner"):
+                monkeypatch.setattr(mod, "bargmann_inner", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "run, size, grams",
+        [
+            (lambda: suite_alt_orthonormal(3, 4), 11, 1),
+            (lambda: suite_inv_orthonormal(2, 4), 9, 1),
+            (lambda: suite_unitarity(2, 3), 7, 2),
+        ],
+        ids=["alt-orthonormal", "inv-orthonormal", "unitarity"],
+    )
+    def test_pairing_count(self, calls, run, size, grams):
+        rep = run()
+        assert rep.passed and len(rep.cases) == size * size
+        assert len(calls) == grams * size * (size + 1) // 2
 
 
 class TestStatisticalSuites:
