@@ -39,7 +39,8 @@ from .symfn import (
 )
 
 GAP_TOL_DEFAULT = 1e-8
-_BATCH = 32768
+_BATCH = 32768  # integrand values per Monte Carlo batch
+_BATCH_ENTRIES = 2**17  # complex matrix entries per batch of n x n draws (2 MiB)
 MAX_THREADS = 64  # Monte Carlo workers: `threads` outside 1..MAX_THREADS raises
 _GS_CHUNK = 8192  # matrices per Gram-Schmidt sweep (measured best of 1024..16384)
 
@@ -193,6 +194,13 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 # -- the generic parallel MC engine ----------------------------------------------------
 
 
+def _matrix_batch(n: int) -> int:
+    """Draws per batch of an integrand on n x n matrices: `_BATCH`, cut so
+    that one batch's draw holds at most `_BATCH_ENTRIES` complex entries
+    (32768 at n <= 2, 14563 at n = 3, 8192 at n = 4, 2048 at n = 8)."""
+    return max(1, min(_BATCH, _BATCH_ENTRIES // (n * n)))
+
+
 def _sample_rounding(unitary_gain: float, terms_abs: float, chain: int) -> float:
     """Relative rounding bound of one integrand value exp(t) over a Haar draw u.
 
@@ -237,10 +245,15 @@ def _sum_depth(count: int) -> int:
 
 
 def _mc_mean(
-    sample_values, n_samples: int, seed: int, threads: int, rel_rounding: float = 0.0
+    sample_values, n_samples: int, seed: int, threads: int, rel_rounding: float = 0.0,
+    *, batch: int,
 ) -> list:
     """Average `sample_values(rng, count)` over deterministic worker substreams.
 
+    Each worker asks for its samples in batches of at most `batch`, which
+    fixes how its stream is split: integrands on n x n matrices pass
+    `_matrix_batch(n)`, so memory does not grow as n**2, and scalar ones
+    `_BATCH`.
     The values come as shape (count,) or (k, count); the result is one
     MCEstimate per component, all from the same draws.  `rel_rounding`
     bounds each value's own rounding error relative to its magnitude (see
@@ -282,7 +295,7 @@ def _mc_mean(
         todo = quota + (1 if worker < extra else 0)
         accs = None
         while todo:
-            count = min(todo, _BATCH)
+            count = min(todo, batch)
             # components on contiguous complex rows, summed as `_sum_depth`
             # bounds (real rows and strided axes are summed differently)
             vals = np.ascontiguousarray(sample_values(rng, count), dtype=complex)
@@ -327,6 +340,7 @@ def hciz_mc(a, b, n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     and a residual E = u^H u - I moves t by at most ||E||_2 S; each term
     meets hypot, square, the real-by-complex and complex products (1, 1,
     1, 3 roundings) and the n**2 - 1 additions of the einsum, n**2 + 5 in all.
+    Draws come in batches of `_matrix_batch(n)` unitaries, a few MiB at any n.
     """
     a, b = as_spectrum(a), as_spectrum(b)
     if a.n != b.n:
@@ -343,7 +357,7 @@ def hciz_mc(a, b, n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     aa, ab = np.abs(av), np.abs(bv)
     gain = float(min(aa.max() * ab.sum(), ab.max() * aa.sum()))
     rel = _sample_rounding(gain, gain, n * n + 5)
-    return _mc_mean(values, n_samples, seed, threads, rel)[0]
+    return _mc_mean(values, n_samples, seed, threads, rel, batch=_matrix_batch(n))[0]
 
 
 def _vdm_product(v: np.ndarray) -> complex:
@@ -479,7 +493,7 @@ def kernel_q_mc(x, y, n_samples: int, seed: int, threads: int = 1) -> MCEstimate
 
     gain = float(np.linalg.norm(x) * np.linalg.norm(y))
     rel = _sample_rounding(gain, n * gain, n * n + 2 * n + 6)
-    return _mc_mean(values, n_samples, seed, threads, rel)[0]
+    return _mc_mean(values, n_samples, seed, threads, rel, batch=_matrix_batch(n))[0]
 
 
 # -- statistical checks -----------------------------------------------------------------
@@ -509,7 +523,7 @@ def ginibre_moment_suite(
         z *= math.sqrt(0.5)
         return np.abs([np.einsum("bii->b", z), np.linalg.det(z)]) ** 2
 
-    trace_est, det_est = _mc_mean(moments, n_samples, seed, threads)
+    trace_est, det_est = _mc_mean(moments, n_samples, seed, threads, batch=_matrix_batch(n))
     return GinibreMomentReport(
         n=n,
         trace_estimate=trace_est,

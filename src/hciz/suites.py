@@ -62,9 +62,11 @@ def _report(suite: str, params: dict, cases) -> SuiteReport:
 
 
 def _pair_cases(keys, label: str, results: dict, detail) -> list:
-    """One SuiteCase per ordered pair (i, j) of keys, from {(i, j): (passed, lhs, rhs)}."""
+    """One SuiteCase per ordered pair (i, j) of keys, from {(i, j): (passed, lhs, rhs)};
+    each key's text is formed once, not once per pair it labels."""
+    texts = [str(k) for k in keys]
     return [
-        SuiteCase(label.format(keys[i], keys[j]), res[0], detail(*res))
+        SuiteCase(label.format(texts[i], texts[j]), res[0], detail(*res))
         for (i, j), res in results.items()
     ]
 
@@ -249,7 +251,7 @@ def suite_haar(n: int = 3, n_samples: int = 100000, seed: int = 0) -> SuiteRepor
     """Haar sampler statistics: E|u_ij|^2 = 1/n entrywise, unitarity to 1e-12."""
     import numpy as np
 
-    from .numeric import _haar_batch, _mc_mean
+    from .numeric import _haar_batch, _matrix_batch, _mc_mean
 
     _require_positive_n(n)
     resids = []
@@ -260,7 +262,7 @@ def suite_haar(n: int = 3, n_samples: int = 100000, seed: int = 0) -> SuiteRepor
         return (np.abs(u) ** 2).reshape(count, n * n).T
 
     # one worker, whose substream Philox(seed).jumped(0) is Philox(seed) itself
-    ests = _mc_mean(second_moments, n_samples, seed, 1)
+    ests = _mc_mean(second_moments, n_samples, seed, 1, batch=_matrix_batch(n))
     # the residual is a safety check on every draw, so its max, not a mean
     cases = [SuiteCase("unitarity residual", max(resids) < 1e-12,
                        f"max over samples {max(resids):.3e}")]

@@ -263,12 +263,190 @@ class TestMCEngine:
             self._cos(rng, count)
             return self._square(rng, count)
 
-        stacked = _mc_mean(both, n_samples, 11, threads, 1e-16)
-        alone = [_mc_mean(f, n_samples, 11, threads, 1e-16)[0] for f in (first_half, second_half)]
+        stacked = _mc_mean(both, n_samples, 11, threads, 1e-16, batch=_BATCH)
+        alone = [_mc_mean(f, n_samples, 11, threads, 1e-16, batch=_BATCH)[0]
+                 for f in (first_half, second_half)]
         assert len(stacked) == 2
         for got, want in zip(stacked, alone):
             assert got == want
             assert got.stderr > 0 and got.rounding > 0
+
+
+def _mc_routes(n, n_samples, seed, threads):
+    """The four Monte Carlo routes at size n, as no-argument calls that return
+    their estimates; the haar suite's estimates are taken from `_mc_mean`."""
+    from hciz import suites
+
+    rng = np.random.Generator(np.random.Philox(100 + n))
+    a, b = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+
+    def haar():
+        got = []
+        real = numeric._mc_mean
+
+        def keep(*args, **kwargs):
+            got.append(real(*args, **kwargs))
+            return got[-1]
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(numeric, "_mc_mean", keep)
+            suites.suite_haar(n, n_samples, seed)
+        return got[0]
+
+    def ginibre():
+        rep = ginibre_moment_suite(n, n_samples, seed, threads)
+        return [rep.trace_estimate, rep.det_estimate]
+
+    return {
+        "hciz_mc": lambda: [hciz_mc(a, b, n_samples, seed, threads)],
+        "kernel_q_mc": lambda: [kernel_q_mc(x, y, n_samples, seed, threads)],
+        "ginibre": ginibre,
+        "haar": haar,
+    }
+
+
+def _hex(est):
+    return (est.mean.real.hex(), est.mean.imag.hex(), est.stderr.hex(), est.rounding.hex())
+
+
+class TestMatrixBatches:
+    """Integrands on n x n matrices draw at most `_BATCH_ENTRIES` entries per batch."""
+
+    def test_batch_size_per_n(self):
+        sizes = {n: numeric._matrix_batch(n) for n in (1, 2, 3, 4, 8, 16, 362, 363)}
+        assert sizes == {1: _BATCH, 2: _BATCH, 3: 14563, 4: 8192, 8: 2048, 16: 512,
+                         362: 1, 363: 1}
+        # at n >= 4 a batch is at most one Gram-Schmidt chunk
+        assert numeric._matrix_batch(4) <= numeric._GS_CHUNK
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [3, 6, 8, 16])
+    def test_draw_shapes_stay_within_the_entry_budget(self, n, threads, monkeypatch):
+        batch = numeric._matrix_batch(n)
+        n_samples = 3 * threads * batch + 5  # several batches in every worker
+        shapes = []
+        real = numeric._complex_normals
+
+        def draw(shape, rng):
+            shapes.append(shape)
+            return real(shape, rng)
+
+        monkeypatch.setattr(numeric, "_complex_normals", draw)
+        routes = _mc_routes(n, n_samples, 1, threads)
+        if n > 6:
+            del routes["ginibre"]  # it supports n = 1..6
+        if threads > 1:
+            del routes["haar"]  # the haar suite runs one worker
+        for name, run in routes.items():
+            shapes.clear()
+            ests = run()
+            assert all(e.n_samples == n_samples for e in ests), name
+            # Haar draws are (n, n, count), Ginibre draws (count, n, n)
+            counts = [s[0] if name == "ginibre" else s[2] for s in shapes]
+            assert all(n * n * c <= numeric._BATCH_ENTRIES for c in counts), name
+            assert max(counts) == batch, name
+            assert sum(counts) == n_samples, name
+            if threads == 1:
+                assert counts == [batch] * 3 + [5], name
+
+    # recorded before batches were sized by entries; at n <= 2 the batch is
+    # still `_BATCH`, so every bit of these outputs must stay
+    PINNED = {
+        ("ginibre", 1): [
+            ("0x1.0020bd8a91eadp+0", "0x0.0p+0",
+             "0x1.ecced9bd9dcfbp-9", "0x1.4cb0d03fe898bp-48"),
+            ("0x1.0020bd8a91eadp+0", "0x0.0p+0",
+             "0x1.ecced9bd9dcfbp-9", "0x1.4cb0d03fe898bp-48"),
+        ],
+        ("ginibre", 2): [
+            ("0x1.fe20117c1c26cp+0", "0x0.0p+0",
+             "0x1.ee5884de45fcep-8", "0x1.4b567be13b456p-47"),
+            ("0x1.ff3d5988626cfp+0", "0x0.0p+0",
+             "0x1.5c3286fd88f40p-7", "0x1.4c2bb1a94736dp-47"),
+        ],
+        ("haar", 1): [
+            ("0x1.0000000000000p+0", "0x0.0p+0",
+             "0x1.facaf1016ef11p-61", "0x1.4c6d94c08d9a4p-48"),
+        ],
+        ("haar", 2): [
+            ("0x1.003ea28f92c45p-1", "0x0.0p+0",
+             "0x1.1d790996d841cp-10", "0x1.4cd32d13e668cp-49"),
+            ("0x1.ff82bae0da776p-2", "0x0.0p+0",
+             "0x1.1d790996d841bp-10", "0x1.4c271bc526fcbp-49"),
+            ("0x1.ff82bae0da776p-2", "0x0.0p+0",
+             "0x1.1d790996d841cp-10", "0x1.4c271bc526fccp-49"),
+            ("0x1.003ea28f92c45p-1", "0x0.0p+0",
+             "0x1.1d790996d841cp-10", "0x1.4cd32d13e668cp-49"),
+        ],
+        ("hciz_mc", 1): [
+            ("0x1.cc2a4119a2eb4p+0", "0x0.0p+0",
+             "0x1.099c5717f2299p-59", "0x1.dd39f1b5a58d9p-47"),
+        ],
+        ("hciz_mc", 2): [
+            ("0x1.15bbc8c478e4fp+0", "0x0.0p+0",
+             "0x1.10385deb1da0dp-9", "0x1.704c8d28b738fp-47"),
+        ],
+        ("kernel_q_mc", 1): [
+            ("0x1.0dffbff40da4ap+0", "0x1.4043c7144b676p+0",
+             "0x1.b4ddd3f352c12p-60", "0x1.0e29b4fe23946p-46"),
+        ],
+        ("kernel_q_mc", 2): [
+            ("0x1.fee9aad5f5e0ap-1", "0x1.3ebfc9f66567ep-4",
+             "0x1.19564dc5a193dp-9", "0x1.ad333e8ba7085p-47"),
+        ],
+    }
+
+    @pytest.mark.parametrize("route, n", sorted(PINNED), ids=str)
+    def test_small_n_outputs_are_pinned(self, route, n):
+        # 70001 samples: two batches in each of two workers, three in the
+        # one-worker haar suite
+        ests = _mc_routes(n, 70001, 4, 2)[route]()
+        assert [_hex(e) for e in ests] == self.PINNED[route, n]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_runs_of_several_batches_reproduce(self, threads):
+        # n = 8, at least 3 batches per worker
+        n_samples = 3 * threads * numeric._matrix_batch(8) + 7
+        for name, run in _mc_routes(8, n_samples, 9, threads).items():
+            if name == "ginibre" or (name == "haar" and threads > 1):
+                continue
+            first, again = run(), run()
+            assert [_hex(e) for e in first] == [_hex(e) for e in again], name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_several_batches_match_qr_reference(self, threads, monkeypatch):
+        # the same draws, split into the same batches, through either route
+        n_samples = 3 * threads * numeric._matrix_batch(8) + 7
+        routes = _mc_routes(8, n_samples, 10, threads)
+        for name in ("hciz_mc", "kernel_q_mc"):
+            (est,) = routes[name]()
+            with monkeypatch.context() as m:
+                m.setattr(numeric, "_haar_batch", _qr_haar_reference)
+                (ref,) = routes[name]()
+            assert abs(est.mean - ref.mean) <= est.rounding, name
+
+    def test_memory_does_not_grow_with_n(self):
+        # a batch holds 2 MiB of draw and a few temporaries of that size,
+        # whatever n and n_samples
+        import tracemalloc
+
+        from hciz.suites import suite_haar
+
+        n = 16
+        a, b = np.linspace(-0.5, 0.5, n), np.linspace(-0.3, 0.7, n)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (lambda: hciz_mc(a, b, 40000, 1), lambda: suite_haar(12, 20000, 0)):
+                tracemalloc.reset_peak()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 16 * 2**20, peaks
 
 
 class TestMonteCarlo:
