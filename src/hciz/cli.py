@@ -216,9 +216,11 @@ def cmd_eval(args) -> int:
 
     import numpy as np
 
-    from .numeric import _check_series_limits, hciz_determinant, hciz_mc, kernel_series
+    from .numeric import _check_mc_limits, _check_series_limits
+    from .numeric import hciz_determinant, hciz_mc, kernel_series
 
-    # the series' limits, checked whatever runs: `tolerance` and `max_weight` are reported
+    # each method's limits, checked whatever runs: every input is reported
+    _check_mc_limits(args.samples, args.threads)
     _check_series_limits(args.max_weight, args.tol)
     rng = np.random.Generator(np.random.Philox(args.seed))
     a = parse_spectrum(args.a, args.n, rng)

@@ -16,6 +16,10 @@ dense tuples (`ExactPoly(3, {(2, 0, 1): c})`, `monomial`, `coefficient`) and
 read them back with `exponent_vector` or `exponent_pairs`.  Builders holding
 (variable, exponent) pairs pack them with the private `_pack`, and
 `trace_power_entry` sums k <= MAX_EXPONENT one-entry keys per term.
+The ring operations (`+`, `-`, `*`, `**`, `apply_diff`) build their result
+with `_like`, in the left operand's type and space: `symfn.TracePoly` is an
+ExactPoly over MAX_EXPONENT variables, and `degree` reads only the fields
+each key uses.
 
 Coefficients are summed by component, not as GaussianRational objects.
 The kernels that add up many products (`*`, `apply_diff`, `map_vars` and
@@ -202,7 +206,7 @@ class ExactPoly:
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ExactPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _raw(cls, n_vars: int, terms: dict) -> "ExactPoly":
@@ -211,6 +215,10 @@ class ExactPoly:
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", terms)
         return self
+
+    def _like(self, terms: dict) -> "ExactPoly":
+        """Internal: a polynomial of this one's type and space holding `terms`."""
+        return self._raw(self.n_vars, terms)
 
     # -- constructors ---------------------------------------------------------
 
@@ -247,7 +255,7 @@ class ExactPoly:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(sum(exponent_vector(key, self.n_vars)) for key in self.terms)
+        return max(sum(e for _, e in exponent_pairs(key)) for key in self.terms)
 
     def coefficient(self, exponents) -> GaussianRational:
         """The coefficient of a dense exponent tuple (or of a key from `terms`)."""
@@ -279,17 +287,15 @@ class ExactPoly:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return ExactPoly._raw(self.n_vars, out)
+        return self._like(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactPoly._raw(self.n_vars, {key: -c for key, c in self.terms.items()})
+        return self._like({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = ExactPoly.const(self.n_vars, other)
-        elif not isinstance(other, ExactPoly):
+        if not isinstance(other, (int, Fraction, GaussianRational, ExactPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -300,8 +306,8 @@ class ExactPoly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational.coerce(other)
             if c.is_zero:
-                return ExactPoly.zero(self.n_vars)
-            return ExactPoly._raw(self.n_vars, {key: a * c for key, a in self.terms.items()})
+                return self._like({})
+            return self._like({key: a * c for key, a in self.terms.items()})
         if not isinstance(other, ExactPoly):
             return NotImplemented
         self._want_same_space(other)
@@ -318,14 +324,14 @@ class ExactPoly:
                 for m2, r2, i2 in b
             )
         out = _summed_terms(products, real)
-        return ExactPoly._raw(self.n_vars, _check_exponents(out, self.n_vars))
+        return self._like(_check_exponents(out, self.n_vars))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = ExactPoly.one(self.n_vars)
+        out = self._like({0: QQI_ONE})
         base = self
         while k:
             if k & 1:
@@ -373,19 +379,9 @@ class ExactPoly:
                     else:
                         yield k, (fr * gr - fi * gi) * fall, (fr * gi + fi * gr) * fall
 
-        return ExactPoly._raw(self.n_vars, _summed_terms(products(), real))
+        return self._like(_summed_terms(products(), real))
 
     # -- structural maps ----------------------------------------------------------------
-
-    def with_n_vars(self, n_vars: int) -> "ExactPoly":
-        """Same terms viewed over a different variable count (must fit)."""
-        if n_vars == self.n_vars:
-            return self
-        top = self.min_n_vars()
-        if n_vars < top:
-            raise DimensionMismatchError(f"variable v{top - 1} out of range for n_vars={n_vars}")
-        # keys do not depend on the variable count, and terms are never mutated
-        return ExactPoly._raw(n_vars, self.terms)
 
     def min_n_vars(self) -> int:
         """Smallest variable count that accommodates every term."""

@@ -1,7 +1,7 @@
 """Conjugation-invariant polynomials on n x n matrices, and the maps between
 the three exact pictures the verification suites compare:
 
-    trace picture      TracePoly in generators t_k = Tr(z^k)
+    trace picture      TracePoly, an ExactPoly in generators t_k = Tr(z^k)
     entry picture      ExactPoly over the n^2 matrix entries (row-major)
     diagonal picture   symmetric / alternating ExactPoly in n eigenvalues
 
@@ -170,8 +170,8 @@ def _schur_coefficients(h: ExactPoly, n: int, max_weight: int | None = None) -> 
 
 def _character_sum(coeffs: dict) -> TracePoly:
     """sum_lambda coeffs[lambda] * chi_lambda, one linear combination of the chi_lambda."""
-    pairs = ((chi_lambda(lam).poly, c) for lam, c in coeffs.items())
-    return TracePoly(linear_combination(pairs, MAX_EXPONENT))
+    pairs = ((chi_lambda(lam), c) for lam, c in coeffs.items())
+    return TracePoly._raw(MAX_EXPONENT, linear_combination(pairs, MAX_EXPONENT).terms)
 
 
 def psi_inverse(g, n: int) -> Scaled:

@@ -128,13 +128,18 @@ def _complex_normals(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
 
 
+def _ginibre_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` n x n matrices with i.i.d. standard complex Gaussian entries (E|z|^2 = 1)."""
+    z = _complex_normals((count, n, n), rng)
+    z *= math.sqrt(0.5)
+    return z
+
+
 def sample_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """One n x n matrix with i.i.d. standard complex Gaussian entries."""
     if n < 1:
         raise ValueError("n must be positive")
-    z = _complex_normals((n, n), rng)
-    z *= math.sqrt(0.5)
-    return z
+    return _ginibre_batch(1, n, rng)[0]
 
 
 def _gram_schmidt(q: np.ndarray) -> np.ndarray:
@@ -244,6 +249,14 @@ def _sum_depth(count: int) -> int:
     return min(count - 1, 25 + halvings + -(-count // 8192))
 
 
+def _check_mc_limits(n_samples: int, threads: int) -> None:
+    """ValueError unless `_mc_mean` accepts this sample count and worker count."""
+    if n_samples < 2:
+        raise ValueError("need n_samples >= 2")
+    if threads != int(threads) or not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be an integer in 1..{MAX_THREADS}, got {threads}")
+
+
 def _mc_mean(
     sample_values, n_samples: int, seed: int, threads: int, rel_rounding: float = 0.0,
     *, batch: int,
@@ -260,10 +273,7 @@ def _mc_mean(
     `_sample_rounding`); each estimate's `rounding` adds to it the error of
     each batch sum, its division, and every merge.
     """
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
-    if threads != int(threads) or not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"threads must be an integer in 1..{MAX_THREADS}, got {threads}")
+    _check_mc_limits(n_samples, threads)
     workers = min(int(threads), n_samples)
     quota, extra = divmod(n_samples, workers)
     empty = (0, 0j, 0.0, 0.0, 0.0)
@@ -519,8 +529,7 @@ def ginibre_moment_suite(
         raise ValueError("n out of the supported range 1..6")
 
     def moments(rng, count):
-        z = _complex_normals((count, n, n), rng)
-        z *= math.sqrt(0.5)
+        z = _ginibre_batch(count, n, rng)
         return np.abs([np.einsum("bii->b", z), np.linalg.det(z)]) ** 2
 
     trace_est, det_est = _mc_mean(moments, n_samples, seed, threads, batch=_matrix_batch(n))

@@ -11,9 +11,12 @@ compared or mapped, never multiplied or evaluated, so no root is formed.
 Conventions.  The staircase is delta = (n-1, n-2, ..., 0), and
 alternant(delta, n) = det[x_i^{delta_j}] = prod_{i<j} (x_i - x_j).  A
 `Partition` is the tuple of its parts, so it and the plain tuple are one
-cache key.  The trace monomial p_rho = prod_i t_{rho_i} is built from its
-partition's multiplicities, `TracePoly.from_terms([(Counter(rho), c)])`,
-and its key is read back as rho by `_partition`.
+cache key.  A `TracePoly` is an ExactPoly over MAX_EXPONENT variables,
+variable k-1 standing for t_k; its constructors and text form take and
+show generator indices.  The trace monomial p_rho = prod_i t_{rho_i} is
+built from its partition's multiplicities,
+`TracePoly.from_terms([(Counter(rho), c)])`, and its key is read back as
+rho by `_partition`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DegenerateExponentError, DimensionMismatchError
-from .exactpoly import MAX_EXPONENT, ExactPoly, _pack, exponent_pairs, exponent_vector
+from .exactpoly import MAX_EXPONENT, ExactPoly, _n_fields, _pack, exponent_pairs, exponent_vector
 from .scalars import GaussianRational
 
 # the largest n whose n!-term alternant is built: n = 9 takes seconds and
@@ -368,31 +371,25 @@ def _partition(key: int) -> tuple:
     return tuple(v + 1 for v, e in reversed(exponent_pairs(key)) for _ in range(e))
 
 
-class TracePoly:
+class TracePoly(ExactPoly):
     """Polynomial in weighted generators t_1, t_2, ... (deg t_k = k).
 
     One ring, two readings: on matrices t_k = Tr(z^k), on eigenvalues
     t_k = p_k = x_1^k + ... + x_n^k (`expand_to_entries`, `restrict_to_diagonal`).
-    Thin wrapper over ExactPoly with variable id k-1 standing for t_k; the
-    stored polynomial is always trimmed to the highest generator in use, so
-    equal values compare and hash equal regardless of how they were built.
+    An ExactPoly over MAX_EXPONENT variables, variable k-1 standing for t_k,
+    so its ring operations are ExactPoly's and return TracePolys.  Build one
+    with the class methods below, which take generator indices.
     """
 
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: ExactPoly):
-        object.__setattr__(self, "poly", poly.with_n_vars(max(poly.min_n_vars(), 1)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __slots__ = ()
 
     @classmethod
     def zero(cls):
-        return cls(ExactPoly.zero(1))
+        return cls.from_terms([])
 
     @classmethod
     def const(cls, c):
-        return cls(ExactPoly.const(1, c))
+        return cls.from_terms([({}, c)])
 
     @classmethod
     def one(cls):
@@ -406,91 +403,25 @@ class TracePoly:
     @classmethod
     def from_terms(cls, terms):
         """terms: iterable of (dict generator-index -> exponent, coeff); a Counter(rho) is p_rho."""
-        return cls(ExactPoly(MAX_EXPONENT, [(_generator_key(exps), c) for exps, c in terms]))
-
-    @property
-    def terms(self):
-        return self.poly.terms
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
+        return cls(MAX_EXPONENT, [(_generator_key(exps), c) for exps, c in terms])
 
     def max_gen(self) -> int:
         """Largest generator index appearing; 0 for constants."""
-        return self.poly.min_n_vars()
+        return self.min_n_vars()
 
     def coefficient(self, exps: dict) -> GaussianRational:
-        return self.poly.coefficient(_generator_key(exps))
-
-    def _aligned(self, other):
-        m = max(self.poly.n_vars, other.poly.n_vars)
-        return self.poly.with_n_vars(m), other.poly.with_n_vars(m)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = type(self).const(other)
-        if not isinstance(other, TracePoly):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return type(self)(a + b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)(-self.poly)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = type(self).const(other)
-        if not isinstance(other, TracePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return type(self)(self.poly * other)
-        if not isinstance(other, TracePoly):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return type(self)(a * b)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return type(self)(self.poly**k)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = type(self).const(other)
-        if not isinstance(other, TracePoly):
-            return NotImplemented
-        return self.poly.terms == other.poly.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.poly.terms.items()))
-
-    def __bool__(self):
-        return bool(self.poly)
-
-    def items_canonical(self):
-        """Terms ordered by weighted degree, then exponent vector, descending."""
-        nv = self.poly.n_vars
-        return sorted(
-            self.poly.terms.items(),
-            key=lambda kv: (sum(_partition(kv[0])), exponent_vector(kv[0], nv)),
-            reverse=True,
-        )
+        return super().coefficient(_generator_key(exps))
 
     def to_text(self, var_symbol: str = "t") -> str:
-        """Canonical text form, e.g. `(3/2, 0) t1^2 t3`; `var_symbol="p"` for power sums."""
-        if self.poly.is_zero:
+        """Canonical text form, e.g. `(3/2, 0) t1^2 t3`; `var_symbol="p"` for power sums.
+
+        Terms run by weighted degree, then exponent vector, descending.
+        """
+        if not self.terms:
             return "0"
         parts = []
-        for key, c in self.items_canonical():
+        for key, c in sorted(self.terms.items(), reverse=True, key=lambda kv: (
+                sum(_partition(kv[0])), exponent_vector(kv[0], _n_fields(kv[0])))):
             mono = " ".join(
                 f"{var_symbol}{v + 1}^{e}" if e > 1 else f"{var_symbol}{v + 1}"
                 for v, e in exponent_pairs(key)

@@ -5,6 +5,7 @@ import pytest
 
 import hciz
 from hciz import numeric
+from hciz.exactpoly import ExactPoly
 from hciz.invariant import TracePoly as InvariantTracePoly
 from hciz.symfn import Partition, TracePoly
 
@@ -21,6 +22,8 @@ def test_every_public_name_imports():
 def test_one_trace_polynomial_class():
     assert InvariantTracePoly is TracePoly
     assert hciz.TracePoly is TracePoly
+    # one class for generator polynomials: a trace polynomial is an ExactPoly
+    assert issubclass(TracePoly, ExactPoly)
 
 
 def test_character_polynomial_is_the_power_sum_expansion():

@@ -478,6 +478,16 @@ class TestExitCodeContract:
              "tol must be finite and nonnegative, got nan"),
             (["eval", "--n", "2", "--a", "1,2", "--b", "0.5,0.25", "--methods", "det",
               "--max-weight", "-1"], EXIT_USAGE, "max_weight must be nonnegative"),
+            # so do the Monte Carlo limits: the report would echo a sample and worker count
+            (["eval", "--n", "2", "--a", "1,2", "--b", "0.5,0.25", "--methods", "det",
+              "--samples", "-5", "--threads", "0", "--output", "-"], EXIT_USAGE,
+             "need n_samples >= 2"),
+            (["eval", "--n", "2", "--a", "1,2", "--b", "0.5,0.25", "--methods", "series",
+              "--samples", "1"], EXIT_USAGE, "need n_samples >= 2"),
+            (["eval", "--n", "2", "--a", "1,2", "--b", "0.5,0.25", "--methods", "det",
+              "--threads", "0"], EXIT_USAGE, "threads must be an integer in 1..64, got 0"),
+            (["eval", "--n", "2", "--a", "1,2", "--b", "0.5,0.25", "--methods", "det,series",
+              "--threads", "65"], EXIT_USAGE, "threads must be an integer in 1..64, got 65"),
             # each would build an alternant with n! terms before any check ran
             (["fourier", "--f", "t1^2", "--n", "30"], EXIT_USAGE,
              "n = 30 is above 9: an alternant in n variables has n! terms"),
@@ -507,8 +517,9 @@ class TestExitCodeContract:
              "schur-power-sum-classes", "fourier-zero-denominator", "fourier-constant-over-zero",
              "schur-exact-n0", "schur-exact-n-1", "schur-exact-n40", "fourier-max-weight-1",
              "tol-inf", "tol-nan", "tol-1", "tol-nan-without-series",
-             "max-weight-1-without-series", "fourier-n30", "unitarity-n30", "diffop-n30",
-             "alt-orthonormal-n10", "inv-orthonormal-n30", "schur-increasing-parts",
+             "max-weight-1-without-series", "samples-5-without-mc", "samples-1-without-mc",
+             "threads-0-without-mc", "threads-65-without-mc", "fourier-n30", "unitarity-n30",
+             "diffop-n30", "alt-orthonormal-n10", "inv-orthonormal-n30", "schur-increasing-parts",
              "schur-n-without-exact"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):

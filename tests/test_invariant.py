@@ -7,7 +7,7 @@ import pytest
 
 from hciz.errors import DimensionMismatchError, NotAlternatingError
 from hciz import invariant
-from hciz.exactpoly import ExactPoly, bargmann_inner
+from hciz.exactpoly import MAX_EXPONENT, ExactPoly, bargmann_inner
 from hciz.invariant import (
     TracePoly,
     chi_lambda,
@@ -82,7 +82,7 @@ class TestTracePolyAlignment:
                           (a * b, direct_product), (b * a, direct_product)]:
             assert got == want
             assert hash(got) == hash(want)
-            assert got.poly == want.poly
+            assert got.terms == want.terms and got.n_vars == want.n_vars == MAX_EXPONENT
             assert got.max_gen() == 3
             assert got.to_text() == want.to_text()
         assert (a * b).coefficient({1: 1, 3: 1}) == GaussianRational(2)
@@ -109,8 +109,37 @@ class TestTracePolyAlignment:
     def test_cancelling_the_top_generator_trims(self):
         got = (t(3) + t(1)) - t(3)
         assert got == t(1)
-        assert got.poly.n_vars == 1 and got.max_gen() == 1
-        assert got.poly == t(1).poly
+        assert got.n_vars == MAX_EXPONENT and got.max_gen() == 1
+        assert got.terms == t(1).terms
+
+
+class TestTracePolyIsAnExactPoly:
+    def test_ring_operations_return_trace_polys(self):
+        f, g = t(1) * 2 + t(2), t(1) ** 3 * t(2) + t(3) * Fraction(1, 2) + 1
+        results = [f + g, f - g, -f, f * g, f**3, f**0, f * Fraction(2, 3), 3 * f, 2 + f,
+                   1 - f, f.apply_diff(g)]
+        for got in results:
+            assert type(got) is TracePoly and got.n_vars == MAX_EXPONENT
+        # 2 d/dt1 + d/dt2 on t1^3 t2: 6 t1^2 t2 + t1^3
+        assert f.apply_diff(g) == t(1) ** 2 * t(2) * 6 + t(1) ** 3
+
+    def test_a_polynomial_over_other_variables_does_not_mix(self):
+        x = ExactPoly.variable(2, 0)
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(DimensionMismatchError, match="over 32767 and 2 variables"):
+                op(t(1), x)
+            with pytest.raises(DimensionMismatchError, match="over 2 and 32767 variables"):
+                op(x, t(1))
+
+    def test_degree_reads_only_the_fields_in_use(self):
+        import time
+
+        # 5090 terms, the longest class 1^32; unpacking all 32767 fields of
+        # each key took about 1.7 s, reading its pairs takes about 15 ms
+        f = invariant.chi_lambda(Partition((6, 6, 6, 6, 6, 2)))
+        start = time.perf_counter()
+        assert f.degree() == 32
+        assert time.perf_counter() - start < 0.25
 
 
 class TestEntryExpansion:
@@ -193,7 +222,7 @@ class TestEntryExpansion:
                     invariant._monomial_image.cache_clear()
                 for f in polys:
                     images = {k - 1: trace_power_entry(k, n) for k in range(1, f.max_gen() + 1)}
-                    assert expand_to_entries(f, n) == f.poly.substitute(images, n * n)
+                    assert expand_to_entries(f, n) == f.substitute(images, n * n)
 
     def test_each_monomial_is_expanded_once(self, monkeypatch):
         builds = []
@@ -234,7 +263,7 @@ class TestEntryExpansion:
                     images = {k - 1: sum((ExactPoly.variable(n, i) ** k for i in range(n)),
                                          ExactPoly.zero(n))
                               for k in range(1, f.max_gen() + 1)}
-                    assert restrict_to_diagonal(f, n) == f.poly.substitute(images, n)
+                    assert restrict_to_diagonal(f, n) == f.substitute(images, n)
 
     def test_each_monomial_is_restricted_once(self, monkeypatch):
         builds = []

@@ -12,6 +12,7 @@ from hciz.errors import DegenerateExponentError, DimensionMismatchError
 from hciz.exactpoly import ExactPoly, bargmann_inner, exponent_vector
 from hciz.invariant import restrict_to_diagonal
 from hciz.scalars import GaussianRational
+from hciz.suites import random_trace_poly
 from hciz.symfn import (
     MAX_ALTERNANT_N,
     MAX_POWER_SUM_CLASSES,
@@ -590,6 +591,31 @@ class TestSchurToPowerSums:
         p2 = TracePoly.gen(2)
         want = ExactPoly.monomial(2, (2, 0)) + ExactPoly.monomial(2, (0, 2))
         assert restrict_to_diagonal(p2, 2) == want
+
+
+class TestRecordedTracePoly:
+    """`TracePoly` text, pinned by SHA-256.
+
+    Recorded while `TracePoly` wrapped an `ExactPoly` trimmed to its top
+    generator, before it became an `ExactPoly` over MAX_EXPONENT variables.
+    """
+
+    def test_power_sum_expansions(self):
+        # every lambda with |lambda| <= 12: 1 + 1 + 2 + 3 + ... + 77 = 272 expansions
+        text = "".join(
+            f"{lam}\t{schur_to_power_sums(lam).to_text(var_symbol='p')}\n"
+            for w in range(13)
+            for lam in partitions_of_weight(w, w)
+        )
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "693a71536c02a26f3805be8d43216e8ca89df6f1d4b9908452f2652728d7c97c")
+
+    def test_random_trace_polys(self):
+        rng = random.Random(3)
+        polys = [random_trace_poly(rng, max_weight=8, n_terms=6) for _ in range(200)]
+        text = "".join(f"{f.to_text()}\t{f!r}\n" for f in polys)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "5368804f44d8763573a983b7f7846f03c7de00ec70f58162e4ecf24deef05749")
 
 
 # -- scaled polynomials ------------------------------------------------------------
