@@ -358,7 +358,9 @@ class ExactPoly:
     def apply_diff(self, g: "ExactPoly") -> "ExactPoly":
         """F(d)G: replace each monomial z^a of F=self by the operator d^a, apply to G."""
         self._want_same_space(g)
-        guards = _guards(self.n_vars)
+        # only the fields of F's variables are subtracted from, so only they need
+        # a guard (a TracePoly has MAX_EXPONENT fields, nearly all unused)
+        guards = _guards(self.min_n_vars())
         real = _is_real(self) and _is_real(g)
         g_terms = [(beta, _factorial(beta), gb.re, gb.im) for beta, gb in g.terms.items()]
 

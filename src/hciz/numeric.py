@@ -23,20 +23,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionMismatchError
-from .symfn import (
-    homogeneous_values,
-    jacobi_trudi_stacks,
-    partitions_of_weight,
-    schur_values,
-    staircase,
-    superfactorial,
-    vector_factorial,
-)
+from .symfn import homogeneous_prefixes, superfactorial
 
 GAP_TOL_DEFAULT = 1e-8
 _BATCH = 32768  # integrand values per Monte Carlo batch
@@ -109,6 +101,13 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class SeriesResult:
+    """The character series summed over every lambda with lambda_1 <= W.
+
+    `max_weight_used` is W, so every whole shell of weight <= W is in
+    `value`; `last_shell_magnitude` bounds the rest of the series, the
+    absolute error of `value` apart from its rounding.
+    """
+
     value: complex
     max_weight_used: int
     last_shell_magnitude: float
@@ -378,6 +377,15 @@ def _vdm_product(v: np.ndarray) -> complex:
     return complex(out)
 
 
+def _exp(z: complex) -> complex:
+    """e^z, with inf in place of OverflowError where |e^z| passes the double range."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(np.exp(np.complex128(z)))
+
+
 def hciz_determinant(a, b, gap_tol: float = GAP_TOL_DEFAULT) -> complex:
     """Closed form: prod_{p<n} p! * det[exp(a_i b_j)] / (Vdm(a) Vdm(b)).
 
@@ -392,7 +400,7 @@ def hciz_determinant(a, b, gap_tol: float = GAP_TOL_DEFAULT) -> complex:
             raise DegenerateSpectrumError(s.gap, gap_tol)
     n = a.n
     if n == 1:
-        return cmath.exp(a.eigs[0] * b.eigs[0])
+        return _exp(a.eigs[0] * b.eigs[0])
     av = np.array(a.eigs)
     bv = np.array(b.eigs)
     mat = np.exp(np.outer(av, bv))
@@ -400,80 +408,93 @@ def hciz_determinant(a, b, gap_tol: float = GAP_TOL_DEFAULT) -> complex:
     return superfactorial(n - 1) * complex(np.linalg.det(mat)) / vdm
 
 
-# one plan per (n, w); the default series at n <= 8 needs 8 * 25 of them
-@lru_cache(maxsize=512)
-def _shell_plan(n: int, w: int) -> tuple:
-    """What the weight-w shell of `kernel_series` needs before any spectrum:
-    the coefficients delta!/(lambda+delta)! of its partitions, as floats,
-    and their Jacobi-Trudi index stacks grouped by length, as read-only
-    arrays.  The partitions themselves are not kept: the stacks' positions
-    give their order, and holding them would add a third to the memory."""
-    shell = tuple(partitions_of_weight(w, n))
-    delta_fact = vector_factorial(staircase(n))
-    # int / int rounds correctly, as float(Fraction(...)) does
-    coeffs = np.array([delta_fact / vector_factorial(lam.plus_staircase(n)) for lam in shell])
-    stacks = jacobi_trudi_stacks(shell)
-    for arr in (coeffs, *(a for group in stacks for a in group)):
-        arr.flags.writeable = False
-    return coeffs, stacks
-
-
 def _check_series_limits(max_weight: int, tol: float) -> None:
     """ValueError unless `kernel_series` accepts this max_weight and tol."""
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
-    # inf would stop after n shells whatever their mass, nan or < 0 never early: all rejected
+    # inf would take W = 0 whatever the tail, nan or < 0 would never stop: all rejected
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
+def _exp_remainder(r: float, w: int) -> float:
+    """An upper bound on sum_{k>w} r^k/k!, the remainder of e^r after degree w.
+
+    Once w + 2 > r the terms fall by ratios below q = r/(w + 2), so the
+    remainder is at most its first term r^(w+1)/(w+1)! over 1 - q; before
+    that it is bounded by e^r itself.  inf where the bound passes the
+    double range.
+    """
+    if w + 2 <= r:
+        log_bound = r
+    elif r:
+        log_bound = (w + 1) * math.log(r) - math.lgamma(w + 2) + math.log((w + 2) / (w + 2 - r))
+    else:
+        return 0.0
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf
+
+
+def _prefix_table(v, rows: int, scale: np.ndarray) -> np.ndarray:
+    """G[m, i] = h_{m-i}(v_0..v_i) sqrt(i!/m!) for m < rows (0 where m < i).
+
+    Column i holds the h-values of the prefix v_0..v_i, the divided
+    differences of t^m over those points; `scale` holds sqrt(i!/m!).
+    """
+    table = np.zeros((rows, len(v)), dtype=complex)
+    for i, h in enumerate(homogeneous_prefixes(v, rows - 1)[1:]):
+        table[i:, i] = h[:rows - i]
+    return table * scale
 
 
 def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult:
     """Truncated expansion sum_lambda delta!/(lambda+delta)! s_lambda(x) conj(s_lambda(y)).
 
-    Shells are whole weights; the sum stops early once n consecutive shells
-    have absolute mass below 1e-3 * tol, and in any case at `max_weight`;
-    `tol` must be finite and >= 0, and 0 never stops early.  A single tiny
-    shell can be an accident of the spectrum (a traceless x kills weight 1);
-    n in a row force p_1..p_n ~ 0, hence real convergence.
-    Each shell's spectrum-independent part is built once per process
-    (`_shell_plan`); a call computes the h-values and the determinants.
-    The h-tables grow as the shells reach them, doubling, from one that
-    covers weight 24, so a large `max_weight` costs nothing until it is used.
+    The sum runs over every lambda with lambda_1 <= W, which by Cauchy-Binet
+    (Andreief) is one n x n determinant.  With z = conj(y), s and t the
+    means of x and z, x' = x - s and z' = z - t,
+
+        K(x, y) = e^(n s t) K(x', z'),    K_W(x', z') = det(G_x'^T G_z'),
+
+    where G_v[m, i] = h_{m-i}(v_0..v_i) sqrt(i!/m!) for m < W + n.  By Newton
+    interpolation, v_j^m = sum_i h_{m-i}(v_0..v_i) prod_{k<i} (v_j - v_k), so
+    the minor of the unscaled table on rows lambda + delta is s_lambda(v);
+    the square roots carry delta!/(lambda+delta)!.  The weight-w shell is at
+    most r^w / w! in absolute value, r = n max|x'| max|z'|, so the
+    truncation error is at most |e^(n s t)| times the remainder of e^r
+    after degree W (`_exp_remainder`), returned as `last_shell_magnitude`.
+    W is the smallest weight <= `max_weight` that brings it to 1e-3 * tol
+    or below, else `max_weight`; `tol` must be finite and >= 0, and 0 takes
+    W = `max_weight`.  A coincident spectrum centers to 0: its value is
+    e^(n s t) exactly.
     """
     x, y = as_spectrum(x), as_spectrum(y)
     if x.n != y.n:
         raise DimensionMismatchError(f"spectra of lengths {x.n} and {y.n}")
     _check_series_limits(max_weight, tol)
     n = x.n
-    y_conj = [e.conjugate() for e in y.eigs]
+    z = [e.conjugate() for e in y.eigs]
+    s, t = sum(x.eigs) / n, sum(z) / n
+    xc = [e - s for e in x.eigs]
+    zc = [e - t for e in z]
+    factor = _exp(n * s * t)
+    r = n * max(map(abs, xc)) * max(map(abs, zc))
 
-    def h_tables(kmax):
-        # x and y share one batch, so each shell gathers from its stacks once;
-        # h_k does not depend on kmax, so a regrown table keeps every value
-        return np.stack([
-            np.array(homogeneous_values(x.eigs, kmax)),
-            np.array(homogeneous_values(y_conj, kmax)),
-        ])
+    def tail(w):
+        rem = _exp_remainder(r, w)
+        return abs(factor) * rem if rem else 0.0
 
-    h = h_tables(min(max_weight, 24) + n - 1)
-    total = 0j
-    shell_mag = 0.0
-    used = 0
-    small_run = 0
-    for w in range(max_weight + 1):
-        # shell w reads h_0..h_w: its Jacobi-Trudi indices run to lambda_1 + length - 1 <= w
-        if w >= h.shape[-1]:
-            h = h_tables(min(2 * w, max_weight + n - 1))
-        coeffs, stacks = _shell_plan(n, w)
-        sx, sy = schur_values(stacks, h)
-        terms = coeffs * sx * sy
-        total += complex(terms.sum())
-        shell_mag = float(np.abs(terms).sum())
-        used = w
-        small_run = small_run + 1 if shell_mag < 1e-3 * tol else 0
-        if small_run >= n:
-            break
-    return SeriesResult(value=total, max_weight_used=used, last_shell_magnitude=shell_mag)
+    w = max_weight
+    if tol:
+        w = next((k for k in range(max_weight + 1) if tail(k) <= 1e-3 * tol), max_weight)
+    value = factor
+    if w:
+        rows = w + n
+        m = np.arange(rows)[:, None]
+        # sqrt(i!/m!) = prod_{i<k<=m} 1/sqrt(k), and 1 where m <= i
+        scale = np.cumprod(np.where(m > np.arange(n), 1 / np.sqrt(np.maximum(m, 1)), 1.0), axis=0)
+        gram = _prefix_table(xc, rows, scale).T @ _prefix_table(zc, rows, scale)
+        value *= complex(np.linalg.det(gram))
+    return SeriesResult(value=value, max_weight_used=w, last_shell_magnitude=tail(w))
 
 
 def kernel_q_mc(x, y, n_samples: int, seed: int, threads: int = 1) -> MCEstimate:

@@ -1,11 +1,12 @@
 """Partitions, alternants, Schur polynomials and their normalizations.
 
-Exact throughout, except for `schur_values` and `schur_numeric`: the one
-floating-point Schur evaluator (Jacobi-Trudi determinants of the h-values
-of prod_i 1/(1 - x_i t)), which the truncated character series also uses.
-Everything else returns ExactPoly values or exact scalars.  A normalization
-constant is the square root of a positive rational; `Scaled` carries it as
-that rational, its square, next to the polynomial it scales, and is only
+Exact throughout, except for `schur_numeric`, the one floating-point Schur
+evaluator (a Jacobi-Trudi determinant of the h-values of
+prod_i 1/(1 - x_i t)), and the h recurrence behind it, whose prefix tables
+(`homogeneous_prefixes`) the character series reads.  Everything else
+returns ExactPoly values or exact scalars.  A normalization constant is
+the square root of a positive rational; `Scaled` carries it as that
+rational, its square, next to the polynomial it scales, and is only
 compared or mapped, never multiplied or evaluated, so no root is formed.
 
 Conventions.  The staircase is delta = (n-1, n-2, ..., 0), and
@@ -239,71 +240,34 @@ def schur_exact(lam: Partition, n: int) -> ExactPoly:
 # -- numeric Schur values ---------------------------------------------------------
 
 
-def homogeneous_values(eigs, kmax: int):
-    """h_0..h_kmax at the given points: sum_k h_k t^k = prod_i 1/(1 - x_i t).
+def homogeneous_prefixes(eigs, kmax: int) -> list:
+    """Row i holds h_0..h_kmax of the first i points, i = 0..n, where
+    sum_k h_k t^k = prod_i 1/(1 - x_i t).
 
     Each point x multiplies in as h_k += x h_{k-1}, k = 1..kmax (Macdonald
-    I.2).  Stable at coincident points, unlike the bialternant ratio: h_k is
-    within (n+k) roundings of h_k(|x|).
+    I.2), and each row is the table after one more point.  Stable at
+    coincident points, unlike the bialternant ratio: h_k is within (n+k)
+    roundings of h_k(|x|).
     """
     h = [1.0 + 0j] + [0j] * kmax
+    rows = [h.copy()]
     for x in eigs:
         x = complex(x)
         for k in range(1, kmax + 1):
             h[k] += x * h[k - 1]
-    return h
+        rows.append(h.copy())
+    return rows
+
+
+def homogeneous_values(eigs, kmax: int) -> list:
+    """h_0..h_kmax of all the points: the last row of `homogeneous_prefixes`."""
+    return homogeneous_prefixes(eigs, kmax)[-1]
 
 
 def jacobi_trudi_indices(lam: Partition):
-    """Row-major index matrix (lambda_i - i + j) of the h-determinant; -1 marks a zero."""
+    """Row-major index matrix (lambda_i - i + j) of the h-determinant; below 0 marks a zero."""
     ell = lam.length
     return [[lam[i] - (i + 1) + (j + 1) for j in range(ell)] for i in range(ell)]
-
-
-def jacobi_trudi_stacks(partitions) -> list:
-    """The Jacobi-Trudi index matrices of `partitions`, stacked by length.
-
-    Returns [(positions, stack)]: `positions` are the partitions' places in
-    the list, `stack` has shape (len(positions), ell, ell).  Every index
-    below 0 becomes -1, the zero that `schur_values` appends to h, so one
-    gather builds all the matrices of a stack.
-    """
-    import numpy as np
-
-    by_len: dict[int, list] = {}
-    for pos, lam in enumerate(partitions):
-        by_len.setdefault(lam.length, []).append(pos)
-    stacks = []
-    for ell, idxs in by_len.items():
-        mats = np.array([jacobi_trudi_indices(partitions[pos]) for pos in idxs], dtype=np.intp)
-        # reshape gives the empty partition's stack its (count, 0, 0) shape
-        mats = np.maximum(mats.reshape(len(idxs), ell, ell), -1)
-        stacks.append((np.array(idxs, dtype=np.intp), mats))
-    return stacks
-
-
-def schur_values(stacks, h):
-    """s_lambda for each partition, via stacked det[h_{lambda_i - i + j}].
-
-    `stacks` comes from `jacobi_trudi_stacks`; `h` holds h_0, h_1, ... on
-    its last axis (see `homogeneous_values`), and leading axes are a batch
-    of points, which share each index stack.  Returns shape
-    h.shape[:-1] + (number of partitions,), in the order they were given.
-    """
-    import numpy as np
-
-    h = np.asarray(h, dtype=complex)
-    hz = np.concatenate([h, np.zeros(h.shape[:-1] + (1,), dtype=complex)], axis=-1)
-    count = sum(len(pos) for pos, _ in stacks)
-    vals = np.empty(h.shape[:-1] + (count,), dtype=complex)
-    for pos, stack in stacks:
-        ell = stack.shape[-1]
-        if ell == 0:
-            vals[..., pos] = 1.0
-            continue
-        entries = hz[..., stack]
-        vals[..., pos] = entries[..., 0, 0] if ell == 1 else np.linalg.det(entries)
-    return vals
 
 
 def schur_numeric(lam: Partition, eigs) -> complex:
@@ -312,8 +276,14 @@ def schur_numeric(lam: Partition, eigs) -> complex:
         raise DimensionMismatchError(
             f"partition {lam} needs more than {len(eigs)} variables"
         )
-    h = homogeneous_values(eigs, max(lam.part(0) + lam.length - 1, 0))
-    return complex(schur_values(jacobi_trudi_stacks([lam]), h)[0])
+    ell = lam.length
+    h = homogeneous_values(eigs, max(lam.part(0) + ell - 1, 0))
+    if ell <= 1:
+        return h[lam.part(0)]
+    import numpy as np
+
+    mat = [[h[k] if k >= 0 else 0j for k in row] for row in jacobi_trudi_indices(lam)]
+    return complex(np.linalg.det(np.array(mat, dtype=complex)))
 
 
 # -- power-sum expansion -------------------------------------------------------------

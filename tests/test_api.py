@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from fractions import Fraction
 
@@ -91,9 +92,14 @@ def test_what_perfbench_reads_exists():
     est = hciz.hciz_mc((0.0, 0.5), (0.1, 0.3), 4, 0, threads=1)
     for field in ("mean", "stderr", "n_samples"):
         assert hasattr(est, field), field
-    res = hciz.kernel_series((0.0, 0.5), (0.1, 0.3), max_weight=2)
+    # series-sweep passes these keywords; its series-truncation rule reads these fields
+    res = hciz.kernel_series((0.0, 0.5), (0.1, 0.3), max_weight=2, tol=1e-8)
     for field in ("value", "max_weight_used", "last_shell_magnitude"):
         assert hasattr(res, field), field
+    # its tests scale a result's value, as a wrong evaluator would return it
+    scaled = dataclasses.replace(res, value=res.value * 1.01)
+    assert type(scaled) is type(res) and scaled.value == res.value * 1.01
+    assert scaled.max_weight_used == res.max_weight_used
     rep = hciz.ginibre_moment_suite(2, 4, 0, threads=1)
     for field in ("trace_estimate", "trace_expected", "det_estimate", "det_expected"):
         assert hasattr(rep, field), field

@@ -505,6 +505,11 @@ class TestExitCodeContract:
             # --n alone asks for nothing: --exact is what needs it
             (["schur", "--lambda", "1", "--n", "3"], EXIT_USAGE,
              "need --eigs, or --n with --exact, or --power-sums"),
+            # e^640000 is above the double range, for the closed form and the series alike
+            (["eval", "--n", "1", "--a", "800", "--b", "800", "--methods", "det"], EXIT_DOMAIN,
+             "non-finite value from det"),
+            (["eval", "--n", "1", "--a", "800", "--b", "800", "--methods", "series"], EXIT_DOMAIN,
+             "non-finite value from series"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "schur-underflow",
@@ -520,7 +525,7 @@ class TestExitCodeContract:
              "max-weight-1-without-series", "samples-5-without-mc", "samples-1-without-mc",
              "threads-0-without-mc", "threads-65-without-mc", "fourier-n30", "unitarity-n30",
              "diffop-n30", "alt-orthonormal-n10", "inv-orthonormal-n30", "schur-increasing-parts",
-             "schur-n-without-exact"],
+             "schur-n-without-exact", "det-n1-overflow", "series-n1-overflow"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

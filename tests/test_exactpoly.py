@@ -17,6 +17,7 @@ from hciz.exactpoly import (
     linear_combination,
 )
 from hciz.scalars import GaussianRational, QQI_I, QQI_ZERO
+from hciz.symfn import TracePoly
 
 
 def z(n, i):
@@ -209,6 +210,19 @@ class TestApplyDiff:
         g = random_poly(rng, 2)
         c = GaussianRational(Fraction(7, 3))
         assert ExactPoly.const(2, c).apply_diff(g) == g * c
+
+    def test_trace_polynomial_matches_the_same_terms_over_six_variables(self):
+        # a TracePoly spans MAX_EXPONENT variables; only the fields in use are checked,
+        # also where the operator's top variable is above every variable of G
+        rng = random.Random(9)
+        top = ExactPoly.monomial(6, (1, 0, 0, 0, 0, 1))
+        for _ in range(20):
+            g_low = ExactPoly(6, random_poly(rng, 3, max_deg=5, n_terms=8).terms)
+            for f, g in ((random_poly(rng, 6), random_poly(rng, 6, max_deg=5, n_terms=8)),
+                         (top, g_low), (g_low, top)):
+                got = TracePoly(MAX_EXPONENT, f.terms).apply_diff(TracePoly(MAX_EXPONENT, g.terms))
+                assert isinstance(got, TracePoly)
+                assert got.terms == f.apply_diff(g).terms
 
     def test_agrees_with_inner_product(self):
         # <F*, G> equals the value of F(d)G at the origin

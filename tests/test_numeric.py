@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -29,14 +30,7 @@ from hciz.numeric import (
     sample_ginibre,
     sample_haar_unitary,
 )
-from hciz.symfn import (
-    alternant,
-    homogeneous_values,
-    jacobi_trudi_indices,
-    partitions_of_weight,
-    staircase,
-    vector_factorial,
-)
+from hciz.symfn import Partition, alternant, schur_numeric, staircase, vector_factorial
 
 
 def det_n2_by_hand(a, b):
@@ -586,77 +580,94 @@ class TestClosedForm:
         assert GAP_TOL_DEFAULT == 1e-8
 
 
-def _jt_det(lam, h):
-    """s_lambda from one Jacobi-Trudi matrix, built entry by entry."""
-    if lam.length == 0:
-        return 1.0 + 0j
-    m = [[h[k] if k >= 0 else 0j for k in row] for row in jacobi_trudi_indices(lam)]
-    return m[0][0] if lam.length == 1 else complex(np.linalg.det(np.array(m)))
+def mp_hciz(a, b, dps=80):
+    """I(a, b) by the closed form in `dps` digits, or exp(c * sum(b)) when a is
+    one point c repeated; skips the test without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        sa = [mpmath.mpc(v) for v in a]
+        sb = [mpmath.mpc(v) for v in b]
+        if len(set(sa)) == 1:
+            return complex(mpmath.exp(sa[0] * mpmath.fsum(sb)))
+        n = len(sa)
+        mat = mpmath.matrix([[mpmath.exp(ai * bj) for bj in sb] for ai in sa])
+        vdm = mpmath.fprod(v[j] - v[i] for v in (sa, sb)
+                           for i in range(n) for j in range(i + 1, n))
+        return complex(math.prod(math.factorial(p) for p in range(n)) * mpmath.det(mat) / vdm)
 
 
-def series_reference(x, y, max_weight, tol):
-    """kernel_series evaluated one spectrum and one partition at a time."""
+def series_box_reference(x, y, w):
+    """kernel_series(x, y, max_weight=w, tol=0) one partition at a time:
+    e^(n s t) times the sum over lambda_1 <= w of
+    delta!/(lambda+delta)! s_lambda(x - s) s_lambda(z - t), z = conj(y), with
+    s and t the means of x and z."""
     n = len(x)
+    z = [complex(e).conjugate() for e in y]
+    s, t = sum(x) / n, sum(z) / n
+    xc, zc = [e - s for e in x], [e - t for e in z]
     delta_fact = vector_factorial(staircase(n))
-    kmax = max_weight + n - 1
-    hx = homogeneous_values(x, kmax)
-    hy = homogeneous_values([complex(e).conjugate() for e in y], kmax)
-    total, shell_mag, small_run = 0j, 0.0, 0
-    for w in range(max_weight + 1):
-        shell = list(partitions_of_weight(w, n))
-        coeffs = np.array([delta_fact / vector_factorial(lam.plus_staircase(n)) for lam in shell])
-        sx = np.array([_jt_det(lam, hx) for lam in shell])
-        sy = np.array([_jt_det(lam, hy) for lam in shell])
-        terms = coeffs * sx * sy
-        total += complex(terms.sum())
-        shell_mag = float(np.abs(terms).sum())
-        small_run = small_run + 1 if shell_mag < 1e-3 * tol else 0
-        if small_run >= n:
-            break
-    return total, w, shell_mag
+    total = 0j
+    # weakly decreasing n-tuples of parts <= w: the box lambda_1 <= w
+    for parts in itertools.combinations_with_replacement(range(w, -1, -1), n):
+        lam = Partition(parts)
+        coeff = delta_fact / vector_factorial(lam.plus_staircase(n))
+        total += coeff * schur_numeric(lam, xc) * schur_numeric(lam, zc)
+    return cmath.exp(n * s * t) * total
+
+
+def spectrum(rng, n, mag, complex_points):
+    """n points of modulus <= mag: real, or uniform on a square."""
+    if not complex_points:
+        return tuple(complex(v) for v in rng.uniform(-mag, mag, n))
+    v = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    return tuple(complex(e) for e in mag * v / math.sqrt(2))
 
 
 class TestKernelSeries:
-    def test_matches_per_spectrum_reference_bitwise(self):
-        # x and y share one batched evaluation on cached shell plans; neither
-        # a cold nor a warm cache may change a bit of the value, the shells
-        # used or the last shell's mass
+    def test_matches_per_partition_reference(self):
+        # the one determinant is the sum over the box lambda_1 <= W, term by term
         rng = np.random.default_rng(11)
-        for n in (1, 2, 3, 4, 6):
-            for mag in (0.5, 1.0, 2.0, 4.0):
+        for n in (1, 2, 3, 4):
+            for mag in (0.5, 1.0):
                 for coincident in (False, True):
-                    for tol in (1e-8, 0.0):
-                        x = rng.uniform(-mag, mag, n) + 1j * rng.uniform(-mag, mag, n)
-                        if coincident:
-                            x[:] = x[0]
-                        y = rng.uniform(-mag, mag, n) + 1j * rng.uniform(-mag, mag, n)
-                        mw = 24 if tol else 10
-                        value, used, shell_mag = series_reference(tuple(x), tuple(y), mw, tol)
-                        numeric._shell_plan.cache_clear()
-                        for _ in range(2):  # a cold cache, then a warm one
-                            got = kernel_series(tuple(x), tuple(y), max_weight=mw, tol=tol)
-                            assert np.array(got.value).tobytes() == np.array(value).tobytes()
-                            assert got.max_weight_used == used
-                            assert np.array(got.last_shell_magnitude).tobytes() == (
-                                np.array(shell_mag).tobytes()
-                            )
+                    x = spectrum(rng, n, mag, True)
+                    if coincident:
+                        x = (x[0],) * n
+                    y = spectrum(rng, n, mag, True)
+                    for w in (0, 1, 4, 8):
+                        want = series_box_reference(x, y, w)
+                        got = kernel_series(x, y, max_weight=w, tol=0.0)
+                        assert got.max_weight_used == w
+                        assert abs(got.value - want) <= 1e-13 * abs(want), (n, mag, w)
 
-    def test_plan_is_built_once_per_shell(self, monkeypatch):
-        builds = []
-        enumerate_shell = numeric.partitions_of_weight
+    def test_error_within_its_bound_against_oracle(self):
+        # last_shell_magnitude bounds the truncation; rounding adds about
+        # 1e-14 of the value here, so the allowance for it is 1e-12.  At
+        # W = 2 the truncation error reaches a few percent of the bound.
+        rng = np.random.default_rng(29)
+        for n in range(1, 7):
+            for mag in (0.5, 1.0, 2.0, 4.0):
+                for kind in ("real", "complex", "coincident"):
+                    for _ in range(4):
+                        x = spectrum(rng, n, mag, kind != "real")
+                        if kind == "coincident":
+                            x = (x[0],) * n
+                        y = spectrum(rng, n, mag, kind != "real")
+                        want = mp_hciz(x, [e.conjugate() for e in y])
+                        for opts in ({}, {"max_weight": 2, "tol": 0.0}):
+                            got = kernel_series(x, y, **opts)
+                            err = abs(got.value - want)
+                            case = (n, mag, kind, opts, err, got.last_shell_magnitude)
+                            assert err <= got.last_shell_magnitude + 1e-12 * abs(want), case
+                            if mag <= 2.0 and not opts:
+                                assert err <= 1e-10 * abs(want), case
 
-        def counting(weight, max_parts):
-            builds.append((weight, max_parts))
-            return enumerate_shell(weight, max_parts)
-
-        monkeypatch.setattr(numeric, "partitions_of_weight", counting)
-        numeric._shell_plan.cache_clear()
-        # tol=0 never stops early, so both calls need every shell up to 10
-        kernel_series((0.1, 0.4, 0.9), (0.2, -0.3, 0.5), max_weight=10, tol=0.0)
-        assert builds == [(w, 3) for w in range(11)]
-        builds.clear()
-        kernel_series((-0.7, 0.2, 1.3), (0.5, 0.1, -0.4), max_weight=10, tol=0.0)
-        assert builds == []
+    def test_coincident_spectrum_is_its_centering_factor(self):
+        # x - mean(x) = 0: every nonempty lambda drops out, W = 0
+        got = kernel_series((4.0, 4.0), (-4.0, -4.0))
+        assert got.value == cmath.exp(-32.0) == 1.2664165549094176e-14
+        assert got.max_weight_used == 0
+        assert got.last_shell_magnitude == 0.0
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
     def test_rejects_a_tolerance_that_cannot_stop_correctly(self, tol):
@@ -665,9 +676,14 @@ class TestKernelSeries:
             kernel_series((1.0, 2.0), (1.0, 2.0), tol=tol)
 
     def test_weight_zero_is_one(self):
-        r = kernel_series((0.4, -0.2), (0.3, 0.1), max_weight=0)
-        assert r.value == 1.0 + 0j
+        # only lambda = () has lambda_1 <= 0: the centered sum is exactly 1
+        x, y = (0.4 + 0.1j, -0.2), (0.3, 0.1 - 0.5j)
+        r = kernel_series(x, y, max_weight=0)
+        s, t = sum(x) / 2, sum(e.conjugate() for e in map(complex, y)) / 2
+        assert r.value == cmath.exp(2 * s * t)
         assert r.max_weight_used == 0
+        r = kernel_series((0.4, -0.4), (0.3, -0.3), max_weight=0)
+        assert r.value == 1.0 + 0j
 
     def test_single_point_exponential(self):
         x, y = 0.4 + 0.1j, -0.3 + 0.2j
@@ -744,20 +760,18 @@ class TestKernelSeries:
         assert got.max_weight_used == want.max_weight_used
         assert peak < 4 * 2**20
 
-    def test_grown_tables_keep_every_bit(self):
-        # tol=0 runs past the first table, which covers weight 24
+    def test_full_depth_matches_oracle_to_rounding(self):
+        # tol=0 takes W = max_weight; the tail past 25 is below rounding here
         rng = np.random.default_rng(5)
         for n in (1, 2, 3):
-            x = tuple(rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n))
-            y = tuple(rng.uniform(-0.5, 0.5, n))
+            x = spectrum(rng, n, 0.5, True)
+            y = spectrum(rng, n, 0.5, False)
+            want = mp_hciz(x, [e.conjugate() for e in y])
             for mw in (25, 40, 57):
-                value, used, shell_mag = series_reference(x, y, mw, 0.0)
                 got = kernel_series(x, y, max_weight=mw, tol=0.0)
-                assert np.array(got.value).tobytes() == np.array(value).tobytes()
-                assert got.max_weight_used == used == mw
-                assert np.array(got.last_shell_magnitude).tobytes() == (
-                    np.array(shell_mag).tobytes()
-                )
+                assert got.max_weight_used == mw
+                assert got.last_shell_magnitude < 1e-30
+                assert abs(got.value - want) <= 1e-14 * abs(want), (n, mw)
 
 
 class TestKernelQMC:
