@@ -170,19 +170,27 @@ def _gram_schmidt(q: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _haar_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_batch(
+    count: int, n: int, rng: np.random.Generator, columns: int | None = None
+) -> np.ndarray:
     """Haar-distributed unitaries: the Q of a Ginibre draw G = QR whose R has
-    a real positive diagonal (Mezzadri, Notices AMS 54, 2007).
+    a real positive diagonal (Mezzadri, Notices AMS 54, 2007), as
+    (matrix, row, column).
 
     G is drawn unscaled, since Q(sG) = Q(G) for s > 0, and straight into the
-    layout `_gram_schmidt` sweeps, which orthonormalises it in place.
+    layout `_gram_schmidt` sweeps, which orthonormalises it in place.  With
+    `columns` = k < n only the first k columns of G are drawn, an n x k
+    frame: Gram-Schmidt column j reads only columns <= j, and the draw fills
+    column by column, so the frame is bit for bit the first k columns of the
+    full unitary from the same stream (up to a measure-zero redraw).
     """
-    q = _complex_normals((n, n, count), rng)
+    columns = n if columns is None else columns
+    q = _complex_normals((columns, n, count), rng)
     bad = _gram_schmidt(q)
     while bad.any():
         # measure-zero breakdown (a zero pivot): redraw the affected matrices
         rows = np.nonzero(bad)[0]
-        redraw = _complex_normals((n, n, len(rows)), rng)
+        redraw = _complex_normals((columns, n, len(rows)), rng)
         bad[rows] = _gram_schmidt(redraw)
         q[:, :, rows] = redraw
     return q.transpose(2, 1, 0)
@@ -343,13 +351,32 @@ def _mc_mean(
 def hciz_mc(a, b, n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     """Monte Carlo mean of exp(Tr(u A u^-1 B)) over Haar samples, A=diag(a), B=diag(b).
 
-    The exponent is t = sum_ij |u_ij|^2 a_j b_i.  Its rounding (see
-    `_sample_rounding`): |u|^2 is doubly stochastic for unitary u, so with
-    S = min(max|a| sum|b|, max|b| sum|a|) the sum of |terms| is at most S,
-    and a residual E = u^H u - I moves t by at most ||E||_2 S; each term
-    meets hypot, square, the real-by-complex and complex products (1, 1,
-    1, 3 roundings) and the n**2 - 1 additions of the einsum, n**2 + 5 in all.
-    Draws come in batches of `_matrix_batch(n)` unitaries, a few MiB at any n.
+    The exponent is t = sum_ij |u_ij|^2 a_j b_i.  The rows of |u|^2 sum to
+    1, so shifting A by alpha = a_k moves t by alpha Tr B and takes column k
+    out of it:
+
+        t = alpha sum_i b_i + sum_{j != k} (a_j - alpha) sum_i b_i |u_ij|^2.
+
+    So each sample needs only an n x (n - 1) frame of u, `_haar_batch` with
+    n - 1 columns; Haar measure is invariant under column permutations, so
+    the frame's columns stand for the a_j, j != k, in order.  k is the
+    (lowest) index that minimises the gain S below.  Where every a_j - alpha
+    is 0 (n = 1, or a coincident a-spectrum) the integrand is the constant
+    exp(alpha sum b) and nothing is drawn.  Real spectra are summed in real
+    arithmetic.
+
+    Rounding (see `_sample_rounding`): with c_j = a_j - alpha, the frame's
+    columns of |u|^2 sum to 1 and its rows to at most 1, so with
+    S = min(max|c| sum|b|, max|b| sum|c|) the terms c_j b_i |u_ij|^2 sum in
+    absolute value to at most S, and a residual E = u^H u - I (a block of
+    the full unitary's) moves t by at most ||E||_2 S.  The re^2 and im^2
+    parts of each term meet the subtraction, the product c_j b_i (3
+    roundings when complex), the square, the product with it, the
+    n(n - 1) - 1 additions of their half of the sum, and the two that add
+    the halves and the constant: n(n - 1) + 7 in all.  The constant, alpha
+    times a correctly rounded fsum of b, is off by at most 5u |alpha sum b|
+    (the fsum, the complex product and its addition).  Draws come in
+    batches of `_matrix_batch(n)` frames, a few MiB at any n.
     """
     a, b = as_spectrum(a), as_spectrum(b)
     if a.n != b.n:
@@ -357,15 +384,28 @@ def hciz_mc(a, b, n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     n = a.n
     av = np.array(a.eigs)
     bv = np.array(b.eigs)
+    ab = np.abs(bv)
+    dist = np.abs(av[:, None] - av)  # dist[j, k] = |a_j - a_k|
+    gains = np.minimum(dist.max(axis=0) * ab.sum(), ab.max() * dist.sum(axis=0))
+    k = int(np.argmin(gains))
+    # coef[j, i] = (a_j - alpha) b_i over the frame's columns j, the layout
+    # of the (column, row, matrix) draw
+    coef = np.outer(np.delete(av, k) - av[k], bv).ravel()
+    const = av[k] * complex(math.fsum(bv.real), math.fsum(bv.imag))
+    if not (av.imag.any() or bv.imag.any()):
+        coef, const = coef.real, const.real
 
     def values(rng, count):
-        u = _haar_batch(count, n, rng)
-        tr = np.einsum("bij,j,i->b", np.abs(u) ** 2, av, bv)
-        return np.exp(tr)
+        if not coef.any():
+            return np.full(count, np.exp(const))
+        frame = np.ascontiguousarray(_haar_batch(count, n, rng, n - 1).T)
+        # each entry's re^2 and im^2, squared in place, weighted apart, then added
+        parts = frame.view(float).reshape(len(coef), 2 * count)
+        sums = coef @ np.square(parts, out=parts)
+        return np.exp(const + (sums[0::2] + sums[1::2]))
 
-    aa, ab = np.abs(av), np.abs(bv)
-    gain = float(min(aa.max() * ab.sum(), ab.max() * aa.sum()))
-    rel = _sample_rounding(gain, gain, n * n + 5)
+    gain = float(gains[k])
+    rel = _sample_rounding(gain, gain, n * (n - 1) + 7) + 5 * _U * abs(const)
     return _mc_mean(values, n_samples, seed, threads, rel, batch=_matrix_batch(n))[0]
 
 
@@ -405,7 +445,11 @@ def hciz_determinant(a, b, gap_tol: float = GAP_TOL_DEFAULT) -> complex:
     bv = np.array(b.eigs)
     mat = np.exp(np.outer(av, bv))
     vdm = _vdm_product(av) * _vdm_product(bv)
-    return superfactorial(n - 1) * complex(np.linalg.det(mat)) / vdm
+    try:
+        scale = float(superfactorial(n - 1))
+    except OverflowError:  # from n = 28 on: inf, as `_exp` gives, not a traceback
+        scale = math.inf
+    return scale * complex(np.linalg.det(mat)) / vdm
 
 
 def _check_series_limits(max_weight: int, tol: float) -> None:

@@ -266,6 +266,6 @@ def suite_haar(n: int = 3, n_samples: int = 100000, seed: int = 0) -> SuiteRepor
     # the residual is a safety check on every draw, so its max, not a mean
     cases = [SuiteCase("unitarity residual", max(resids) < 1e-12,
                        f"max over samples {max(resids):.3e}")]
-    labels = [f"E|u_{i + 1}{j + 1}|^2" for i in range(n) for j in range(n)]
+    labels = [f"E|u_{i + 1},{j + 1}|^2" for i in range(n) for j in range(n)]
     cases += _moment_cases(zip(labels, ests, [1.0 / n] * (n * n)))
     return _report("haar", {"n": n, "n_samples": n_samples, "seed": seed}, cases)

@@ -182,7 +182,8 @@ class TestEval:
         names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         assert names == ["series", "det", "det vs series", "verdict"]
 
-    # 2 samples at seed 2 and 3 at seed 11 fall outside the band, the others inside
+    # 2 samples at seed 2 and 3 at seed 11 fall outside the band (det vs mc
+    # about 5 standard errors apart), the others inside
     @pytest.mark.parametrize("samples, seed", [(200, 0), (200, 1), (200, 2), (2, 0), (2, 2), (3, 11)])
     def test_mc_checks_use_the_estimate_band(self, tmp_path, samples, seed):
         code, rep = run(tmp_path, ["eval", "--n", "2", "--a", "r", "--b", "r", "--seed", str(seed),
@@ -510,6 +511,10 @@ class TestExitCodeContract:
              "non-finite value from det"),
             (["eval", "--n", "1", "--a", "800", "--b", "800", "--methods", "series"], EXIT_DOMAIN,
              "non-finite value from series"),
+            # prod_{p<n} p! passes the double range from n = 28
+            (["eval", "--n", "28", "--a", ",".join(str(i / 10) for i in range(28)),
+              "--b=" + ",".join(str(-i / 20) for i in range(28)), "--methods", "det"],
+             EXIT_DOMAIN, "non-finite value from det"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "schur-underflow",
@@ -525,7 +530,8 @@ class TestExitCodeContract:
              "max-weight-1-without-series", "samples-5-without-mc", "samples-1-without-mc",
              "threads-0-without-mc", "threads-65-without-mc", "fourier-n30", "unitarity-n30",
              "diffop-n30", "alt-orthonormal-n10", "inv-orthonormal-n30", "schur-increasing-parts",
-             "schur-n-without-exact", "det-n1-overflow", "series-n1-overflow"],
+             "schur-n-without-exact", "det-n1-overflow", "series-n1-overflow",
+             "det-n28-superfactorial"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

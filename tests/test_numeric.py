@@ -118,9 +118,11 @@ class TestSamplers:
             sample_ginibre(0, rng)
 
 
-def _qr_haar_reference(count, n, rng):
-    """The QR route to the same unitaries: Q of G = QR, times R's diagonal phases."""
-    g = numeric._complex_normals((n, n, count), rng).transpose(2, 1, 0)
+def _qr_haar_reference(count, n, rng, columns=None):
+    """The QR route to the same unitaries (or n x columns frames): Q of the
+    thin G = QR, times R's diagonal phases."""
+    columns = n if columns is None else columns
+    g = numeric._complex_normals((columns, n, count), rng).transpose(2, 1, 0)
     q, r = np.linalg.qr(g)
     d = np.einsum("bii->bi", r)
     return q * (d / np.abs(d))[:, None, :]
@@ -179,6 +181,19 @@ class TestHaarSampler:
         assert (np.abs(diag.imag).max(axis=1) <= tol).all()
         assert (diag.real > 0).all()
         assert (_unitarity_residuals(u) <= _HAAR_RESIDUAL * _U).all()
+
+    @pytest.mark.parametrize("n", list(range(2, 14)))
+    def test_frame_is_the_leading_columns_bit_for_bit(self, n):
+        # CGS2 column j reads only columns <= j, and the draw fills column by
+        # column, so a k-column frame is the full unitary's first k columns
+        def rng():
+            return np.random.Generator(np.random.Philox(60 + n))
+
+        full = numeric._haar_batch(_PAST_CHUNK, n, rng())
+        for k in sorted({1, n // 2, n - 1}):
+            frame = numeric._haar_batch(_PAST_CHUNK, n, rng(), k)
+            assert frame.shape == (_PAST_CHUNK, n, k)
+            assert np.array_equal(frame, full[:, :, :k])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_estimators_match_qr_reference(self, n, monkeypatch):
@@ -359,7 +374,9 @@ class TestMatrixBatches:
                 assert counts == [batch] * 3 + [5], name
 
     # recorded before batches were sized by entries; at n <= 2 the batch is
-    # still `_BATCH`, so every bit of these outputs must stay
+    # still `_BATCH`, so every bit of these outputs must stay.  The hciz_mc
+    # entries were recorded again when it moved onto the (n - 1)-column frame,
+    # which draws fewer normals per matrix (none at n = 1)
     PINNED = {
         ("ginibre", 1): [
             ("0x1.0020bd8a91eadp+0", "0x0.0p+0",
@@ -389,11 +406,11 @@ class TestMatrixBatches:
         ],
         ("hciz_mc", 1): [
             ("0x1.cc2a4119a2eb4p+0", "0x0.0p+0",
-             "0x1.099c5717f2299p-59", "0x1.dd39f1b5a58d9p-47"),
+             "0x1.f98321ea4b85fp-60", "0x1.63ce13328ec23p-47"),
         ],
         ("hciz_mc", 2): [
-            ("0x1.15bbc8c478e4fp+0", "0x0.0p+0",
-             "0x1.10385deb1da0dp-9", "0x1.704c8d28b738fp-47"),
+            ("0x1.1716c5fcd3257p+0", "0x0.0p+0",
+             "0x1.10a4ab46f03d1p-9", "0x1.76ba1b78ce161p-47"),
         ],
         ("kernel_q_mc", 1): [
             ("0x1.0dffbff40da4ap+0", "0x1.4043c7144b676p+0",
@@ -455,13 +472,77 @@ class TestMatrixBatches:
         assert max(peaks) < 16 * 2**20, peaks
 
 
+def _hciz_integrand(monkeypatch, a, b):
+    """The per-sample function `values(rng, count)` that `hciz_mc` hands to `_mc_mean`."""
+    got = []
+
+    def capture(values, n_samples, seed, *args, **kwargs):
+        got.append(values)
+        return [MCEstimate(0j, 0.0, n_samples, seed)]
+
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_mc_mean", capture)
+        hciz_mc(a, b, 2, 0)
+    return got[0]
+
+
+def _dropped_index(a, b):
+    """The a_k that `hciz_mc` shifts out: the lowest k minimising
+    min(max|c| sum|b|, max|b| sum|c|) over c_j = a_j - a_k."""
+    def gain(k):
+        c = [abs(x - a[k]) for x in a]
+        return min(max(c) * sum(map(abs, b)), max(map(abs, b)) * sum(c))
+
+    return min(range(len(a)), key=gain)
+
+
 class TestMonteCarlo:
     def test_constant_integrand_single_point(self):
-        # the integrand is constant up to unitary rounding, so the stderr
-        # collapses to the rounding scale
+        # at n = 1 every sample is exp(ab), so the stderr collapses to the
+        # rounding scale
         est = hciz_mc((0.7,), (-1.1,), n_samples=500, seed=0)
         assert abs(est.mean - cmath.exp(0.7 * -1.1)) < 1e-12
         assert est.stderr < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("imag", [0.0, 0.5])
+    def test_shifted_exponent_matches_the_full_unitary(self, n, imag, monkeypatch):
+        # t on the frame equals sum_ij a_j b_i |u_ij|^2 on the full unitary of
+        # the same draw, once its columns are read as the a_j with j != k in
+        # order and a_k last; real and complex spectra take different branches
+        rng = np.random.Generator(np.random.Philox(70 + n))
+        a = rng.uniform(-2.0, 2.0, n) + 1j * imag * rng.uniform(-1.0, 1.0, n)
+        b = rng.uniform(-2.0, 2.0, n) + 1j * imag * rng.uniform(-1.0, 1.0, n)
+        k = _dropped_index(a, b)
+        values = _hciz_integrand(monkeypatch, a, b)
+        got = values(np.random.Generator(np.random.Philox(3)), 1000)
+        u = numeric._haar_batch(1000, n, np.random.Generator(np.random.Philox(3)))
+        order = [j for j in range(n) if j != k] + [k]
+        want = np.exp(np.einsum("bij,j,i->b", np.abs(u) ** 2, a[order], b))
+        assert np.iscomplexobj(got) == bool(imag)
+        scale = np.abs(a).sum() * np.abs(b).sum()
+        assert (np.abs(got - want) <= 8 * n * n * _U * scale * np.abs(want)).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_draws_an_n_minus_one_column_frame(self, n, monkeypatch):
+        # the Haar draws are (n - 1)-column frames; a constant integrand (n = 1,
+        # or a coincident a-spectrum) draws nothing
+        draws = _recording_draws(monkeypatch)
+        b = np.linspace(0.5, -0.3, n)
+        hciz_mc(np.linspace(-1.0, 1.0, n), b, 5000, 0)
+        assert all(g.shape[1:] == (n, n - 1) for g in draws)
+        assert sum(len(g) for g in draws) == (0 if n == 1 else 5000)
+        draws.clear()
+        hciz_mc((0.4,) * n, b, 5000, 0)
+        assert draws == []
+
+    def test_agrees_with_closed_form_complex_n3(self):
+        a, b = (0.3 + 0.4j, -0.6, 1.0 - 0.2j), (0.9, 0.1 - 0.5j, -0.5 + 0.3j)
+        want = hciz_determinant(a, b)
+        est = hciz_mc(a, b, n_samples=60000, seed=2)
+        # a real-only estimate would miss by more than the band
+        assert abs(want.imag) > est.band
+        assert est.within(want)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
     def test_rounding_bounds_coincident_spectrum(self, n):
@@ -797,17 +878,10 @@ class TestKernelQMC:
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_high_precision_oracle(self, n):
         # kernel_q_mc(diag a, diag b) = I(a, conj b), the closed form in 40 digits
-        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(n)
         a = rng.uniform(-1, 1, n) + 1j * rng.uniform(-0.5, 0.5, n)
         b = rng.uniform(-1, 1, n) + 1j * rng.uniform(-0.5, 0.5, n)
-        with mpmath.workdps(40):
-            sa = [mpmath.mpc(v) for v in a]
-            sb = [mpmath.mpc(v).conjugate() for v in b]
-            mat = mpmath.matrix([[mpmath.exp(ai * bj) for bj in sb] for ai in sa])
-            vdm = mpmath.fprod(v[j] - v[i] for v in (sa, sb)
-                               for i in range(n) for j in range(i + 1, n))
-            want = complex(math.prod(math.factorial(p) for p in range(n)) * mpmath.det(mat) / vdm)
+        want = mp_hciz(a, b.conj(), dps=40)
         est = kernel_q_mc(np.diag(a), np.diag(b), n_samples=40000, seed=12)
         assert est.within(want)
 

@@ -266,6 +266,6 @@ class TestStatisticalSuites:
         labels = {c.label for c in rep.cases}
         assert "unitarity residual" in labels
         # each entry is an MC estimate decided by `within`, like the Ginibre moments
-        entry = next(c for c in rep.cases if c.label == "E|u_12|^2")
+        entry = next(c for c in rep.cases if c.label == "E|u_1,2|^2")
         assert entry.detail.startswith("estimate ") and entry.detail.endswith(
             ", expected 0.3333333333333333")
