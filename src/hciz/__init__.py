@@ -36,7 +36,6 @@ _EXPORTS = {
         "enumerate_partitions",
         "norm_const_c2",
         "schur_exact",
-        "schur_numeric",
         "schur_to_power_sums",
         "staircase",
     ),
@@ -66,6 +65,7 @@ _EXPORTS = {
         "kernel_series",
         "sample_ginibre",
         "sample_haar_unitary",
+        "schur_numeric",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

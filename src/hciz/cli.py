@@ -326,7 +326,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    from .symfn import schur_exact, schur_numeric, schur_to_power_sums
+    from .symfn import schur_exact, schur_to_power_sums
 
     lam = parse_partition(args.lam)
     if args.eigs is None and not args.exact and not args.power_sums:
@@ -342,7 +342,7 @@ def cmd_schur(args) -> int:
     results = {}
     lines = []
     if args.eigs is not None:
-        from .numeric import Spectrum
+        from .numeric import Spectrum, schur_numeric
 
         # Spectrum rejects a non-finite point as a usage error, as in eval
         eigs = Spectrum(tuple(parse_complex(p) for p in args.eigs.split(","))).eigs

@@ -6,6 +6,10 @@ by three independent routes: the closed-form ratio of a determinant of
 exponentials to Vandermonde products, Monte Carlo over Haar measure, and
 the truncated Schur-function expansion of the reproducing kernel.
 
+This is the float layer, the h recurrence and `schur_numeric` included.
+It imports no `hciz` module but `errors`, and the exact layer (`scalars`,
+`exactpoly`, `symfn`, `invariant`) imports neither it nor numpy.
+
 Convention split, deliberately kept apart: `hciz_*` functions take both
 spectra holomorphically (the integral as usually written), while the
 `kernel_*` functions conjugate their second argument (the reproducing
@@ -28,13 +32,16 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionMismatchError
-from .symfn import homogeneous_prefixes, superfactorial
 
 GAP_TOL_DEFAULT = 1e-8
 _BATCH = 32768  # integrand values per Monte Carlo batch
 _BATCH_ENTRIES = 2**17  # complex matrix entries per batch of n x n draws (2 MiB)
 MAX_THREADS = 64  # Monte Carlo workers: `threads` outside 1..MAX_THREADS raises
 _GS_CHUNK = 8192  # matrices per Gram-Schmidt sweep (measured best of 1024..16384)
+
+# the most entries of the series' (W + n) x n prefix tables: W = 499,998 at
+# n = 2 takes about 0.6 s and 90 MB, W = 9900 at n = 100 about 1.2 s and 80 MB
+MAX_SERIES_ENTRIES = 1_000_000
 
 # rounding model of the MC estimates (derived in `_sample_rounding`)
 _U = 2.0**-53  # unit roundoff of float64
@@ -446,7 +453,7 @@ def hciz_determinant(a, b, gap_tol: float = GAP_TOL_DEFAULT) -> complex:
     mat = np.exp(np.outer(av, bv))
     vdm = _vdm_product(av) * _vdm_product(bv)
     try:
-        scale = float(superfactorial(n - 1))
+        scale = float(math.prod(map(math.factorial, range(n))))
     except OverflowError:  # from n = 28 on: inf, as `_exp` gives, not a traceback
         scale = math.inf
     return scale * complex(np.linalg.det(mat)) / vdm
@@ -476,6 +483,38 @@ def _exp_remainder(r: float, w: int) -> float:
     else:
         return 0.0
     return math.exp(log_bound) if log_bound < 709.0 else math.inf
+
+
+def homogeneous_prefixes(eigs, kmax: int) -> list:
+    """Row i holds h_0..h_kmax of the first i points, i = 0..n, where
+    sum_k h_k t^k = prod_i 1/(1 - x_i t).
+
+    Each point x multiplies in as h_k += x h_{k-1}, k = 1..kmax (Macdonald
+    I.2), and each row is the table after one more point.  Stable at
+    coincident points, unlike the bialternant ratio: h_k is within (n+k)
+    roundings of h_k(|x|).
+    """
+    h = [1.0 + 0j] + [0j] * kmax
+    rows = [h.copy()]
+    for x in eigs:
+        x = complex(x)
+        for k in range(1, kmax + 1):
+            h[k] += x * h[k - 1]
+        rows.append(h.copy())
+    return rows
+
+
+def schur_numeric(lam, eigs) -> complex:
+    """s_lambda at complex points, lambda a `Partition`, via det[h_{lambda_i - i + j}]."""
+    if lam.length > len(eigs):
+        raise DimensionMismatchError(f"partition {lam} needs more than {len(eigs)} variables")
+    ell = lam.length
+    h = homogeneous_prefixes(eigs, max(lam.part(0) + ell - 1, 0))[-1]
+    if ell <= 1:
+        return h[lam.part(0)]
+    mat = [[h[k] if k >= 0 else 0j for k in (lam[i] - i + j for j in range(ell))]
+           for i in range(ell)]
+    return complex(np.linalg.det(np.array(mat, dtype=complex)))
 
 
 def _prefix_table(v, rows: int, scale: np.ndarray) -> np.ndarray:
@@ -508,8 +547,9 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
     after degree W (`_exp_remainder`), returned as `last_shell_magnitude`.
     W is the smallest weight <= `max_weight` that brings it to 1e-3 * tol
     or below, else `max_weight`; `tol` must be finite and >= 0, and 0 takes
-    W = `max_weight`.  A coincident spectrum centers to 0: its value is
-    e^(n s t) exactly.
+    W = `max_weight`; a W whose tables would pass `MAX_SERIES_ENTRIES`
+    entries raises ValueError before they are built.  A coincident spectrum
+    centers to 0: its value is e^(n s t) exactly.
     """
     x, y = as_spectrum(x), as_spectrum(y)
     if x.n != y.n:
@@ -527,9 +567,14 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
         rem = _exp_remainder(r, w)
         return abs(factor) * rem if rem else 0.0
 
+    fits = max(0, MAX_SERIES_ENTRIES // n - n)  # the largest W whose tables fit
     w = max_weight
     if tol:
-        w = next((k for k in range(max_weight + 1) if tail(k) <= 1e-3 * tol), max_weight)
+        w = next((k for k in range(min(max_weight, fits) + 1) if tail(k) <= 1e-3 * tol),
+                 max_weight)
+    if w > fits:
+        raise ValueError(f"the series at n = {n} would sum past weight {fits}, and its "
+                         f"(W + n) x n tables would pass {MAX_SERIES_ENTRIES} entries")
     value = factor
     if w:
         rows = w + n

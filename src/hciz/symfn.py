@@ -1,13 +1,12 @@
 """Partitions, alternants, Schur polynomials and their normalizations.
 
-Exact throughout, except for `schur_numeric`, the one floating-point Schur
-evaluator (a Jacobi-Trudi determinant of the h-values of
-prod_i 1/(1 - x_i t)), and the h recurrence behind it, whose prefix tables
-(`homogeneous_prefixes`) the character series reads.  Everything else
-returns ExactPoly values or exact scalars.  A normalization constant is
-the square root of a positive rational; `Scaled` carries it as that
-rational, its square, next to the polynomial it scales, and is only
-compared or mapped, never multiplied or evaluated, so no root is formed.
+Exact throughout: everything returns ExactPoly values, exact scalars or
+partitions, and nothing here imports numpy.  Schur values at float points
+(`schur_numeric`, and the h recurrence behind it) belong to the float
+layer, `numeric`.  A normalization constant is the square root of a
+positive rational; `Scaled` carries it as that rational, its square, next
+to the polynomial it scales, and is only compared or mapped, never
+multiplied or evaluated, so no root is formed.
 
 Conventions.  The staircase is delta = (n-1, n-2, ..., 0), and
 alternant(delta, n) = det[x_i^{delta_j}] = prod_{i<j} (x_i - x_j).  A
@@ -235,55 +234,6 @@ def schur_exact(lam: Partition, n: int) -> ExactPoly:
                     out[key] = out.get(key, 0) + c
         states = below
     return ExactPoly(n, {_pack(pairs): c for pairs, c in states[()].items()})
-
-
-# -- numeric Schur values ---------------------------------------------------------
-
-
-def homogeneous_prefixes(eigs, kmax: int) -> list:
-    """Row i holds h_0..h_kmax of the first i points, i = 0..n, where
-    sum_k h_k t^k = prod_i 1/(1 - x_i t).
-
-    Each point x multiplies in as h_k += x h_{k-1}, k = 1..kmax (Macdonald
-    I.2), and each row is the table after one more point.  Stable at
-    coincident points, unlike the bialternant ratio: h_k is within (n+k)
-    roundings of h_k(|x|).
-    """
-    h = [1.0 + 0j] + [0j] * kmax
-    rows = [h.copy()]
-    for x in eigs:
-        x = complex(x)
-        for k in range(1, kmax + 1):
-            h[k] += x * h[k - 1]
-        rows.append(h.copy())
-    return rows
-
-
-def homogeneous_values(eigs, kmax: int) -> list:
-    """h_0..h_kmax of all the points: the last row of `homogeneous_prefixes`."""
-    return homogeneous_prefixes(eigs, kmax)[-1]
-
-
-def jacobi_trudi_indices(lam: Partition):
-    """Row-major index matrix (lambda_i - i + j) of the h-determinant; below 0 marks a zero."""
-    ell = lam.length
-    return [[lam[i] - (i + 1) + (j + 1) for j in range(ell)] for i in range(ell)]
-
-
-def schur_numeric(lam: Partition, eigs) -> complex:
-    """s_lambda at complex points, via det[h_{lambda_i - i + j}]."""
-    if lam.length > len(eigs):
-        raise DimensionMismatchError(
-            f"partition {lam} needs more than {len(eigs)} variables"
-        )
-    ell = lam.length
-    h = homogeneous_values(eigs, max(lam.part(0) + ell - 1, 0))
-    if ell <= 1:
-        return h[lam.part(0)]
-    import numpy as np
-
-    mat = [[h[k] if k >= 0 else 0j for k in row] for row in jacobi_trudi_indices(lam)]
-    return complex(np.linalg.det(np.array(mat, dtype=complex)))
 
 
 # -- power-sum expansion -------------------------------------------------------------

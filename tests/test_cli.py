@@ -515,6 +515,14 @@ class TestExitCodeContract:
             (["eval", "--n", "28", "--a", ",".join(str(i / 10) for i in range(28)),
               "--b=" + ",".join(str(-i / 20) for i in range(28)), "--methods", "det"],
              EXIT_DOMAIN, "non-finite value from det"),
+            # refused before the (W + n) x n tables are built: tol 0 takes W = max_weight,
+            # and at r = 2e6 no W within the entry limit meets the tolerance
+            (["eval", "--n", "2", "--a", "1,2", "--b", "1,2", "--methods", "series",
+              "--max-weight", "1000000000", "--tol", "0"], EXIT_USAGE,
+             "would sum past weight 499998, and its (W + n) x n tables would pass 1000000"),
+            (["eval", "--n", "2", "--a", "1000,-1000", "--b", "1000,-1000", "--methods",
+              "series", "--max-weight", "1000000000"], EXIT_USAGE,
+             "would pass 1000000 entries"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "schur-underflow",
@@ -531,7 +539,7 @@ class TestExitCodeContract:
              "threads-0-without-mc", "threads-65-without-mc", "fourier-n30", "unitarity-n30",
              "diffop-n30", "alt-orthonormal-n10", "inv-orthonormal-n30", "schur-increasing-parts",
              "schur-n-without-exact", "det-n1-overflow", "series-n1-overflow",
-             "det-n28-superfactorial"],
+             "det-n28-superfactorial", "series-table-limit", "series-weight-search-limit"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

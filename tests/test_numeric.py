@@ -29,8 +29,9 @@ from hciz.numeric import (
     random_real_spectrum,
     sample_ginibre,
     sample_haar_unitary,
+    schur_numeric,
 )
-from hciz.symfn import Partition, alternant, schur_numeric, staircase, vector_factorial
+from hciz.symfn import Partition, alternant, staircase, vector_factorial
 
 
 def det_n2_by_hand(a, b):

@@ -3,8 +3,9 @@
 The exact commands and --help must start without numpy, --help also
 without dataclasses and platform, the exact `verify` commands without
 dataclasses and inspect, a one-worker
-Monte Carlo command without concurrent.futures, and `import hciz` with
-nothing but the package and its error types.  Two commands whose setup
+Monte Carlo command without concurrent.futures, `eval` without the exact
+layer or fractions, and `import hciz` with nothing but the package and its
+error types.  Two commands whose setup
 once grew quadratically with a size argument, and one whose cost once
 followed an argument that changes nothing, must finish within seconds, and
 so must two that the power-sum class limit refuses.
@@ -99,6 +100,14 @@ def test_exact_verify_commands_load_neither_dataclasses_nor_inspect():
     mods = set(json.loads(proc.stdout.splitlines()[-1]))
     assert "hciz.suites" in mods
     assert not {"dataclasses", "inspect"} & mods
+
+
+def test_eval_loads_no_exact_layer():
+    code, mods, _ = probe(["eval", "--n", "3", "--a", "r", "--b", "r", "--methods",
+                           "det,mc,series", "--samples", "2000", "--quiet"])
+    assert code == 0
+    assert not {"hciz.symfn", "hciz.exactpoly", "hciz.scalars", "hciz.invariant",
+                "hciz.suites", "fractions"} & mods
 
 
 def test_one_worker_eval_loads_no_thread_pool():

@@ -11,6 +11,7 @@ import pytest
 from hciz.errors import DegenerateExponentError, DimensionMismatchError
 from hciz.exactpoly import ExactPoly, bargmann_inner, exponent_vector
 from hciz.invariant import restrict_to_diagonal
+from hciz.numeric import homogeneous_prefixes, schur_numeric
 from hciz.scalars import GaussianRational
 from hciz.suites import random_trace_poly
 from hciz.symfn import (
@@ -25,19 +26,27 @@ from hciz.symfn import (
     character,
     d_lambda,
     enumerate_partitions,
-    homogeneous_values,
     is_alternating,
-    jacobi_trudi_indices,
     norm_const_c2,
     partitions_of_weight,
     schur_exact,
-    schur_numeric,
     schur_to_power_sums,
     staircase,
     superfactorial,
     vector_factorial,
     zee,
 )
+
+
+def homogeneous_values(eigs, kmax):
+    """h_0..h_kmax of all the points: the last row of `homogeneous_prefixes`."""
+    return homogeneous_prefixes(eigs, kmax)[-1]
+
+
+def jacobi_trudi_indices(lam):
+    """Row-major index matrix (lambda_i - i + j) of the h-determinant; below 0 marks a zero."""
+    ell = lam.length
+    return [[lam[i] - (i + 1) + (j + 1) for j in range(ell)] for i in range(ell)]
 
 
 # -- independent combinatorial oracles --------------------------------------------
