@@ -46,8 +46,9 @@ class UsageError(Exception):
 
 
 class NonFiniteValueError(ArithmeticError):
-    """An evaluator returned inf or nan, or a nonzero value that underflowed
-    below the smallest normal double; maps to exit code 2."""
+    """An evaluator's value left the double range: it returned inf or nan,
+    raised an ArithmeticError (`eval`), or was nonzero and underflowed below
+    the smallest normal double (`schur`); maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,27 +241,31 @@ def cmd_eval(args) -> int:
         "tolerance": args.tol,
         "threads": args.threads,
     }
-    values: dict[str, complex] = {}
-    results = {}
-    if "det" in methods:
-        values["det"] = hciz_determinant(a, b)
-        results["det"] = {"value": _cj(values["det"])}
-    if "mc" in methods:
-        est = hciz_mc(a, b, args.samples, args.seed, threads=args.threads)
-        values["mc"] = est.mean
-        results["mc"] = _fields(est)
-    if "series" in methods:
-        res = kernel_series(a, b.conj(), max_weight=args.max_weight, tol=args.tol)
-        values["series"] = res.value
-        results["series"] = _fields(res)
+    evaluators = {
+        "det": lambda: hciz_determinant(a, b),
+        "mc": lambda: hciz_mc(a, b, args.samples, args.seed, threads=args.threads),
+        "series": lambda: kernel_series(a, b.conj(), max_weight=args.max_weight, tol=args.tol),
+    }
+    outs, caught = {}, {}
+    for m in methods:
+        try:
+            outs[m] = evaluators[m]()
+        except ArithmeticError as exc:  # a value past the double range, like inf or nan
+            caught[m] = exc
+    # det returns a bare value, mc an MCEstimate and series a SeriesResult
+    values = {m: out if m == "det" else out.mean if m == "mc" else out.value
+              for m, out in outs.items()}
+    results = {m: {"value": _cj(out)} if m == "det" else _fields(out)
+               for m, out in outs.items()}
 
-    bad = [m for m in methods if not cmath.isfinite(values[m])]
+    bad = [m for m in methods if m in caught or not cmath.isfinite(values[m])]
     if bad:
-        raise NonFiniteValueError(f"non-finite value from {', '.join(bad)}")
+        why = "".join(f" ({m}: {type(e).__name__}: {e})" for m, e in caught.items())
+        raise NonFiniteValueError(f"non-finite value from {', '.join(bad)}{why}")
 
     def mc_band(m1, m2):
         # the estimate's own band, and a floor for the other method's rounding
-        return est.band + 1e-12 * max(abs(values[m1]), abs(values[m2]), 1.0)
+        return outs["mc"].band + 1e-12 * max(abs(values[m1]), abs(values[m2]), 1.0)
 
     policies = {
         ("det", "mc"): mc_band,

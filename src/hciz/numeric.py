@@ -37,7 +37,6 @@ GAP_TOL_DEFAULT = 1e-8
 _BATCH = 32768  # integrand values per Monte Carlo batch
 _BATCH_ENTRIES = 2**17  # complex matrix entries per batch of n x n draws (2 MiB)
 MAX_THREADS = 64  # Monte Carlo workers: `threads` outside 1..MAX_THREADS raises
-_GS_CHUNK = 8192  # matrices per Gram-Schmidt sweep (measured best of 1024..16384)
 
 # the most entries of the series' (W + n) x n prefix tables: W = 499,998 at
 # n = 2 takes about 0.6 s and 90 MB, W = 9900 at n = 100 about 1.2 s and 80 MB
@@ -154,26 +153,24 @@ def _gram_schmidt(q: np.ndarray) -> np.ndarray:
     Gram-Schmidt run twice per column (CGS2: unitary to O(u), Giraud et al.,
     Numer. Math. 101, 2005); return a flag per matrix for a zero pivot.
 
-    In this layout each step is one vectorised operation over a chunk of
-    `_GS_CHUNK` matrices, which bounds the size of its temporaries.
+    In this layout each step is one vectorised operation over the whole
+    batch, whose size `_matrix_batch` bounds.
     """
     n, _, count = q.shape
     bad = np.zeros(count, dtype=bool)
-    for lo in range(0, count, _GS_CHUNK):
-        block = q[:, :, lo:lo + _GS_CHUNK]
-        for j in range(n):
-            v = block[j]
-            for _ in range(2 if j else 0):
-                # r_k = <q_k, v>, summed as conj(sum q_k conj(v))
-                r = np.einsum("kib,ib->kb", block[:j], v.conj()).conj()
-                v -= np.einsum("kib,kb->ib", block[:j], r)
-            norm = np.sqrt(np.einsum("ib,ib->b", v.real, v.real)
-                           + np.einsum("ib,ib->b", v.imag, v.imag))
-            zero = norm == 0.0
-            if zero.any():
-                bad[lo:lo + _GS_CHUNK] |= zero
-                norm[zero] = 1.0
-            v /= norm
+    for j in range(n):
+        v = q[j]
+        for _ in range(2 if j else 0):
+            # r_k = <q_k, v>, summed as conj(sum q_k conj(v))
+            r = np.einsum("kib,ib->kb", q[:j], v.conj()).conj()
+            v -= np.einsum("kib,kb->ib", q[:j], r)
+        norm = np.sqrt(np.einsum("ib,ib->b", v.real, v.real)
+                       + np.einsum("ib,ib->b", v.imag, v.imag))
+        zero = norm == 0.0
+        if zero.any():
+            bad |= zero
+            norm[zero] = 1.0
+        v /= norm
     return bad
 
 
@@ -424,20 +421,13 @@ def _vdm_product(v: np.ndarray) -> complex:
     return complex(out)
 
 
-def _exp(z: complex) -> complex:
-    """e^z, with inf in place of OverflowError where |e^z| passes the double range."""
-    try:
-        return cmath.exp(z)
-    except OverflowError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return complex(np.exp(np.complex128(z)))
-
-
 def hciz_determinant(a, b, gap_tol: float = GAP_TOL_DEFAULT) -> complex:
     """Closed form: prod_{p<n} p! * det[exp(a_i b_j)] / (Vdm(a) Vdm(b)).
 
     Raises DegenerateSpectrumError when either spectrum has a pairwise gap
-    below `gap_tol`; the character series is the stable route there.
+    below `gap_tol`; the character series is the stable route there.  Past
+    the double range the value is inf or nan, or an ArithmeticError is
+    raised (e^(ab) at n = 1, prod p! from n = 28, a Vandermonde product of 0).
     """
     a, b = as_spectrum(a), as_spectrum(b)
     if a.n != b.n:
@@ -447,15 +437,12 @@ def hciz_determinant(a, b, gap_tol: float = GAP_TOL_DEFAULT) -> complex:
             raise DegenerateSpectrumError(s.gap, gap_tol)
     n = a.n
     if n == 1:
-        return _exp(a.eigs[0] * b.eigs[0])
+        return cmath.exp(a.eigs[0] * b.eigs[0])
     av = np.array(a.eigs)
     bv = np.array(b.eigs)
     mat = np.exp(np.outer(av, bv))
     vdm = _vdm_product(av) * _vdm_product(bv)
-    try:
-        scale = float(math.prod(map(math.factorial, range(n))))
-    except OverflowError:  # from n = 28 on: inf, as `_exp` gives, not a traceback
-        scale = math.inf
+    scale = float(math.prod(map(math.factorial, range(n))))
     return scale * complex(np.linalg.det(mat)) / vdm
 
 
@@ -505,11 +492,17 @@ def homogeneous_prefixes(eigs, kmax: int) -> list:
 
 
 def schur_numeric(lam, eigs) -> complex:
-    """s_lambda at complex points, lambda a `Partition`, via det[h_{lambda_i - i + j}]."""
+    """s_lambda at complex points, lambda a `Partition`, via det[h_{lambda_i - i + j}];
+    ValueError before its n + 1 rows of h_0..h_{lambda_1 + ell - 1} would pass
+    `MAX_SERIES_ENTRIES` entries."""
     if lam.length > len(eigs):
         raise DimensionMismatchError(f"partition {lam} needs more than {len(eigs)} variables")
     ell = lam.length
-    h = homogeneous_prefixes(eigs, max(lam.part(0) + ell - 1, 0))[-1]
+    kmax = max(lam.part(0) + ell - 1, 0)
+    if (len(eigs) + 1) * (kmax + 1) > MAX_SERIES_ENTRIES:
+        raise ValueError(f"s[{lam}] at {len(eigs)} points needs h_0..h_{kmax} in "
+                         f"{len(eigs) + 1} rows, above {MAX_SERIES_ENTRIES} entries")
+    h = homogeneous_prefixes(eigs, kmax)[-1]
     if ell <= 1:
         return h[lam.part(0)]
     mat = [[h[k] if k >= 0 else 0j for k in (lam[i] - i + j for j in range(ell))]
@@ -549,7 +542,8 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
     or below, else `max_weight`; `tol` must be finite and >= 0, and 0 takes
     W = `max_weight`; a W whose tables would pass `MAX_SERIES_ENTRIES`
     entries raises ValueError before they are built.  A coincident spectrum
-    centers to 0: its value is e^(n s t) exactly.
+    centers to 0: its value is e^(n s t) exactly.  Where e^(n s t) passes
+    the double range, cmath.exp raises OverflowError.
     """
     x, y = as_spectrum(x), as_spectrum(y)
     if x.n != y.n:
@@ -560,7 +554,7 @@ def kernel_series(x, y, max_weight: int = 24, tol: float = 1e-8) -> SeriesResult
     s, t = sum(x.eigs) / n, sum(z) / n
     xc = [e - s for e in x.eigs]
     zc = [e - t for e in z]
-    factor = _exp(n * s * t)
+    factor = cmath.exp(n * s * t)
     r = n * max(map(abs, xc)) * max(map(abs, zc))
 
     def tail(w):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -385,6 +386,9 @@ class TestReport:
         assert "s[1](2,3)" in out
 
 
+_STEPS = ",".join(str(i / 1000) for i in range(16))  # 0, 0.001, ..., 0.015
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv, code, message",
@@ -523,6 +527,18 @@ class TestExitCodeContract:
             (["eval", "--n", "2", "--a", "1000,-1000", "--b", "1000,-1000", "--methods",
               "series", "--max-weight", "1000000000"], EXIT_USAGE,
              "would pass 1000000 entries"),
+            # an evaluator's ArithmeticError past the double range exits 2, as inf does:
+            # the Vandermonde product underflows to 0, the variance merge squares
+            # ~1e156, and fsum(b) overflows
+            (["eval", "--n", "16", "--a", _STEPS, "--b", _STEPS, "--methods", "det"],
+             EXIT_DOMAIN, "non-finite value from det (det: ZeroDivisionError"),
+            (["eval", "--n", "2", "--a", "0,19", "--b", "0,19", "--methods", "mc"],
+             EXIT_DOMAIN, "non-finite value from mc (mc: OverflowError"),
+            (["eval", "--n", "2", "--a", "1,2", "--b", "1e308,1e308", "--methods", "mc"],
+             EXIT_DOMAIN, "non-finite value from mc (mc: OverflowError"),
+            # refused before the h recurrence holds its (n + 1) x (lambda_1 + 1) rows
+            (["schur", "--lambda", "1000000000", "--eigs", "1"], EXIT_USAGE,
+             "needs h_0..h_1000000000 in 2 rows, above 1000000 entries"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "schur-underflow",
@@ -539,7 +555,9 @@ class TestExitCodeContract:
              "threads-0-without-mc", "threads-65-without-mc", "fourier-n30", "unitarity-n30",
              "diffop-n30", "alt-orthonormal-n10", "inv-orthonormal-n30", "schur-increasing-parts",
              "schur-n-without-exact", "det-n1-overflow", "series-n1-overflow",
-             "det-n28-superfactorial", "series-table-limit", "series-weight-search-limit"],
+             "det-n28-superfactorial", "series-table-limit", "series-weight-search-limit",
+             "det-vandermonde-underflow", "mc-variance-overflow", "mc-fsum-overflow",
+             "schur-recurrence-limit"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):
@@ -621,3 +639,59 @@ class TestExitCodeContract:
         )
         assert code == EXIT_CHECK_FAILED
         assert rep["passed"] is False
+
+
+_SWEEP_NS = (1, 2, 3, 4, 5, 6, 8, 12, 16, 20, 24, 27, 28, 32)
+_SWEEP_METHODS = ("det", "mc", "series", "det,mc", "det,series", "mc,series", "det,mc,series")
+
+
+def _sweep_spectrum(gen: random.Random, n: int) -> str:
+    """n points about 0 of magnitude 10^U(-3, 3), real or complex, one in
+    eight times all equal, as an --a/--b literal."""
+    mag = 10 ** gen.uniform(-3, 3)
+    imag = gen.random() < 0.5
+
+    def point():
+        re, im = gen.uniform(-mag, mag), gen.uniform(-mag, mag) if imag else 0.0
+        return f"{re!r}{im:+}i" if imag else repr(re)
+
+    if gen.random() < 0.125:
+        return ",".join([point()] * n)
+    return ",".join(point() for _ in range(n))
+
+
+def _sweep_inputs(seed: int, count: int):
+    gen = random.Random(seed)
+    for _ in range(count):
+        n = gen.choice(_SWEEP_NS)
+        # --a=... because a spectrum may start with "-"
+        yield ["eval", "--n", str(n), f"--a={_sweep_spectrum(gen, n)}",
+               f"--b={_sweep_spectrum(gen, n)}", "--methods", gen.choice(_SWEEP_METHODS),
+               "--samples", "200", "--seed", str(gen.randrange(1000))]
+
+
+class TestEvalSweep:
+    """Seeded eval inputs across n, magnitude and method: whatever the input,
+    `main` returns a documented exit code with stderr in its documented form."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_input_gets_a_documented_exit(self, seed, capsys):
+        faults = []
+        for argv in _sweep_inputs(seed, 100):
+            try:
+                code = main(argv + ["--quiet"])
+            except Exception as exc:
+                faults.append((argv, f"escaped: {type(exc).__name__}: {exc}"))
+                continue
+            err = capsys.readouterr().err
+            if code == EXIT_DOMAIN:
+                try:
+                    json.loads(err)
+                except ValueError:
+                    faults.append((argv, f"exit 2 with stderr {err!r}"))
+            elif code == EXIT_USAGE:
+                if not err.startswith("hciz: error: "):
+                    faults.append((argv, f"exit 64 with stderr {err!r}"))
+            elif code not in (EXIT_OK, EXIT_CHECK_FAILED):
+                faults.append((argv, f"exit {code}"))
+        assert not faults, "\n".join(f"{' '.join(a)}: {why}" for a, why in faults)

@@ -165,7 +165,7 @@ class _CountingGenerator:
         return getattr(self._rng, name)
 
 
-_PAST_CHUNK = numeric._GS_CHUNK + 3  # a count across a chunk boundary
+_PAST_CHUNK = 8195  # a count across 8192
 
 
 class TestHaarSampler:
@@ -216,8 +216,8 @@ class TestHaarSampler:
     @pytest.mark.parametrize("n", [3, 12])
     @pytest.mark.filterwarnings("error")  # no 0/0 on the way, not even a discarded one
     def test_zero_pivot_is_redrawn(self, n, monkeypatch):
-        # a zero column in one matrix of the first draw, past the first chunk
-        broken = numeric._GS_CHUNK + 1
+        # a zero column in one matrix of the first draw, past 8192
+        broken = 8193
 
         def spoil(g):
             if len(g) == _PAST_CHUNK:
@@ -341,8 +341,6 @@ class TestMatrixBatches:
         sizes = {n: numeric._matrix_batch(n) for n in (1, 2, 3, 4, 8, 16, 362, 363)}
         assert sizes == {1: _BATCH, 2: _BATCH, 3: 14563, 4: 8192, 8: 2048, 16: 512,
                          362: 1, 363: 1}
-        # at n >= 4 a batch is at most one Gram-Schmidt chunk
-        assert numeric._matrix_batch(4) <= numeric._GS_CHUNK
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [3, 6, 8, 16])
