@@ -12,26 +12,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter, namedtuple
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .invariant import (
-    TracePoly,
-    _gram,
-    coherent_reproducing_check,
-    e_lambda,
-    expand_to_entries,
-    verify_diffop_identity,
-    verify_fourier_reconstruction,
-    verify_unitarity,
-)
-from .exactpoly import ExactPoly, bargmann_gram
-from .scalars import GaussianRational
-from .symfn import (
-    alternant,
-    d_lambda,
-    enumerate_partitions,
-    partitions_of_weight,
-)
+# Each suite imports the layer it runs in its own body, so that the
+# statistical suites load neither the exact layer nor fractions
+if TYPE_CHECKING:
+    from .exactpoly import ExactPoly
+    from .invariant import TracePoly
 
 REPRODUCING_TOL = 1e-10  # reproducing residuals are pure rounding, about 1e-15
 
@@ -81,6 +68,11 @@ def _orthonormal(suite: str, letter: str, n: int, max_weight: int, image) -> Sui
     Gram matrix comes from `bargmann_gram`, which pairs each unordered pair
     once, and only its nonzero entries are scaled by q_lambda.
     """
+    from .exactpoly import bargmann_gram
+    from .invariant import _gram
+    from .scalars import GaussianRational
+    from .symfn import enumerate_partitions
+
     _require_positive_n(n)
     lams = enumerate_partitions(max_weight, n)
     images = [image(lam) for lam in lams]
@@ -97,11 +89,15 @@ def _orthonormal(suite: str, letter: str, n: int, max_weight: int, image) -> Sui
 
 def suite_alt_orthonormal(n: int, max_weight: int = 6) -> SuiteReport:
     """<d_lambda, d_mu> = delta_{lambda mu}, exactly, on the alternating side."""
+    from .symfn import d_lambda
+
     return _orthonormal("alt-orthonormal", "d", n, max_weight, lambda lam: d_lambda(lam, n))
 
 
 def suite_inv_orthonormal(n: int, max_weight: int = 4) -> SuiteReport:
     """<e_lambda, e_mu> = delta_{lambda mu}, exactly, via entry expansion."""
+    from .invariant import e_lambda, expand_to_entries
+
     return _orthonormal(
         "inv-orthonormal", "e", n, max_weight,
         lambda lam: e_lambda(lam, n).map_poly(lambda p: expand_to_entries(p, n)),
@@ -110,6 +106,9 @@ def suite_inv_orthonormal(n: int, max_weight: int = 4) -> SuiteReport:
 
 def trace_monomials(max_degree: int, max_gen: int | None = None) -> list:
     """(rho, p_rho) for the trace monomials of weighted degree <= max_degree, parts <= max_gen."""
+    from .invariant import TracePoly
+    from .symfn import partitions_of_weight
+
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     return [(rho, TracePoly.from_terms([(Counter(rho), 1)]))
@@ -119,6 +118,8 @@ def trace_monomials(max_degree: int, max_gen: int | None = None) -> list:
 
 def suite_unitarity(n: int, max_degree: int = 4) -> SuiteReport:
     """<F, G> == <psi F, psi G> on all trace monomial pairs, each monomial imaged once."""
+    from .invariant import verify_unitarity
+
     _require_positive_n(n)
     monos = trace_monomials(max_degree)
     results = verify_unitarity([f for _, f in monos], n)
@@ -131,6 +132,8 @@ def suite_unitarity(n: int, max_degree: int = 4) -> SuiteReport:
 
 def suite_diffop(n: int, max_degree: int = 4, max_gen: int = 3) -> SuiteReport:
     """The alternant-conjugation identity for derivative operators, exactly."""
+    from .invariant import verify_diffop_identity
+
     _require_positive_n(n)
     monos = trace_monomials(max_degree, max_gen)
     results = verify_diffop_identity([f for _, f in monos], n)
@@ -143,6 +146,12 @@ def suite_diffop(n: int, max_degree: int = 4, max_gen: int = 3) -> SuiteReport:
 
 def random_trace_poly(rng: random.Random, max_weight: int = 5, n_terms: int = 4) -> TracePoly:
     """Sparse random trace polynomial of weighted degree <= max_weight, complex coefficients."""
+    from fractions import Fraction
+
+    from .invariant import TracePoly
+    from .scalars import GaussianRational
+    from .symfn import partitions_of_weight
+
     out = TracePoly.zero()
     for _ in range(n_terms):
         w = rng.randint(0, max_weight)
@@ -155,6 +164,8 @@ def random_trace_poly(rng: random.Random, max_weight: int = 5, n_terms: int = 4)
 
 def suite_fourier(n: int, count: int = 10, max_weight: int = 5, seed: int = 0) -> SuiteReport:
     """Reconstruction F == sum_lambda f_lambda chi_lambda on random trace polynomials."""
+    from .invariant import verify_fourier_reconstruction
+
     _require_positive_n(n)
     if count < 1:
         raise ValueError("count must be positive")
@@ -201,6 +212,12 @@ def suite_ginibre(n: int, n_samples: int = 100000, seed: int = 0, threads: int =
 
 def random_alternating_poly(rng: random.Random, n: int, max_weight: int) -> ExactPoly:
     """Random rational combination of alternants a_{lambda+delta}, |lambda| <= max_weight."""
+    from fractions import Fraction
+
+    from .exactpoly import ExactPoly
+    from .scalars import GaussianRational
+    from .symfn import alternant, enumerate_partitions
+
     lams = enumerate_partitions(max_weight, n)
     out = ExactPoly.zero(n)
     for lam in lams:
@@ -216,6 +233,8 @@ def random_alternating_poly(rng: random.Random, n: int, max_weight: int) -> Exac
 
 def suite_reproducing(n: int, count: int = 10, max_weight: int = 8, seed: int = 0) -> SuiteReport:
     """Truncated kernel sections reproduce point evaluation of alternating polynomials."""
+    from .invariant import coherent_reproducing_check
+
     _require_positive_n(n)
     if count < 1:
         raise ValueError("count must be positive")

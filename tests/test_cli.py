@@ -536,6 +536,9 @@ class TestExitCodeContract:
              EXIT_DOMAIN, "non-finite value from mc (mc: OverflowError"),
             (["eval", "--n", "2", "--a", "1,2", "--b", "1e308,1e308", "--methods", "mc"],
              EXIT_DOMAIN, "non-finite value from mc (mc: OverflowError"),
+            # the series' exponent n s t itself is past the double range
+            (["eval", "--n", "2", "--a", "3e200+1e200i,1", "--b", "1e200,2", "--methods",
+              "series"], EXIT_DOMAIN, "non-finite value from series (series: OverflowError"),
             # refused before the h recurrence holds its (n + 1) x (lambda_1 + 1) rows
             (["schur", "--lambda", "1000000000", "--eigs", "1"], EXIT_USAGE,
              "needs h_0..h_1000000000 in 2 rows, above 1000000 entries"),
@@ -557,7 +560,7 @@ class TestExitCodeContract:
              "schur-n-without-exact", "det-n1-overflow", "series-n1-overflow",
              "det-n28-superfactorial", "series-table-limit", "series-weight-search-limit",
              "det-vandermonde-underflow", "mc-variance-overflow", "mc-fsum-overflow",
-             "schur-recurrence-limit"],
+             "series-exponent-overflow", "schur-recurrence-limit"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):

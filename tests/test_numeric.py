@@ -119,12 +119,37 @@ class TestSamplers:
             sample_ginibre(0, rng)
 
 
+def _ginibre_of_draws(count, n, rng, columns=None):
+    """The Ginibre matrices (or their first `columns` columns) whose Q factors
+    `_haar_batch` builds, from the same draws, as (matrix, row, column):
+    column k is H_0 ... H_(k-1) [c_k; x_k], with x_k column k's draw
+    of n - k complex normals, c_k k fresh normals from a second stream, and
+    H_k the explicit n x n reflector on rows k.. that sends x_k to a
+    multiple of e_k.  Each H_k leaves the columns right of k i.i.d. Gaussian
+    (Stewart, SIAM J. Numer. Anal. 17, 1980), so these are Ginibre draws."""
+    columns = n if columns is None else columns
+    above = np.random.Generator(np.random.Philox(count))
+    g = np.empty((count, n, columns), dtype=complex)
+    acc = np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
+    for k in range(columns):
+        x = rng.standard_normal((n - k, count, 2)).view(complex)[..., 0].T
+        v = np.zeros((count, n), dtype=complex)
+        v[:, :k] = above.standard_normal((count, k, 2)).view(complex)[..., 0]
+        v[:, k:] = x
+        g[:, :, k] = np.einsum("bij,bj->bi", acc, v)
+        y = x / np.linalg.norm(x, axis=1)[:, None]
+        w = np.zeros((count, n), dtype=complex)
+        w[:, k:] = y
+        w[:, k] += y[:, 0] / np.abs(y[:, 0])
+        acc = acc @ (np.eye(n) - w[:, :, None] * w[:, None, :].conj()
+                     / (1 + np.abs(y[:, 0]))[:, None, None])
+    return g
+
+
 def _qr_haar_reference(count, n, rng, columns=None):
     """The QR route to the same unitaries (or n x columns frames): Q of the
-    thin G = QR, times R's diagonal phases."""
-    columns = n if columns is None else columns
-    g = numeric._complex_normals((columns, n, count), rng).transpose(2, 1, 0)
-    q, r = np.linalg.qr(g)
+    thin G = QR, times R's diagonal phases, G from `_ginibre_of_draws`."""
+    q, r = np.linalg.qr(_ginibre_of_draws(count, n, rng, columns))
     d = np.einsum("bii->bi", r)
     return q * (d / np.abs(d))[:, None, :]
 
@@ -135,34 +160,50 @@ def _unitarity_residuals(u):
     return np.linalg.norm(gram, ord=2, axis=(1, 2))
 
 
-def _recording_draws(monkeypatch, spoil=None):
-    """Patch `_complex_normals` to keep every Haar draw as (matrix, row, column),
-    after `spoil` has edited it in that view."""
-    draws = []
-    real = numeric._complex_normals
+class _RecordingGenerator:
+    """A Generator that records the name of each method called on it, and the
+    shape of each `standard_normal` draw after `spoil(call, draw)` has
+    edited it (call counts the draws before it)."""
 
-    def draw(shape, rng):
-        g = real(shape, rng)
-        matrices = g.transpose(2, 1, 0)
-        if spoil is not None:
-            spoil(matrices)
-        draws.append(matrices.copy())
-        return g
-
-    monkeypatch.setattr(numeric, "_complex_normals", draw)
-    return draws
-
-
-class _CountingGenerator:
-    """A Generator that records the name of each method called on it."""
-
-    def __init__(self, rng):
+    def __init__(self, rng, spoil=None):
         self._rng = rng
+        self._spoil = spoil
         self.calls = []
+        self.shapes = []
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls.append("standard_normal")
+        got = self._rng.standard_normal(*args, **kwargs)
+        if self._spoil is not None:
+            self._spoil(len(self.shapes), got)
+        self.shapes.append(got.shape)
+        return got
 
     def __getattr__(self, name):
         self.calls.append(name)
         return getattr(self._rng, name)
+
+
+def _recording_substreams(monkeypatch):
+    """Patch `_substream` so that each Monte Carlo worker draws from a
+    `_RecordingGenerator`; return the list of those generators."""
+    gens = []
+    real = numeric._substream
+
+    def substream(seed, worker):
+        gens.append(_RecordingGenerator(real(seed, worker)))
+        return gens[-1]
+
+    monkeypatch.setattr(numeric, "_substream", substream)
+    return gens
+
+
+def _haar_batch_counts(shapes, n, columns):
+    """The batch sizes of a run of Haar draws, checking that each batch is
+    one draw per column k of n - k complex normals per matrix."""
+    counts = [s[1] // 2 for s in shapes[::columns]] if columns else []
+    assert shapes == [(n - k, 2 * c) for c in counts for k in range(columns)]
+    return counts
 
 
 _PAST_CHUNK = 8195  # a count across 8192
@@ -170,11 +211,14 @@ _PAST_CHUNK = 8195  # a count across 8192
 
 class TestHaarSampler:
     @pytest.mark.parametrize("n", list(range(1, 14)))
-    def test_q_factor_with_positive_diagonal(self, n, monkeypatch):
-        # U is the Q of its draw G = QR with R upper triangular, diag(R) > 0
-        draws = _recording_draws(monkeypatch)
-        u = numeric._haar_batch(_PAST_CHUNK, n, np.random.Generator(np.random.Philox(40 + n)))
-        (g,) = draws
+    def test_q_factor_with_positive_diagonal(self, n):
+        # U is the Q of the Ginibre draw G = QR it stands for, R upper
+        # triangular with diag(R) > 0
+        def rng():
+            return np.random.Generator(np.random.Philox(40 + n))
+
+        u = numeric._haar_batch(_PAST_CHUNK, n, rng())
+        g = _ginibre_of_draws(_PAST_CHUNK, n, rng())
         r = np.einsum("bki,bkj->bij", u.conj(), g)
         tol = 64 * _U * np.linalg.norm(g, axis=(1, 2))
         assert (np.abs(np.tril(r, -1)).max(axis=(1, 2)) <= tol).all()
@@ -185,16 +229,17 @@ class TestHaarSampler:
 
     @pytest.mark.parametrize("n", list(range(2, 14)))
     def test_frame_is_the_leading_columns_bit_for_bit(self, n):
-        # CGS2 column j reads only columns <= j, and the draw fills column by
-        # column, so a k-column frame is the full unitary's first k columns
+        # column k reads only the first k + 1 draws, which come first in the
+        # stream, and every numpy loop runs along the batch
         def rng():
             return np.random.Generator(np.random.Philox(60 + n))
 
-        full = numeric._haar_batch(_PAST_CHUNK, n, rng())
-        for k in sorted({1, n // 2, n - 1}):
-            frame = numeric._haar_batch(_PAST_CHUNK, n, rng(), k)
-            assert frame.shape == (_PAST_CHUNK, n, k)
-            assert np.array_equal(frame, full[:, :, :k])
+        for count in (_PAST_CHUNK, 2, 3):
+            full = numeric._haar_batch(count, n, rng())
+            for k in sorted({1, n // 2, n - 1}):
+                frame = numeric._haar_batch(count, n, rng(), k)
+                assert frame.shape == (count, n, k)
+                assert np.array_equal(frame, full[:, :, :k])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_estimators_match_qr_reference(self, n, monkeypatch):
@@ -215,48 +260,97 @@ class TestHaarSampler:
 
     @pytest.mark.parametrize("n", [3, 12])
     @pytest.mark.filterwarnings("error")  # no 0/0 on the way, not even a discarded one
-    def test_zero_pivot_is_redrawn(self, n, monkeypatch):
-        # a zero column in one matrix of the first draw, past 8192
-        broken = 8193
+    def test_zero_pivot_is_redrawn(self, n):
+        # a zero draw of column k, or of its leading entry y_k0, in one
+        # matrix of the first batch, past 8192; for full unitaries and frames
+        broken, k = 8193, n // 2 - 1
 
-        def spoil(g):
-            if len(g) == _PAST_CHUNK:
-                g[broken, :, n // 2] = 0.0
+        def run(columns, rows=None):
+            def spoil(call, draw):
+                if call == k and rows is not None:
+                    draw[rows, 2 * broken:2 * broken + 2] = 0.0
 
-        def run():
-            return numeric._haar_batch(_PAST_CHUNK, n, np.random.Generator(np.random.Philox(5)))
+            rng = _RecordingGenerator(np.random.Generator(np.random.Philox(5)), spoil)
+            return numeric._haar_batch(_PAST_CHUNK, n, rng, columns), rng
 
-        clean = run()
-        draws = _recording_draws(monkeypatch, spoil)
-        u = run()
-        assert [len(g) for g in draws] == [_PAST_CHUNK, 1]
-        assert np.isfinite(u).all()
-        assert (_unitarity_residuals(u) <= _HAAR_RESIDUAL * _U).all()
-        # only the broken matrix is replaced, by the unitary of its redraw
-        others = np.arange(_PAST_CHUNK) != broken
-        assert np.array_equal(u[others], clean[others])
-        assert not np.array_equal(u[broken], clean[broken])
-        assert np.array_equal(run(), u)
+        for columns in (n, n - 1):
+            clean, _ = run(columns)
+            for rows in (slice(None), 0):
+                u, rng = run(columns, rows)
+                assert _haar_batch_counts(rng.shapes, n, columns) == [_PAST_CHUNK, 1]
+                assert np.isfinite(u).all()
+                assert (_unitarity_residuals(u) <= _HAAR_RESIDUAL * _U).all()
+                # only the broken matrix is replaced, by the unitary of its redraw
+                others = np.arange(_PAST_CHUNK) != broken
+                assert np.array_equal(u[others], clean[others])
+                assert not np.array_equal(u[broken], clean[broken])
+                assert np.array_equal(run(columns, rows)[0], u)
 
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_one_normal_call_per_batch(self, n):
-        rng = _CountingGenerator(np.random.Generator(np.random.Philox(7)))
-        numeric._haar_batch(_PAST_CHUNK, n, rng)
-        assert rng.calls == ["standard_normal"]
+    @pytest.mark.parametrize("n, columns", [(1, 1), (4, 4), (4, 3), (8, 7)])
+    def test_one_normal_call_per_column(self, n, columns):
+        # sum_(k < columns) (n - k) complex normals per matrix, none wasted
+        rng = _RecordingGenerator(np.random.Generator(np.random.Philox(7)))
+        numeric._haar_batch(_PAST_CHUNK, n, rng, columns)
+        assert rng.calls == ["standard_normal"] * columns
+        assert _haar_batch_counts(rng.shapes, n, columns) == [_PAST_CHUNK]
 
-    def test_unitaries_are_the_draw_orthonormalised_in_place(self, monkeypatch):
-        draws = []
-        real = numeric._complex_normals
+    def test_transpose_is_the_contiguous_draw_layout(self):
+        # hciz_mc reads a frame as (column, row, matrix) without a copy
+        u = numeric._haar_batch(_PAST_CHUNK, 5, np.random.Generator(np.random.Philox(8)), 4)
+        assert u.T.flags.c_contiguous and np.shares_memory(np.ascontiguousarray(u.T), u)
 
-        def draw(shape, rng):
-            draws.append(real(shape, rng))
-            return draws[-1]
 
-        monkeypatch.setattr(numeric, "_complex_normals", draw)
-        u = numeric._haar_batch(_PAST_CHUNK, 3, np.random.Generator(np.random.Philox(8)))
-        (g,) = draws
-        assert np.shares_memory(u, g)
-        assert np.array_equal(u, g.transpose(2, 1, 0))
+def _complete(frame, rng):
+    """A frame's n x c columns completed to a unitary by the Q (with R's
+    diagonal made positive) of a Gaussian draw projected onto their
+    orthogonal complement: Haar exactly when the frame is."""
+    count, n, c = frame.shape
+    g = rng.normal(size=(count, n, n - c)) + 1j * rng.normal(size=(count, n, n - c))
+    g -= frame @ (frame.conj().transpose(0, 2, 1) @ g)
+    q, r = np.linalg.qr(g)
+    d = np.einsum("bii->bi", r)
+    return np.concatenate([frame, q * (d / np.abs(d))[:, None, :]], axis=2)
+
+
+def _within_k_stderr(values, want, k=4.0):
+    """Whether the mean of `values` lies within k standard errors of `want`."""
+    se = values.std(ddof=1) / math.sqrt(len(values))
+    return abs(values.mean() - want) <= k * se
+
+
+class TestHaarMoments:
+    """Exact moments of Haar measure, each checked at four standard errors:
+
+    E|Tr U^j|^2 = min(j, n) for j >= 1 (Diaconis & Shahshahani, J. Appl.
+    Probab. 31A, 1994), which a sampler without the phase fix fails, and
+    the degree-2 Weingarten moments E|u_11|^4 = 2/(n(n+1)),
+    E|u_11|^2 |u_12|^2 = 1/(n(n+1)), E|u_11|^2 |u_22|^2 = 1/(n^2 - 1), which
+    a permutation matrix with random phases fails."""
+
+    COUNT = 20000
+
+    @staticmethod
+    def _check(u, n):
+        lam = np.linalg.eigvals(u)
+        for j in range(1, n + 2):
+            assert _within_k_stderr(np.abs((lam**j).sum(axis=1)) ** 2, min(j, n)), j
+        p = np.abs(u) ** 2
+        for got, want in ((p[:, 0, 0] ** 2, 2 / (n * (n + 1))),
+                          (p[:, 0, 0] * p[:, 0, 1], 1 / (n * (n + 1))),
+                          (p[:, 0, 0] * p[:, 1, 1], 1 / (n * n - 1))):
+            assert _within_k_stderr(got, want), want
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_full_unitaries(self, n):
+        u = numeric._haar_batch(self.COUNT, n, np.random.Generator(np.random.Philox(80 + n)))
+        self._check(u, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_frames(self, n):
+        for c in sorted({1, n // 2, n - 1}):
+            rng = np.random.Generator(np.random.Philox(90 + n))
+            frame = numeric._haar_batch(self.COUNT, n, rng, c)
+            self._check(_complete(frame, np.random.default_rng(c)), n)
 
 
 class TestMCEngine:
@@ -347,25 +441,22 @@ class TestMatrixBatches:
     def test_draw_shapes_stay_within_the_entry_budget(self, n, threads, monkeypatch):
         batch = numeric._matrix_batch(n)
         n_samples = 3 * threads * batch + 5  # several batches in every worker
-        shapes = []
-        real = numeric._complex_normals
-
-        def draw(shape, rng):
-            shapes.append(shape)
-            return real(shape, rng)
-
-        monkeypatch.setattr(numeric, "_complex_normals", draw)
+        gens = _recording_substreams(monkeypatch)
         routes = _mc_routes(n, n_samples, 1, threads)
         if n > 6:
             del routes["ginibre"]  # it supports n = 1..6
         if threads > 1:
             del routes["haar"]  # the haar suite runs one worker
+        # Haar draws are one (n - k, 2 count) draw per column k, Ginibre
+        # draws (count, n, n, 2)
+        columns = {"hciz_mc": n - 1, "kernel_q_mc": n, "haar": n}
         for name, run in routes.items():
-            shapes.clear()
+            gens.clear()
             ests = run()
             assert all(e.n_samples == n_samples for e in ests), name
-            # Haar draws are (n, n, count), Ginibre draws (count, n, n)
-            counts = [s[0] if name == "ginibre" else s[2] for s in shapes]
+            per_worker = [[s[0] for s in g.shapes] if name == "ginibre"
+                          else _haar_batch_counts(g.shapes, n, columns[name]) for g in gens]
+            counts = sum(per_worker, [])
             assert all(n * n * c <= numeric._BATCH_ENTRIES for c in counts), name
             assert max(counts) == batch, name
             assert sum(counts) == n_samples, name
@@ -375,7 +466,10 @@ class TestMatrixBatches:
     # recorded before batches were sized by entries; at n <= 2 the batch is
     # still `_BATCH`, so every bit of these outputs must stay.  The hciz_mc
     # entries were recorded again when it moved onto the (n - 1)-column frame,
-    # which draws fewer normals per matrix (none at n = 1)
+    # which draws fewer normals per matrix (none at n = 1); the haar and
+    # kernel_q_mc entries at n = 2 when the sampler moved to Householder
+    # reflections of fresh sub-columns, which draw 3 complex normals per
+    # unitary instead of 4 (the n = 1 column and n = 2 frame draw the same)
     PINNED = {
         ("ginibre", 1): [
             ("0x1.0020bd8a91eadp+0", "0x0.0p+0",
@@ -394,14 +488,14 @@ class TestMatrixBatches:
              "0x1.facaf1016ef11p-61", "0x1.4c6d94c08d9a4p-48"),
         ],
         ("haar", 2): [
-            ("0x1.003ea28f92c45p-1", "0x0.0p+0",
-             "0x1.1d790996d841cp-10", "0x1.4cd32d13e668cp-49"),
-            ("0x1.ff82bae0da776p-2", "0x0.0p+0",
-             "0x1.1d790996d841bp-10", "0x1.4c271bc526fcbp-49"),
-            ("0x1.ff82bae0da776p-2", "0x0.0p+0",
-             "0x1.1d790996d841cp-10", "0x1.4c271bc526fccp-49"),
-            ("0x1.003ea28f92c45p-1", "0x0.0p+0",
-             "0x1.1d790996d841cp-10", "0x1.4cd32d13e668cp-49"),
+            ("0x1.00c02d3fcb1a7p-1", "0x0.0p+0",
+             "0x1.1d86e35968949p-10", "0x1.4d6aa01fb5754p-49"),
+            ("0x1.fe7fa58069cb3p-2", "0x0.0p+0",
+             "0x1.1d86e35968948p-10", "0x1.4b8161fb0f24dp-49"),
+            ("0x1.fe7fa58069cb3p-2", "0x0.0p+0",
+             "0x1.1d86e35968949p-10", "0x1.4b8161fb0f24dp-49"),
+            ("0x1.00c02d3fcb1a6p-1", "0x0.0p+0",
+             "0x1.1d86e35968948p-10", "0x1.4d6aa01fb5753p-49"),
         ],
         ("hciz_mc", 1): [
             ("0x1.cc2a4119a2eb4p+0", "0x0.0p+0",
@@ -416,8 +510,8 @@ class TestMatrixBatches:
              "0x1.b4ddd3f352c12p-60", "0x1.0e29b4fe23946p-46"),
         ],
         ("kernel_q_mc", 2): [
-            ("0x1.fee9aad5f5e0ap-1", "0x1.3ebfc9f66567ep-4",
-             "0x1.19564dc5a193dp-9", "0x1.ad333e8ba7085p-47"),
+            ("0x1.ff6a982135c10p-1", "0x1.4363a4599942cp-4",
+             "0x1.18fc2d5f71843p-9", "0x1.ad8e768e0b6a6p-47"),
         ],
     }
 
@@ -526,14 +620,14 @@ class TestMonteCarlo:
     def test_draws_an_n_minus_one_column_frame(self, n, monkeypatch):
         # the Haar draws are (n - 1)-column frames; a constant integrand (n = 1,
         # or a coincident a-spectrum) draws nothing
-        draws = _recording_draws(monkeypatch)
+        gens = _recording_substreams(monkeypatch)
         b = np.linspace(0.5, -0.3, n)
         hciz_mc(np.linspace(-1.0, 1.0, n), b, 5000, 0)
-        assert all(g.shape[1:] == (n, n - 1) for g in draws)
-        assert sum(len(g) for g in draws) == (0 if n == 1 else 5000)
-        draws.clear()
+        (g,) = gens
+        assert sum(_haar_batch_counts(g.shapes, n, n - 1)) == (0 if n == 1 else 5000)
+        gens.clear()
         hciz_mc((0.4,) * n, b, 5000, 0)
-        assert draws == []
+        assert [g.calls for g in gens] == [[]]
 
     def test_agrees_with_closed_form_complex_n3(self):
         a, b = (0.3 + 0.4j, -0.6, 1.0 - 0.2j), (0.9, 0.1 - 0.5j, -0.5 + 0.3j)
@@ -749,6 +843,14 @@ class TestKernelSeries:
         assert got.max_weight_used == 0
         assert got.last_shell_magnitude == 0.0
 
+    @pytest.mark.parametrize("x, y", [((3e200 + 1e200j, 1.0), (1e200, 2.0)),
+                                      ((1e200, 1e200), (1e200, 1e200)),
+                                      ((800.0,), (800.0,))])
+    def test_exponent_past_the_double_range_overflows(self, x, y):
+        # n s t is inf or nan in the first two, e^(n s t) passes the range in the last
+        with pytest.raises(OverflowError):
+            kernel_series(x, y)
+
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
     def test_rejects_a_tolerance_that_cannot_stop_correctly(self, tol):
         # inf stops after n shells whatever their mass; nan and negative ones never stop
@@ -960,7 +1062,7 @@ class TestRandomRealSpectrum:
     @pytest.mark.parametrize("n", [16, 19])
     def test_tight_gap_takes_one_draw(self, n):
         # gapped spectra are a 2e-10 share of the sorted draws at n = 16: no rejection
-        rng = _CountingGenerator(np.random.default_rng(13))
+        rng = _RecordingGenerator(np.random.default_rng(13))
         s = random_real_spectrum(n, rng)
         assert rng.calls == ["uniform"]
         assert s.n == n and s.gap >= 0.1

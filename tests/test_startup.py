@@ -3,9 +3,9 @@
 The exact commands and --help must start without numpy, --help also
 without dataclasses and platform, the exact `verify` commands without
 dataclasses and inspect, a one-worker
-Monte Carlo command without concurrent.futures, `eval` without the exact
-layer or fractions, and `import hciz` with nothing but the package and its
-error types.  Two commands whose setup
+Monte Carlo command without concurrent.futures, `eval`, `verify haar` and
+`verify ginibre` without the exact layer or fractions, and `import hciz`
+with nothing but the package and its error types.  Two commands whose setup
 once grew quadratically with a size argument, and one whose cost once
 followed an argument that changes nothing, must finish within seconds, and
 so must two that the power-sum class limit refuses.
@@ -108,6 +108,15 @@ def test_eval_loads_no_exact_layer():
     assert code == 0
     assert not {"hciz.symfn", "hciz.exactpoly", "hciz.scalars", "hciz.invariant",
                 "hciz.suites", "fractions"} & mods
+
+
+@pytest.mark.parametrize("suite", ["haar", "ginibre"])
+def test_statistical_verify_loads_no_exact_layer(suite):
+    code, mods, _ = probe(["verify", suite, "--n", "2", "--samples", "2000", "--quiet"])
+    assert code == 0
+    assert "hciz.suites" in mods
+    assert not {"hciz.symfn", "hciz.exactpoly", "hciz.scalars", "hciz.invariant",
+                "fractions"} & mods
 
 
 def test_one_worker_eval_loads_no_thread_pool():

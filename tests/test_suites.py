@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hciz import exactpoly, invariant, suites
+from hciz import exactpoly, invariant, suites, symfn
 from hciz.suites import (
     SuiteCase,
     SuiteReport,
@@ -187,21 +187,24 @@ class TestRecordedReports:
 class TestRationalGramChecksBite:
     """The exact suites use squared scales in their Gram entries; a wrong one must still fail."""
 
+    # each suite looks its basis up in the module that defines it when it runs
     @pytest.mark.parametrize(
-        "suite, basis, letter",
-        [(suite_alt_orthonormal, "d_lambda", "d"), (suite_inv_orthonormal, "e_lambda", "e")],
+        "suite, home, basis, letter",
+        [(suite_alt_orthonormal, symfn, "d_lambda", "d"),
+         (suite_inv_orthonormal, invariant, "e_lambda", "e")],
         ids=["alt", "inv"],
     )
     @pytest.mark.parametrize("n", [2, 3])
-    def test_one_wrong_scale_fails_only_its_diagonal(self, suite, basis, letter, n, monkeypatch):
-        build = getattr(suites, basis)
+    def test_one_wrong_scale_fails_only_its_diagonal(self, suite, home, basis, letter, n,
+                                                     monkeypatch):
+        build = getattr(home, basis)
         wrong = Partition((1,))
 
         def skewed(lam, dim):
             b = build(lam, dim)
             return Scaled(b.scale2 * 4, b.poly) if lam == wrong else b
 
-        monkeypatch.setattr(suites, basis, skewed)
+        monkeypatch.setattr(home, basis, skewed)
         rep = suite(n, 3)
         assert [c.label for c in rep.cases if not c.passed] == [f"<{letter}[1], {letter}[1]>"]
         bad = next(c for c in rep.cases if not c.passed)
