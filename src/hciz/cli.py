@@ -38,7 +38,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-RNG_NAME = "philox"
+# Monte Carlo draws from SFC64 streams (`numeric._substream`), `r` spectra
+# from Philox(seed) (`spectrum_rng`)
+RNG_NAME = "mc: sfc64, spectra: philox"
 
 
 class UsageError(Exception):
@@ -47,8 +49,9 @@ class UsageError(Exception):
 
 class NonFiniteValueError(ArithmeticError):
     """An evaluator's value left the double range: it returned inf or nan,
-    raised an ArithmeticError (`eval`), or was nonzero and underflowed below
-    the smallest normal double (`schur`); maps to exit code 2."""
+    raised an ArithmeticError or returned 0 or a subnormal (`eval`), or was
+    nonzero and underflowed below the smallest normal double (`schur`); maps
+    to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +87,15 @@ def parse_complex(text: str) -> complex:
         return complex(s.replace("i", "j").replace("I", "j"))
     except ValueError as exc:
         raise UsageError(f"bad complex literal {text!r}") from exc
+
+
+def spectrum_rng(seed: int) -> np.random.Generator:
+    """The generator of `r` spectra: Philox(seed), a stream apart from every
+    Monte Carlo worker's, so an `r` input names the same spectrum whatever
+    the sampler draws."""
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def parse_spectrum(text: str, n: int, rng: np.random.Generator) -> Spectrum:
@@ -215,15 +227,13 @@ def cmd_eval(args) -> int:
     if bad or not methods:
         raise UsageError(f"unknown methods {bad or args.methods!r}; pick from det,mc,series")
 
-    import numpy as np
-
     from .numeric import _check_mc_limits, _check_series_limits
     from .numeric import hciz_determinant, hciz_mc, kernel_series
 
     # each method's limits, checked whatever runs: every input is reported
     _check_mc_limits(args.samples, args.threads)
     _check_series_limits(args.max_weight, args.tol)
-    rng = np.random.Generator(np.random.Philox(args.seed))
+    rng = spectrum_rng(args.seed)
     a = parse_spectrum(args.a, args.n, rng)
     b = parse_spectrum(args.b, args.n, rng)
 
@@ -262,6 +272,12 @@ def cmd_eval(args) -> int:
     if bad:
         why = "".join(f" ({m}: {type(e).__name__}: {e})" for m, e in caught.items())
         raise NonFiniteValueError(f"non-finite value from {', '.join(bad)}{why}")
+    # 0 or a subnormal is a value lost below the normal range (or to
+    # cancellation), not one held to a double's precision: exit 2 as for inf
+    tiny = [m for m in methods if abs(values[m]) < sys.float_info.min]
+    if tiny:
+        raise NonFiniteValueError(f"value from {', '.join(tiny)} is 0 or below the "
+                                  "smallest normal double")
 
     def mc_band(m1, m2):
         # the estimate's own band, and a floor for the other method's rounding
@@ -408,7 +424,8 @@ def build_parser() -> _Parser:
             default=os.environ.get("HCIZ_THREADS", "1"),
             help="Monte Carlo workers (default $HCIZ_THREADS or 1)",
         )
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (Philox streams)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="RNG seed (SFC64 Monte Carlo streams, Philox `r` spectra)")
 
     sub = top.add_subparsers(dest="command", required=True)
 

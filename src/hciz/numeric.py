@@ -17,9 +17,11 @@ kernel is anti-holomorphic there).  The two agree through
 
     kernel(x, y) == hciz(x, conj(y)).
 
-Randomness comes from counter-based Philox streams; a worker w draws from
-the substream `Philox(seed).jumped(w)`, so results are reproducible for a
-fixed (seed, worker count) and independent of scheduling.
+Randomness comes from SFC64 streams: Monte Carlo worker w draws from
+`SFC64(SeedSequence(seed, spawn_key=(w,)))` (`_substream`), so results are
+reproducible for a fixed (seed, worker count) and independent of
+scheduling.  On a shared 2-core Xeon SFC64 gives 64 bits in 3.2 ns, and
+counter-based Philox, which the CLI keeps for its `r` spectra alone, in 7.8.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ MAX_SERIES_ENTRIES = 1_000_000
 # rounding model of the MC estimates (derived in `_sample_rounding`)
 _U = 2.0**-53  # unit roundoff of float64
 _EXP_ROUNDINGS = 5  # exp, cos/sin, and their product
-_HAAR_RESIDUAL = 24  # ||u^H u - I||_2 of a `_haar_batch` draw, in units of _U
 _LAMBDA = 4.0  # confidence of the probabilistic summation bound
 
 
@@ -123,7 +124,11 @@ class SeriesResult:
 
 
 def _substream(seed: int, worker: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed).jumped(worker))
+    """The generator of Monte Carlo worker `worker`: SFC64 seeded by
+    `SeedSequence(seed, spawn_key=(worker,))`, the state of
+    `SeedSequence(seed).spawn(worker + 1)[worker]`."""
+    seq = np.random.SeedSequence(seed, spawn_key=(worker,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _ginibre_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -160,6 +165,8 @@ def _haar_batch(
     backwards, H_k meets columns whose row k is still 0: it writes
     -r y_k0/|y_k0| there and subtracts r y_k'/(1 + |y_k0|) below, with
     r = y_k'^H z', one vectorised step on q[j, i, b] (column j, row i, matrix b).
+    Each scaling multiplies by a real reciprocal (1/|x_k|, -1/|y_k0|,
+    1/(1 + |y_k0|)), so no step runs numpy's complex division.
 
     With `columns` = c < n only an n x c frame is built.  Its column k reads
     only y_0..y_k, first in the stream, so it is the full unitary's first c
@@ -171,13 +178,14 @@ def _haar_batch(
     bad = np.zeros(count, dtype=bool)
     for k in range(columns):
         x = q[k, k:]
-        rng.standard_normal(out=x.view(float))
-        norm = np.sqrt(np.einsum("ib,ib->b", x.real, x.real)
-                       + np.einsum("ib,ib->b", x.imag, x.imag))
+        parts = x.view(float)
+        rng.standard_normal(out=parts)
+        squares = np.einsum("ib,ib->b", parts, parts)  # re^2 and im^2 sums, adjacent
+        norm = np.sqrt(squares[0::2] + squares[1::2])
         zero = norm == 0.0
         bad |= zero
         norm[zero] = 1.0
-        x /= norm
+        x *= 1.0 / norm
     for k in range(columns - 2, -1, -1):
         y0 = q[k, k]
         mag = np.abs(y0)
@@ -186,8 +194,8 @@ def _haar_batch(
         mag[zero] = 1.0
         y, z = q[k, k + 1:], q[k + 1:, k + 1:]
         r = np.einsum("ib,jib->jb", y.conj(), z)
-        np.multiply(r, -y0 / mag, out=q[k + 1:, k])
-        r /= 1.0 + mag
+        np.multiply(r, y0 * (-1.0 / mag), out=q[k + 1:, k])
+        r *= 1.0 / (1.0 + mag)
         z -= y * r[:, None]
     if bad.any():
         # measure-zero breakdown (a zero pivot): redraw the affected matrices
@@ -213,15 +221,26 @@ def _matrix_batch(n: int) -> int:
     return max(1, min(_BATCH, _BATCH_ENTRIES // (n * n)))
 
 
-def _sample_rounding(unitary_gain: float, terms_abs: float, chain: int) -> float:
-    """Relative rounding bound of one integrand value exp(t) over a Haar draw u.
+def _haar_residual(n: int) -> float:
+    """A bound on ||u^H u - I||_2 of an n x n `_haar_batch` draw, in units
+    of `_U`: 18 + 1.5 sqrt(n), measured (see `_sample_rounding`)."""
+    return 18.0 + 1.5 * math.sqrt(n)
+
+
+def _sample_rounding(n: int, unitary_gain: float, terms_abs: float, chain: int) -> float:
+    """Relative rounding bound of one integrand value exp(t) over an n x n
+    Haar draw u.
 
     First order in the unit roundoff u = 2**-53, three sources:
 
-    * the draw: u is unitary only to ||u^H u - I||_2 <= 24u (99.9% quantile
-      at most 16.1u, maximum 20.4u, over 1.6e6 draws at n = 1..24); with
-      u = V H, V unitary and H Hermitian, t(u) - t(V) is at most that
-      residual times `unitary_gain`;
+    * the draw: u is unitary only to ||u^H u - I||_2 <= `_haar_residual(n)` u;
+      with u = V H, V unitary and H Hermitian, t(u) - t(V) is at most that
+      residual times `unitary_gain`.  The residual grows with n: its 99.9%
+      quantile read 8.5u, 13.0u, 16.1u, 17.1u, 20.1u, 24.3u and 31.0u at
+      n = 2, 8, 24, 32, 64, 128 and 256 (about 8 + 1.45 sqrt(n) from n = 8),
+      its maximum 20.0u over n <= 24 and 21.6u, 25.2u and 31.5u at n = 64,
+      128 and 256 (1e5 draws at each n <= 8, 4e4 at n = 9..24, then 16000,
+      6000, 2000 and 400), so the bound clears every maximum by 4u or more;
     * the exponent: each product term in t passes through `chain`
       roundings (its factors, then the additions of the sum).  Taken as
       independent zero-mean errors (Higham & Mary, SIAM J. Sci. Comput. 41,
@@ -236,7 +255,7 @@ def _sample_rounding(unitary_gain: float, terms_abs: float, chain: int) -> float
     """
     return _U * (
         _EXP_ROUNDINGS
-        + _HAAR_RESIDUAL * unitary_gain
+        + _haar_residual(n) * unitary_gain
         + _LAMBDA * math.sqrt(chain) * terms_abs
     )
 
@@ -326,6 +345,7 @@ def _mc_mean(
             stats = zip(bmean.tolist(), bm2r.tolist(), bm2i.tolist(), berr.tolist())
             accs = [merge(a, (count, *st)) for a, st in zip(accs or [empty] * len(bmean), stats)]
             todo -= count
+            del vals  # not held while the next batch is drawn
         return accs
 
     if workers == 1:
@@ -405,7 +425,7 @@ def hciz_mc(a, b, n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
         return np.exp(const + (sums[0::2] + sums[1::2]))
 
     gain = float(gains[k])
-    rel = _sample_rounding(gain, gain, n * (n - 1) + 7) + 5 * _U * abs(const)
+    rel = _sample_rounding(n, gain, gain, n * (n - 1) + 7) + 5 * _U * abs(const)
     return _mc_mean(values, n_samples, seed, threads, rel, batch=_matrix_batch(n))[0]
 
 
@@ -605,7 +625,7 @@ def kernel_q_mc(x, y, n_samples: int, seed: int, threads: int = 1) -> MCEstimate
         return np.exp(tr)
 
     gain = float(np.linalg.norm(x) * np.linalg.norm(y))
-    rel = _sample_rounding(gain, n * gain, n * n + 2 * n + 6)
+    rel = _sample_rounding(n, gain, n * gain, n * n + 2 * n + 6)
     return _mc_mean(values, n_samples, seed, threads, rel, batch=_matrix_batch(n))[0]
 
 

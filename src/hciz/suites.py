@@ -276,11 +276,24 @@ def suite_haar(n: int = 3, n_samples: int = 100000, seed: int = 0) -> SuiteRepor
     resids = []
 
     def second_moments(rng, count):
-        u = _haar_batch(count, n, rng)
-        resids.append(float(np.abs(np.einsum("bki,bkj->bij", u.conj(), u) - np.eye(n)).max()))
-        return (np.abs(u) ** 2).reshape(count, n * n).T
+        # the draw's own (column, row, matrix) layout; every temporary below
+        # is one row of u^H u, or |u|^2 itself
+        q = _haar_batch(count, n, rng).T
+        resid = 0.0
+        for i in range(n):
+            row = np.einsum("kb,jkb->jb", q[i].conj(), q)  # row i of u^H u
+            row[i] -= 1.0
+            resid = max(resid, float(np.abs(row).max()))
+        resids.append(resid)
+        # |u_ij|^2 = re^2 + im^2, squared in place and summed straight into
+        # (row, column, matrix) order, with no transposed copy
+        parts = np.square(q.view(float), out=q.view(float)).reshape(n, n, count, 2)
+        swap = (1, 0, 2)
+        moments = np.add(parts[..., 0].transpose(swap), parts[..., 1].transpose(swap),
+                         out=np.empty((n, n, count)))
+        return moments.reshape(n * n, count)
 
-    # one worker, whose substream Philox(seed).jumped(0) is Philox(seed) itself
+    # one worker, SFC64 seeded by the first child of SeedSequence(seed)
     ests = _mc_mean(second_moments, n_samples, seed, 1, batch=_matrix_batch(n))
     # the residual is a safety check on every draw, so its max, not a mean
     cases = [SuiteCase("unitarity residual", max(resids) < 1e-12,

@@ -13,8 +13,8 @@ from hciz.exactpoly import ExactPoly
 from hciz.invariant import coherent_reproducing_check
 from hciz.numeric import (
     _BATCH,
-    _HAAR_RESIDUAL,
     _U,
+    _haar_residual,
     _mc_mean,
     GAP_TOL_DEFAULT,
     MAX_THREADS,
@@ -77,13 +77,19 @@ class TestSamplers:
             assert res < 1e-13
 
     def test_haar_residual_within_rounding_model(self):
-        # the MC rounding bound takes ||u^H u - I||_2 <= _HAAR_RESIDUAL * u
+        # the MC rounding bound takes ||u^H u - I||_2 <= _haar_residual(n) * u
         for n in (1, 2, 4, 8):
             rng = np.random.Generator(np.random.Philox(n))
             us = np.stack([sample_haar_unitary(n, rng) for _ in range(5000)])
             gram = np.einsum("bki,bkj->bij", us.conj(), us) - np.eye(n)
             resid = np.linalg.norm(gram, ord=2, axis=(1, 2))
-            assert np.quantile(resid, 0.999) <= _HAAR_RESIDUAL * _U
+            assert np.quantile(resid, 0.999) <= _haar_residual(n) * _U
+
+    @pytest.mark.parametrize("n, count", [(2, 4000), (8, 4000), (32, 2000)])
+    def test_haar_residual_bounds_every_batched_draw(self, n, count):
+        # the bound grows with n; every draw of a batch stays under it
+        u = numeric._haar_batch(count, n, numeric._substream(n, 0))
+        assert _unitarity_residuals(u).max() <= _haar_residual(n) * _U
 
     def test_haar_entry_moment(self):
         # E|u_ij|^2 = 1/n for every entry
@@ -225,7 +231,7 @@ class TestHaarSampler:
         diag = np.einsum("bii->bi", r)
         assert (np.abs(diag.imag).max(axis=1) <= tol).all()
         assert (diag.real > 0).all()
-        assert (_unitarity_residuals(u) <= _HAAR_RESIDUAL * _U).all()
+        assert (_unitarity_residuals(u) <= _haar_residual(n) * _U).all()
 
     @pytest.mark.parametrize("n", list(range(2, 14)))
     def test_frame_is_the_leading_columns_bit_for_bit(self, n):
@@ -279,7 +285,7 @@ class TestHaarSampler:
                 u, rng = run(columns, rows)
                 assert _haar_batch_counts(rng.shapes, n, columns) == [_PAST_CHUNK, 1]
                 assert np.isfinite(u).all()
-                assert (_unitarity_residuals(u) <= _HAAR_RESIDUAL * _U).all()
+                assert (_unitarity_residuals(u) <= _haar_residual(n) * _U).all()
                 # only the broken matrix is replaced, by the unitary of its redraw
                 others = np.arange(_PAST_CHUNK) != broken
                 assert np.array_equal(u[others], clean[others])
@@ -351,6 +357,29 @@ class TestHaarMoments:
             rng = np.random.Generator(np.random.Philox(90 + n))
             frame = numeric._haar_batch(self.COUNT, n, rng, c)
             self._check(_complete(frame, np.random.default_rng(c)), n)
+
+
+class TestSubstreams:
+    def test_workers_draw_pairwise_different_streams(self):
+        draws = [numeric._substream(3, w).standard_normal(64) for w in range(4)]
+        for one, other in itertools.combinations(draws, 2):
+            assert not np.isin(one, other).any()
+        assert np.array_equal(numeric._substream(3, 2).standard_normal(64), draws[2])
+
+    def test_two_workers_reproduce_and_differ_from_one(self):
+        a, b = np.linspace(-1.0, 1.0, 3), np.linspace(0.5, -0.3, 3)
+        two = hciz_mc(a, b, 5001, 7, threads=2)
+        assert _hex(hciz_mc(a, b, 5001, 7, threads=2)) == _hex(two)
+        assert hciz_mc(a, b, 5001, 7, threads=1).mean != two.mean
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_r_spectra_are_apart_from_worker_zero(self, seed):
+        # `r` spectra come from Philox(seed), Monte Carlo worker 0 from SFC64
+        from hciz.cli import spectrum_rng
+
+        got = spectrum_rng(seed).random(64)
+        assert not np.isin(got, numeric._substream(seed, 0).random(64)).any()
+        assert np.array_equal(got, np.random.Generator(np.random.Philox(seed)).random(64))
 
 
 class TestMCEngine:
@@ -463,55 +492,54 @@ class TestMatrixBatches:
             if threads == 1:
                 assert counts == [batch] * 3 + [5], name
 
-    # recorded before batches were sized by entries; at n <= 2 the batch is
-    # still `_BATCH`, so every bit of these outputs must stay.  The hciz_mc
-    # entries were recorded again when it moved onto the (n - 1)-column frame,
-    # which draws fewer normals per matrix (none at n = 1); the haar and
-    # kernel_q_mc entries at n = 2 when the sampler moved to Householder
-    # reflections of fresh sub-columns, which draw 3 complex normals per
-    # unitary instead of 4 (the n = 1 column and n = 2 frame draw the same)
+    # recorded when the workers moved from Philox(seed).jumped(w) to SFC64
+    # streams seeded by SeedSequence(seed, spawn_key=(w,)), the sampler to
+    # real reciprocals in place of complex-by-real divisions, and the draw
+    # term of the rounding bound to `_haar_residual(n)`; every bit of these
+    # outputs must stay.  hciz_mc at n = 1 draws nothing (its integrand is
+    # constant, its draw term 0), so it kept the bits it had before
     PINNED = {
         ("ginibre", 1): [
-            ("0x1.0020bd8a91eadp+0", "0x0.0p+0",
-             "0x1.ecced9bd9dcfbp-9", "0x1.4cb0d03fe898bp-48"),
-            ("0x1.0020bd8a91eadp+0", "0x0.0p+0",
-             "0x1.ecced9bd9dcfbp-9", "0x1.4cb0d03fe898bp-48"),
+            ("0x1.00b68af52d22bp+0", "0x0.0p+0",
+             "0x1.efd905a5c7b27p-9", "0x1.4d9e14c85ca49p-48"),
+            ("0x1.00b68af52d22bp+0", "0x0.0p+0",
+             "0x1.efd905a5c7b27p-9", "0x1.4d9e14c85ca49p-48"),
         ],
         ("ginibre", 2): [
-            ("0x1.fe20117c1c26cp+0", "0x0.0p+0",
-             "0x1.ee5884de45fcep-8", "0x1.4b567be13b456p-47"),
-            ("0x1.ff3d5988626cfp+0", "0x0.0p+0",
-             "0x1.5c3286fd88f40p-7", "0x1.4c2bb1a94736dp-47"),
+            ("0x1.fd6551704eb27p+0", "0x0.0p+0",
+             "0x1.eb7e43aafc80dp-8", "0x1.4aeb8ca6bbdacp-47"),
+            ("0x1.f9df7a5ebfaa0p+0", "0x0.0p+0",
+             "0x1.59be822ca28f9p-7", "0x1.489df3d8fbf4ap-47"),
         ],
         ("haar", 1): [
             ("0x1.0000000000000p+0", "0x0.0p+0",
-             "0x1.facaf1016ef11p-61", "0x1.4c6d94c08d9a4p-48"),
+             "0x1.7c983a0a5fc8cp-61", "0x1.4c6d94c08d9a4p-48"),
         ],
         ("haar", 2): [
-            ("0x1.00c02d3fcb1a7p-1", "0x0.0p+0",
-             "0x1.1d86e35968949p-10", "0x1.4d6aa01fb5754p-49"),
-            ("0x1.fe7fa58069cb3p-2", "0x0.0p+0",
-             "0x1.1d86e35968948p-10", "0x1.4b8161fb0f24dp-49"),
-            ("0x1.fe7fa58069cb3p-2", "0x0.0p+0",
-             "0x1.1d86e35968949p-10", "0x1.4b8161fb0f24dp-49"),
-            ("0x1.00c02d3fcb1a6p-1", "0x0.0p+0",
-             "0x1.1d86e35968948p-10", "0x1.4d6aa01fb5753p-49"),
+            ("0x1.ff404095f5b59p-2", "0x0.0p+0",
+             "0x1.1f134d2866872p-10", "0x1.4bffea350089ep-49"),
+            ("0x1.005fdfb505254p-1", "0x0.0p+0",
+             "0x1.1f134d2866872p-10", "0x1.4cf44a8e6deb0p-49"),
+            ("0x1.005fdfb505254p-1", "0x0.0p+0",
+             "0x1.1f134d2866872p-10", "0x1.4cf44a8e6deb0p-49"),
+            ("0x1.ff404095f5b59p-2", "0x0.0p+0",
+             "0x1.1f134d2866872p-10", "0x1.4bffea350089ep-49"),
         ],
         ("hciz_mc", 1): [
             ("0x1.cc2a4119a2eb4p+0", "0x0.0p+0",
              "0x1.f98321ea4b85fp-60", "0x1.63ce13328ec23p-47"),
         ],
         ("hciz_mc", 2): [
-            ("0x1.1716c5fcd3257p+0", "0x0.0p+0",
-             "0x1.10a4ab46f03d1p-9", "0x1.76ba1b78ce161p-47"),
+            ("0x1.170d16aa0e990p+0", "0x0.0p+0",
+             "0x1.10c5897592bacp-9", "0x1.64afabd1a6f69p-47"),
         ],
         ("kernel_q_mc", 1): [
             ("0x1.0dffbff40da4ap+0", "0x1.4043c7144b676p+0",
-             "0x1.b4ddd3f352c12p-60", "0x1.0e29b4fe23946p-46"),
+             "0x1.b452ce1c56f78p-60", "0x1.fedf640426586p-47"),
         ],
         ("kernel_q_mc", 2): [
-            ("0x1.ff6a982135c10p-1", "0x1.4363a4599942cp-4",
-             "0x1.18fc2d5f71843p-9", "0x1.ad8e768e0b6a6p-47"),
+            ("0x1.ff5a7f743b33bp-1", "0x1.513df70352000p-4",
+             "0x1.197b99a645c10p-9", "0x1.9d0e163b44812p-47"),
         ],
     }
 
