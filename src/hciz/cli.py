@@ -111,6 +111,18 @@ def parse_spectrum(text: str, n: int, rng: np.random.Generator) -> Spectrum:
     return Spectrum(eigs)
 
 
+def parse_seed(text: str) -> int:
+    """A `--seed` value: a non-negative integer, checked when the arguments are
+    parsed, so every command refuses a bad one the same way (exit 64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def parse_partition(text: str) -> Partition:
     from .symfn import Partition
 
@@ -424,7 +436,7 @@ def build_parser() -> _Parser:
             default=os.environ.get("HCIZ_THREADS", "1"),
             help="Monte Carlo workers (default $HCIZ_THREADS or 1)",
         )
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=parse_seed, default=0,
                        help="RNG seed (SFC64 Monte Carlo streams, Philox `r` spectra)")
 
     sub = top.add_subparsers(dest="command", required=True)

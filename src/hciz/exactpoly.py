@@ -22,25 +22,28 @@ ExactPoly over MAX_EXPONENT variables, and `degree` reads only the fields
 each key uses.
 
 Coefficients are summed by component, not as GaussianRational objects.
-The kernels that add up many products (`*`, `apply_diff`, `map_vars` and
-`linear_combination`) all feed one private builder, `_summed_terms`: it
-sums the real and imaginary parts of each output coefficient as plain
-`int | Fraction` values in one dict per component, keyed by the packed
-key, and builds one GaussianRational per key that survives.  When every
-operand is real, which is the usual case, `*`, `apply_diff` and
-`linear_combination` form no imaginary product.  `linear_combination`
-first scales its weights by the lcm D of their denominators, so sums over
-integer polynomials stay ints and each surviving coefficient is divided by
-D once.  The built dict keeps the order that adding the products one at a
-time gives, a key that cancels to zero re-entering at the end, because
-`eval_complex` sums the terms in that order.  `+` makes at most one
-GaussianRational sum per shared key, so it keeps its own per-term loop.
-`substitute` sums its terms' images with `linear_combination`.
+The kernels that add up many products (`*`, `apply_diff`,
+`apply_diff_mapped`, `map_vars` and `linear_combination`) all feed one
+private builder, `_summed_terms`: it sums the real and imaginary parts of
+each output coefficient as plain `int | Fraction` values in one dict per
+component, keyed by the packed key, and builds one GaussianRational per
+key that survives.  When every operand is real, which is the usual case,
+`*`, `apply_diff` and `linear_combination` form no imaginary product.
+`linear_combination` first scales its weights by the lcm D of their
+denominators, so sums over integer polynomials stay ints and each
+surviving coefficient is divided by D once.  The built dict keeps the
+order that adding the products one at a time gives, a key that cancels to
+zero re-entering at the end, because `eval_complex` sums the terms in that
+order.  `+` makes at most one GaussianRational sum per shared key, so it
+keeps its own per-term loop.  `substitute` sums its terms' images with
+`linear_combination`.
 
 Beyond ring arithmetic the module provides the two operations the exact
 verification layer is built on: the action of a polynomial as a
 constant-coefficient differential operator (`apply_diff`; the partial
-derivative d/dz_v is the action of z_v), and the Bargmann inner product
+derivative d/dz_v is the action of z_v, and `apply_diff_mapped` relabels
+or drops variables of the result, forming only the term pairs whose
+result survives), and the Bargmann inner product
 <F, G> = sum_a conj(f_a) g_a a!  under which the scaled monomials
 z^a / sqrt(a!) are orthonormal and d/dz_v is the adjoint of z_v.
 `bargmann_inner` returns an exact zero without a pass over the terms when
@@ -263,7 +266,10 @@ class ExactPoly:
 
     def items_grlex(self):
         """(key, coeff) terms in canonical order, leading term first."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0], self.n_vars), reverse=True)
+        # the fields past the highest variable in use are zero in every key, so
+        # they order nothing (a TracePoly has MAX_EXPONENT fields, nearly all unused)
+        n = self.min_n_vars()
+        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0], n), reverse=True)
 
     def _want_same_space(self, other: "ExactPoly"):
         if self.n_vars != other.n_vars:
@@ -357,17 +363,44 @@ class ExactPoly:
 
     def apply_diff(self, g: "ExactPoly") -> "ExactPoly":
         """F(d)G: replace each monomial z^a of F=self by the operator d^a, apply to G."""
+        return self._like(self._diff_terms(g))
+
+    def apply_diff_mapped(self, g: "ExactPoly", images: dict, n_vars_out: int) -> "ExactPoly":
+        """(F(d)G).map_vars(images, n_vars_out), without forming F(d)G: a term
+        z^b / z^a survives only if a and b agree on every variable whose image is
+        None, so only those pairs are formed."""
+        dead = sum(_FIELD << (_BITS * v) for v, w in images.items() if w is None)
+        relabeled: dict[int, int] = {}
+
+        def relabel(k: int) -> int:
+            key = relabeled.get(k)
+            if key is None:
+                merged: dict[int, int] = {}
+                for v, e in exponent_pairs(k):
+                    merged[images[v]] = merged.get(images[v], 0) + e
+                key = relabeled[k] = _pack(merged.items())
+            return key
+
+        # the constructor rejects a surviving term past n_vars_out
+        return ExactPoly(n_vars_out, self._diff_terms(g, dead, relabel))
+
+    def _diff_terms(self, g: "ExactPoly", dead: int = 0, relabel=None) -> dict:
+        """`terms` of F(d)G from the term pairs that agree on the fields set in `dead`,
+        each key passed through `relabel` if given: G's terms are grouped by those
+        fields, in their own order, and each term of F meets only its group."""
         self._want_same_space(g)
         # only the fields of F's variables are subtracted from, so only they need
         # a guard (a TracePoly has MAX_EXPONENT fields, nearly all unused)
         guards = _guards(self.min_n_vars())
         real = _is_real(self) and _is_real(g)
-        g_terms = [(beta, _factorial(beta), gb.re, gb.im) for beta, gb in g.terms.items()]
+        groups: dict[int, list] = {}
+        for beta, gb in g.terms.items():
+            groups.setdefault(beta & dead, []).append((beta, _factorial(beta), gb.re, gb.im))
 
         def products():
             for alpha, fa in self.terms.items():
                 fr, fi = fa.re, fa.im
-                for beta, beta_fact, gr, gi in g_terms:
+                for beta, beta_fact, gr, gi in groups.get(alpha & dead, ()):
                     # every field of beta | guards stays at or above its guard bit
                     # after the subtraction exactly when alpha <= beta there
                     k = (beta | guards) - alpha
@@ -376,12 +409,14 @@ class ExactPoly:
                     k ^= guards
                     # the falling factorial beta! / (beta - alpha)!
                     fall = beta_fact // _factorial(k)
+                    if relabel is not None:
+                        k = relabel(k)
                     if real:
                         yield k, fr * gr * fall
                     else:
                         yield k, (fr * gr - fi * gi) * fall, (fr * gi + fi * gr) * fall
 
-        return self._like(_summed_terms(products(), real))
+        return _summed_terms(products(), real)
 
     # -- structural maps ----------------------------------------------------------------
 

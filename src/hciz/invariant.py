@@ -6,18 +6,23 @@ the three exact pictures the verification suites compare:
     diagonal picture   symmetric / alternating ExactPoly in n eigenvalues
 
 The restriction map psi(F) = c * a_delta * F|_D carries the invariant
-picture to the alternating one and e_lambda to d_lambda.  Its coordinates
-are the coefficients g_{lambda+delta} of an alternating g, read in one
-place (`_schur_coefficients`) up to |lambda| = deg g - |delta|, and its
-inverse and the Fourier reconstruction sum g_{lambda+delta} chi_lambda as
-one linear combination (`_character_sum`).  Its unitarity, the
-differential-operator identity, Schur-coefficient extraction and the
-orthonormal bases d_lambda, e_lambda are all checked here with rational
-arithmetic only; the one float is the reproducing check's residual, an
-exact pairing evaluated at a point.  The scales c, and those of d_lambda
-and e_lambda, are square roots of positive rationals, held as their
-squares (`Scaled.scale2`); a Gram entry needs only those squares, so no
-square root is ever taken.
+picture to the alternating one and e_lambda to d_lambda.  An alternating
+polynomial is fixed by its coordinates, its coefficients at the strictly
+decreasing exponents x^{lambda+delta}, and <a_alpha, a_beta> = n! alpha!
+delta_{alpha beta} (Macdonald I.3), so the unitarity, Fourier and
+differential-operator checks read psi's coordinates
+(`alternant_coordinates`) and never form the n!-term product a_delta F|_D.
+Coordinates fix a_delta g only for symmetric g, so that premise is
+checked, and a check whose premise fails fails its case.  `psi_inverse`
+and the reproducing check read an alternating polynomial's own
+coefficients (`_schur_coefficients`); the inverse and the Fourier
+reconstruction sum g_{lambda+delta} chi_lambda as one linear combination
+(`_character_sum`).  All of it is checked here with rational arithmetic
+only; the one float is the reproducing check's residual, an exact pairing
+evaluated at a point.  The scales c, and those of d_lambda and e_lambda,
+are square roots of positive rationals, held as their squares
+(`Scaled.scale2`); a Gram entry needs only those squares, so no square
+root is ever taken.
 
 A caution on presentations: at fixed n the generators t_k with k > n are
 algebraically dependent on the lower ones, so identities between trace
@@ -29,15 +34,17 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, NotAlternatingError
 from .exactpoly import (
-    MAX_EXPONENT, ExactPoly, _pack, bargmann_gram, bargmann_inner, linear_combination,
+    _BITS, MAX_EXPONENT, ExactPoly, _pack, bargmann_gram, bargmann_inner, exponent_pairs,
+    exponent_vector, linear_combination,
 )
-from .scalars import GaussianRational
+from .scalars import QQI_ZERO, GaussianRational
 from .symfn import (
     Partition,
     Scaled,
@@ -48,6 +55,8 @@ from .symfn import (
     is_alternating,
     norm_const_c2,
     enumerate_partitions,
+    partitions_of_weight,
+    require_alternant_n,
     schur_to_power_sums,
     staircase,
     vector_factorial,
@@ -115,14 +124,14 @@ def restrict_to_diagonal(f: TracePoly, n: int) -> ExactPoly:
     return _image(f, n, diagonal=True)
 
 
+def _diagonal_images(n: int) -> dict:
+    """{entry variable: x_i for z_{ii}, None off the diagonal}, for `map_vars`."""
+    return {entry_var(i, j, n): (i if i == j else None) for i in range(n) for j in range(n)}
+
+
 def entry_to_diagonal(e: ExactPoly, n: int) -> ExactPoly:
     """Set off-diagonal entries to zero and rename z_{ii} -> x_i."""
-    images = {
-        entry_var(i, j, n): (i if i == j else None)
-        for i in range(n)
-        for j in range(n)
-    }
-    return e.map_vars(images, n)
+    return e.map_vars(_diagonal_images(n), n)
 
 
 def psi_map(f, n: int) -> Scaled:
@@ -165,6 +174,71 @@ def _schur_coefficients(h: ExactPoly, n: int, max_weight: int | None = None) -> 
         c = h.coefficient(lam.plus_staircase(n))
         if not c.is_zero:
             out[lam] = c
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _staircase_shifts(caps: tuple) -> tuple:
+    """(key of sigma(delta), sgn sigma) for each rearrangement sigma(delta) of delta,
+    n = len(caps), whose row i is at most caps[i].
+
+    Rows are filled from the last up, so a branch that would pass a cap is never
+    grown.  The sign is the parity against delta itself, not against 0..n-1:
+    the pairs i < j whose values increase.
+    """
+    states = [(0, 0, 1)]  # (the values used, as bits; the key so far; the sign)
+    for i in range(len(caps) - 1, -1, -1):
+        # the rows below i hold `used`; those above d are the new increasing pairs
+        states = [(used | 1 << d, key + (d << _BITS * i),
+                   -sign if (used >> d).bit_count() & 1 else sign)
+                  for used, key, sign in states for d in range(caps[i] + 1) if not used >> d & 1]
+    return tuple((key, sign) for _, key, sign in states)
+
+
+def _is_symmetric(g: ExactPoly) -> bool:
+    """Each group of g's terms with the same sorted exponents is a whole orbit of the
+    permutations, n! / prod_e m_e! terms for m_e exponents equal to e, with one
+    coefficient; one pass, where a check per transposition makes n - 1."""
+    orbits: dict = {}
+    for key, c in g.terms.items():
+        seen = orbits.setdefault(tuple(sorted(exponent_vector(key, g.n_vars))), [c, 0])
+        if seen[0] != c:
+            return False
+        seen[1] += 1
+    n_fact = math.factorial(g.n_vars)
+    return all(count == n_fact // math.prod(map(math.factorial, Counter(exps).values()))
+               for exps, (_, count) in orbits.items())
+
+
+def alternant_coordinates(g: ExactPoly, n: int, max_weight: int | None = None):
+    """{lambda: [x^{lambda+delta}](a_delta g)} for a symmetric g in n variables, zeros
+    omitted, |lambda| <= max_weight; None if g is not symmetric.
+
+    These fix a_delta g = sum_lambda g_lambda a_{lambda+delta}.  Each is the sum
+    sum_sigma sgn sigma g[lambda+delta - sigma(delta)] over only the sigma that
+    keep every exponent nonnegative (`_staircase_shifts`), and only for the
+    weights |lambda| of g's terms.
+    """
+    require_alternant_n(n)
+    if g.n_vars != n:
+        raise DimensionMismatchError(f"polynomial over {g.n_vars} variables, expected {n}")
+    if not _is_symmetric(g):
+        return None
+    terms = g.terms
+    out = {}
+    for w in sorted({sum(e for _, e in exponent_pairs(key)) for key in terms}):
+        if max_weight is not None and w > max_weight:
+            break
+        for lam in partitions_of_weight(w, n):
+            mu = lam.plus_staircase(n)
+            key = _pack(enumerate(mu))
+            re = im = 0
+            for shift, sign in _staircase_shifts(tuple(min(m, n - 1) for m in mu)):
+                c = terms.get(key - shift)
+                if c is not None:
+                    re, im = (re + c.re, im + c.im) if sign > 0 else (re - c.re, im - c.im)
+            if re or im:
+                out[lam] = GaussianRational._raw(re, im)
     return out
 
 
@@ -212,47 +286,100 @@ def _gram(size: int, lhs, rhs) -> dict:
 def verify_unitarity(fs, n: int) -> dict:
     """The Gram identity <F_i, F_j> == <psi F_i, psi F_j> on a basis, each F imaged once.
 
-    psi carries the one real scale c, so <psi F_i, psi F_j> is c^2 times the
-    pairing of the alternating polynomials, a rational number.  Both Gram
-    matrices come from `bargmann_gram`, which pairs each unordered pair once.
-    Returns {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
+    An alternating polynomial's terms come in orbits of n! under permutations
+    of the variables, each orbit with one coefficient up to sign and one a!,
+    so <psi F_i, psi F_j> is c^2 n! times the pairing of their terms at the
+    strictly decreasing exponents x^{lambda+delta}, psi's coordinates.  Both
+    Gram matrices come from `bargmann_gram`, which pairs each unordered pair
+    once.  Returns {(i, j): (equal, lhs, rhs)} for every ordered pair,
+    row-major; rhs is None, and the pair fails, where an F|_D is not symmetric.
     """
-    # the images first: they build the alternant, whose size limit fails fast
-    images = [psi_map(f, n).poly for f in fs]
+    # the coordinates first: they check n against the alternant limit
+    coords = [alternant_coordinates(restrict_to_diagonal(f, n), n) for f in fs]
     entries = [expand_to_entries(f, n) for f in fs]
-    c2 = norm_const_c2(n)
-    lhs, rhs = bargmann_gram(entries), bargmann_gram(images)
-    return _gram(len(fs), lambda i, j: lhs[i, j], lambda i, j: rhs[i, j] * c2)
+    leading = [ExactPoly._raw(n, {_pack(enumerate(lam.plus_staircase(n))): c
+                                  for lam, c in (cs or {}).items()}) for cs in coords]
+    scale = norm_const_c2(n) * math.factorial(n)
+    lhs, rhs = bargmann_gram(entries), bargmann_gram(leading)
+    return _gram(len(fs), lambda i, j: lhs[i, j], lambda i, j: (
+        None if coords[i] is None or coords[j] is None else rhs[i, j] * scale))
+
+
+def _diff_coordinates(terms: list, coords: dict, n: int) -> dict:
+    """The coordinates of g(d)A from g's terms [(exponents, coeff)] and those of A.
+
+    [x^mu] g(d)A = sum_alpha g_alpha (mu+alpha)!/mu! A_{mu+alpha}, and A_beta is
+    0 when beta repeats an exponent, else the sign of sorting beta times the
+    coordinate at sorted(beta) - delta.  |lambda| = |nu| - |alpha| for a
+    coordinate nu of A and a term alpha of g.
+    """
+    weights = {sum(nu) - sum(alpha) for nu in coords for alpha, _ in terms}
+    out = {}
+    for w in sorted(x for x in weights if x >= 0):
+        for lam in partitions_of_weight(w, n):
+            mu = lam.plus_staircase(n)
+            mu_fact = vector_factorial(mu)
+            acc = QQI_ZERO
+            for alpha, c in terms:
+                beta = [m + a for m, a in zip(mu, alpha)]
+                if len(set(beta)) < n:
+                    continue
+                order = sorted(beta, reverse=True)
+                # sorted(beta) - delta without its zero parts: a tuple keys a Partition
+                a = coords.get(tuple(p for i, b in enumerate(order) if (p := b - (n - 1 - i))))
+                if a is None:
+                    continue
+                # the pairs i < j in increasing order are the sort's inversions
+                flips = sum(x < y for i, x in enumerate(beta) for y in beta[i + 1:])
+                fall = vector_factorial(beta) // mu_fact
+                acc = acc + c * a * (-fall if flips & 1 else fall)
+            if not acc.is_zero:
+                out[lam] = acc
+    return out
 
 
 def verify_diffop_identity(fs, n: int) -> dict:
     """a_delta * (F_i(d)F_j)|_D  against  F_i|_D(d) (a_delta * F_j|_D) on a basis.
 
-    Both sides are exact polynomials in the n diagonal variables, so equality
-    is equality for every x at once.  Each F is imaged once; returns
-    {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major.
+    Both sides are alternating when F_i|_D, F_j|_D and (F_i(d)F_j)|_D are
+    symmetric, so their coordinates are compared, which is equality for every
+    x at once.  (F_i(d)F_j)|_D pairs only the entry terms that agree off the
+    diagonal (`ExactPoly.apply_diff_mapped`), and the right side reads
+    a_delta F_j|_D from its coordinates (`_diff_coordinates`).  Returns
+    {(i, j): (equal, lhs, rhs)} of coordinate dicts for every ordered pair,
+    row-major; a side whose restriction is not symmetric is None and fails.
     """
-    # the images first, as in verify_unitarity
-    images = [psi_map(f, n).poly for f in fs]
-    entries = [expand_to_entries(f, n) for f in fs]
+    # the coordinates first, as in verify_unitarity
     diagonals = [restrict_to_diagonal(f, n) for f in fs]
-    a_delta = alternant_delta(n)
-    return _gram(
-        len(fs),
-        lambda i, j: a_delta * entry_to_diagonal(entries[i].apply_diff(entries[j]), n),
-        lambda i, j: diagonals[i].apply_diff(images[j]),
-    )
+    coords = [alternant_coordinates(g, n) for g in diagonals]
+    entries = [expand_to_entries(f, n) for f in fs]
+    terms = [[(exponent_vector(key, n), c) for key, c in g.terms.items()] for g in diagonals]
+    images = _diagonal_images(n)
+
+    def lhs(i, j):
+        return alternant_coordinates(entries[i].apply_diff_mapped(entries[j], images, n), n)
+
+    def rhs(i, j):
+        if coords[i] is None or coords[j] is None:
+            return None
+        return _diff_coordinates(terms[i], coords[j], n)
+
+    return _gram(len(fs), lhs, rhs)
 
 
 def fourier_coefficients(f: TracePoly, n: int, max_weight: int | None = None) -> dict:
     """Schur-basis coefficients: f_lambda = coefficient of z^{lambda+delta} in a_delta F|_D.
 
-    Returns {Partition: GaussianRational}, zero coefficients omitted.  By default
-    they run to psi(F)'s own degree less |delta|, which is at most wdeg(F).
+    Returns {Partition: GaussianRational}, zero coefficients omitted, from
+    `alternant_coordinates`.  By default they run to F|_D's degree, which is
+    at most wdeg(F).
     """
     if max_weight is not None and max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
-    return _schur_coefficients(psi_map(f, n).poly, n, max_weight)
+    coeffs = alternant_coordinates(restrict_to_diagonal(f, n), n, max_weight)
+    if coeffs is None:
+        raise NotAlternatingError("a_delta F|_D is not alternating: F|_D is not symmetric")
+    return coeffs
 
 
 def verify_fourier_reconstruction(f: TracePoly, n: int, max_weight: int | None = None):
@@ -262,7 +389,10 @@ def verify_fourier_reconstruction(f: TracePoly, n: int, max_weight: int | None =
     variables because trace presentations of the same invariant can differ
     through the relations among t_k for k > n.
     """
-    coeffs = fourier_coefficients(f, n, max_weight)
+    try:
+        coeffs = fourier_coefficients(f, n, max_weight)
+    except NotAlternatingError:
+        return False, {}
     same = restrict_to_diagonal(_character_sum(coeffs), n) == restrict_to_diagonal(f, n)
     return same, coeffs
 

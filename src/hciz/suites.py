@@ -130,6 +130,14 @@ def suite_unitarity(n: int, max_degree: int = 4) -> SuiteReport:
     return _report("unitarity", {"n": n, "max_degree": max_degree}, cases)
 
 
+def _coordinates_text(coords) -> str:
+    """Alternant coordinates {lambda: c} as `(re, im) a[lambda] + ...`, a[lambda] standing
+    for a_{lambda+delta}; None, a side whose restriction is not symmetric, as such."""
+    if coords is None:
+        return "undefined (a restriction is not symmetric)"
+    return " + ".join(f"{c.pair_str()} a[{lam}]" for lam, c in coords.items()) or "0"
+
+
 def suite_diffop(n: int, max_degree: int = 4, max_gen: int = 3) -> SuiteReport:
     """The alternant-conjugation identity for derivative operators, exactly."""
     from .invariant import verify_diffop_identity
@@ -139,7 +147,8 @@ def suite_diffop(n: int, max_degree: int = 4, max_gen: int = 3) -> SuiteReport:
     results = verify_diffop_identity([f for _, f in monos], n)
     cases = _pair_cases(
         [rho for rho, _ in monos], "t[{}] on t[{}]", results,
-        lambda ok, lhs, rhs: "" if ok else f"lhs {lhs.to_text()} != rhs {rhs.to_text()}",
+        lambda ok, lhs, rhs: "" if ok else
+        f"lhs {_coordinates_text(lhs)} != rhs {_coordinates_text(rhs)}",
     )
     return _report("diffop", {"n": n, "max_degree": max_degree, "max_gen": max_gen}, cases)
 

@@ -31,8 +31,12 @@ from .errors import DegenerateExponentError, DimensionMismatchError
 from .exactpoly import MAX_EXPONENT, ExactPoly, _n_fields, _pack, exponent_pairs, exponent_vector
 from .scalars import GaussianRational
 
-# the largest n whose n!-term alternant is built: n = 9 takes seconds and
-# about 160 MB, and each step up multiplies both by n
+# the largest n for a sum over an alternant's n! terms.  Built whole (`alternant`,
+# `d_lambda`, `invariant.psi_map`), n = 9 takes seconds and about 160 MB, and each
+# step up multiplies both by n.  psi's coordinates sum over only the terms that
+# keep every exponent nonnegative (`invariant.alternant_coordinates`): the CLI's
+# default unitarity, diffop and fourier took 0.10-0.14, 0.6-0.9 and 0.14-0.24 s at
+# n = 9, and the limit holds for them until it is re-derived from such measurements
 MAX_ALTERNANT_N = 9
 
 # the most exponents `schur_exact` may build, n for each of the at most
@@ -165,14 +169,19 @@ def _perm_sign(perm) -> int:
     return -1 if inv & 1 else 1
 
 
+def require_alternant_n(n: int) -> None:
+    """ValueError for n above MAX_ALTERNANT_N, the limit on sums over an alternant's terms."""
+    if n > MAX_ALTERNANT_N:
+        raise ValueError(
+            f"n = {n} is above {MAX_ALTERNANT_N}: an alternant in n variables has n! terms")
+
+
 def alternant(mu, n: int) -> ExactPoly:
     """a_mu = det[x_i^{mu_j}] = sum_sigma sgn(sigma) prod_i x_i^{mu_{sigma(i)}}."""
     mu = tuple(int(m) for m in mu)
     if len(mu) != n:
         raise DimensionMismatchError(f"exponent vector of length {len(mu)}, expected {n}")
-    if n > MAX_ALTERNANT_N:
-        raise ValueError(
-            f"n = {n} is above {MAX_ALTERNANT_N}: an alternant in n variables has n! terms")
+    require_alternant_n(n)
     if any(m < 0 for m in mu):
         raise ValueError("negative exponent in alternant")
     if len(set(mu)) != n:
@@ -195,6 +204,7 @@ def _transposition(n: int, k: int):
 
 
 def is_alternating(f: ExactPoly) -> bool:
+    # a TracePoly's permute_vars raises TypeError, so this never walks its space
     return all(
         f.permute_vars(_transposition(f.n_vars, k)) == -f for k in range(f.n_vars - 1)
     )
@@ -286,6 +296,12 @@ def _generator_key(exps: dict) -> int:
     return _pack((k - 1, e) for k, e in used)
 
 
+# a TracePoly's space has MAX_EXPONENT variables, t_1..t_32767, and these walk all of them
+_NO_WHOLE_SPACE = ("{} is not defined on a TracePoly, whose variables are the generators "
+                   "t_k; apply it to invariant.restrict_to_diagonal(f, n) or "
+                   "invariant.expand_to_entries(f, n)")
+
+
 def _partition(key: int) -> tuple:
     """The partition rho of a generator key's monomial p_rho: e parts k for each t_k^e."""
     return tuple(v + 1 for v, e in reversed(exponent_pairs(key)) for _ in range(e))
@@ -331,6 +347,12 @@ class TracePoly(ExactPoly):
 
     def coefficient(self, exps: dict) -> GaussianRational:
         return super().coefficient(_generator_key(exps))
+
+    def eval_complex(self, point):
+        raise TypeError(_NO_WHOLE_SPACE.format("eval_complex"))
+
+    def permute_vars(self, sigma):
+        raise TypeError(_NO_WHOLE_SPACE.format("permute_vars"))
 
     def to_text(self, var_symbol: str = "t") -> str:
         """Canonical text form, e.g. `(3/2, 0) t1^2 t3`; `var_symbol="p"` for power sums.

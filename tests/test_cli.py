@@ -609,6 +609,24 @@ class TestExitCodeContract:
         monkeypatch.setenv("HCIZ_THREADS", "abc")
         assert main(argv + ["--quiet"]) == EXIT_OK
 
+    # refused when the arguments are parsed, for every command that takes a seed,
+    # with the option and the value named
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--n", "2", "--a", "1,2", "--b", "1,3", "--methods", "det"],
+         ["verify", "haar", "--n", "2"],
+         ["verify", "fourier", "--n", "2"],
+         ["verify", "reproducing", "--n", "2"]],
+        ids=["eval", "verify-haar", "verify-fourier", "verify-reproducing"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "x", "2.5"])
+    def test_seed_must_be_a_non_negative_integer(self, argv, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed, "--quiet"])
+        assert exc.value.code == EXIT_USAGE
+        assert (f"argument --seed: must be a non-negative integer, got {seed}"
+                in capsys.readouterr().err)
+
     def test_schur_rejects_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["schur", "--lambda", "2", "--n", "2", "--exact", "--seed", "1"])

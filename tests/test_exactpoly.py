@@ -501,6 +501,21 @@ class TestSummingKernelsAgainstReference:
                      (g, GaussianRational(0)), (g * f, 1), (f, Fraction(1, 3))]
             assert_same(linear_combination(pairs, 2), ref_linear_combination(pairs, 2))
 
+    @pytest.mark.parametrize("images", [{0: 0, 1: None, 2: None, 3: 1},
+                                        {0: 1, 1: 0, 2: 0, 3: None},
+                                        {0: None, 1: None, 2: None, 3: 0}],
+                             ids=["diagonal", "merge", "one-kept"])
+    def test_apply_diff_mapped_is_the_map_of_apply_diff(self, images):
+        rng = random.Random(str(images))
+        n_out = max(w for w in images.values() if w is not None) + 1
+        for kind_f, kind_g in itertools.product(self.KINDS, repeat=2):
+            for _ in range(10):
+                f = small_poly(rng, kind_f, n_vars=4, n_terms=8)
+                g = small_poly(rng, kind_g, n_vars=4, n_terms=12)
+                got = f.apply_diff_mapped(g, images, n_out)
+                assert got == f.apply_diff(g).map_vars(images, n_out)
+                assert all(type(c) is GaussianRational for c in got.terms.values())
+
     def test_exact_cancellation_to_zero(self):
         rng = random.Random(5)
         for kind in self.KINDS:

@@ -7,9 +7,12 @@ import pytest
 
 from hciz.errors import DimensionMismatchError, NotAlternatingError
 from hciz import invariant
-from hciz.exactpoly import MAX_EXPONENT, ExactPoly, bargmann_inner
+from hciz.exactpoly import MAX_EXPONENT, ExactPoly, bargmann_gram, bargmann_inner
 from hciz.invariant import (
     TracePoly,
+    _schur_coefficients,
+    _staircase_shifts,
+    alternant_coordinates,
     chi_lambda,
     e_lambda,
     entry_to_diagonal,
@@ -140,6 +143,27 @@ class TestTracePolyIsAnExactPoly:
         start = time.perf_counter()
         assert f.degree() == 32
         assert time.perf_counter() - start < 0.25
+
+    def test_grlex_order_reads_only_the_fields_in_use(self):
+        import time
+
+        from hciz.exactpoly import _grlex
+
+        f = t(1) ** 3 * t(2) + t(3) ** 2 + t(2) * t(1) * 5 + t(40) + 7
+        full = sorted(f.terms.items(), key=lambda kv: _grlex(kv[0], MAX_EXPONENT), reverse=True)
+        assert f.items_grlex() == full
+        g = invariant.chi_lambda(Partition((6, 6, 6, 6, 6, 2)))
+        start = time.perf_counter()
+        assert len(g.items_grlex()) == len(g.terms)
+        assert time.perf_counter() - start < 0.25
+
+    @pytest.mark.parametrize("call", [lambda f: f.eval_complex([0.5] * MAX_EXPONENT),
+                                      lambda f: f.permute_vars(list(range(MAX_EXPONENT))),
+                                      lambda f: is_alternating(f)],
+                             ids=["eval_complex", "permute_vars", "is_alternating"])
+    def test_whole_space_methods_refuse(self, call):
+        with pytest.raises(TypeError, match="restrict_to_diagonal.*expand_to_entries"):
+            call(t(1) * t(2) + 1)
 
 
 class TestEntryExpansion:
@@ -494,11 +518,141 @@ class TestUnitarity:
                     assert ok and lhs == rhs
 
 
+class TestAlternantCoordinates:
+    """psi's coordinates by the pruned sigma-sum, against the full n!-term image."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_match_the_full_image_on_random_invariants(self, n):
+        rng = random.Random(n)
+        for _ in range(4 if n < 6 else 2):
+            f = random_trace_poly(rng, max_weight=4, n_terms=3)
+            want = _schur_coefficients(psi_map(f, n).poly, n)
+            got = alternant_coordinates(restrict_to_diagonal(f, n), n)
+            assert got == want and list(got) == list(want)
+            assert fourier_coefficients(f, n) == want
+            assert fourier_coefficients(f, n, 2) == _schur_coefficients(psi_map(f, n).poly, n, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_sign_is_taken_against_delta(self, n):
+        # a_delta * 1 = a_delta, whose one coordinate is +1 at lambda = 0; a parity
+        # taken against (0, 1, ..., n-1) instead flips it where reversal is odd
+        assert alternant_coordinates(ExactPoly.one(n), n) == {Partition(): GaussianRational(1)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_shifts_without_caps_are_the_alternant(self, n):
+        shifts = dict(_staircase_shifts((n - 1,) * n))
+        assert shifts == {key: c.re for key, c in alternant_delta(n).terms.items()}
+
+    def test_shifts_prune_to_the_rows_caps(self):
+        # row i of lambda + delta caps sigma(delta)_i, so prod_i (min(lambda_i, i) + 1) survive
+        n = 5
+        for lam in enumerate_partitions(6, n):
+            mu = lam.plus_staircase(n)
+            got = _staircase_shifts(tuple(min(m, n - 1) for m in mu))
+            assert len(got) == math.prod(min(lam.part(i), i) + 1 for i in range(n))
+
+    def test_not_symmetric_gives_none(self):
+        rng = random.Random(4)
+        for n in (2, 3):
+            for _ in range(10):
+                f = restrict_to_diagonal(random_trace_poly(rng, max_weight=3, n_terms=2), n)
+                broken = ExactPoly._raw(n, dict(list(f.terms.items())[1:]))
+                assert (alternant_coordinates(broken, n) is None) == (not is_symmetric(broken))
+        # every key of the orbit present, but two coefficients
+        assert alternant_coordinates(ExactPoly(2, {(1, 0): 1, (0, 1): 2}), 2) is None
+
+    def test_rejects_wrong_width_and_large_n(self):
+        with pytest.raises(DimensionMismatchError):
+            alternant_coordinates(ExactPoly.one(3), 2)
+        with pytest.raises(ValueError, match="n = 10 is above 9"):
+            alternant_coordinates(ExactPoly.one(10), 10)
+
+    def test_a_restriction_that_is_not_symmetric_fails_fourier(self, monkeypatch):
+        restrict = invariant.restrict_to_diagonal
+
+        def lopsided(f, n):
+            g = restrict(f, n)
+            return ExactPoly._raw(n, dict(list(g.terms.items())[1:]))
+
+        monkeypatch.setattr(invariant, "restrict_to_diagonal", lopsided)
+        with pytest.raises(NotAlternatingError, match="is not symmetric"):
+            fourier_coefficients(t(1) ** 2, 2)
+        assert verify_fourier_reconstruction(t(1) ** 2, 2) == (False, {})
+        results = verify_unitarity([t(1) ** 2, t(2)], 2)
+        assert not any(ok for ok, _, _ in results.values())
+        assert all(rhs is None for _, _, rhs in results.values())
+
+
+class TestUnitarityAgainstFullImages:
+    def test_right_side_is_the_pairing_of_the_images(self):
+        rng = random.Random(12)
+        for n in (1, 2, 3, 4):
+            fs = [random_trace_poly(rng, max_weight=3, n_terms=2) for _ in range(3)]
+            images = bargmann_gram(psi_map(f, n).poly for f in fs)
+            results = verify_unitarity(fs, n)
+            for key, (ok, lhs, rhs) in results.items():
+                assert ok and rhs == images[key] * norm_const_c2(n)
+                assert str(rhs) == str(images[key] * norm_const_c2(n))
+
+
+def ref_diffop_identity(fs, n):
+    """The identity as whole polynomials: a_delta (F_i(d)F_j)|_D against
+    F_i|_D(d)(a_delta F_j|_D), each side formed in full, {(i, j): (equal, lhs, rhs)}."""
+    a_delta = alternant_delta(n)
+    entries = [expand_to_entries(f, n) for f in fs]
+    diagonals = [restrict_to_diagonal(f, n) for f in fs]
+    images = [a_delta * g for g in diagonals]
+    out = {}
+    for i, j in itertools.product(range(len(fs)), repeat=2):
+        lhs = a_delta * entry_to_diagonal(entries[i].apply_diff(entries[j]), n)
+        rhs = diagonals[i].apply_diff(images[j])
+        out[i, j] = (lhs == rhs, lhs, rhs)
+    return out
+
+
+class TestDiffOpAgainstFullPolynomials:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trace_monomials(self, n):
+        fs = [f for _, f in trace_monomials(4, max_gen=3)]
+        got, want = verify_diffop_identity(fs, n), ref_diffop_identity(fs, n)
+        assert got.keys() == want.keys()
+        for key, (ok, lhs, rhs) in got.items():
+            ref_ok, ref_lhs, ref_rhs = want[key]
+            assert ok == ref_ok
+            assert lhs == _schur_coefficients(ref_lhs, n)
+            assert rhs == _schur_coefficients(ref_rhs, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_polys(self, n):
+        rng = random.Random(20 + n)
+        fs = [random_trace_poly(rng, max_weight=3, n_terms=3) for _ in range(4)]
+        got, want = verify_diffop_identity(fs, n), ref_diffop_identity(fs, n)
+        assert {k: v[0] for k, v in got.items()} == {k: v[0] for k, v in want.items()}
+        assert all(ok for ok, _, _ in got.values())
+
+    def test_a_left_side_that_is_not_symmetric_fails(self, monkeypatch):
+        mapped = ExactPoly.apply_diff_mapped
+
+        def dropping(self, g, images, n_vars_out):
+            h = mapped(self, g, images, n_vars_out)
+            return ExactPoly._raw(h.n_vars, dict(list(h.terms.items())[1:]))
+
+        monkeypatch.setattr(ExactPoly, "apply_diff_mapped", dropping)
+        fs = [f for _, f in trace_monomials(3, max_gen=3)]
+        results = verify_diffop_identity(fs, 3)
+        # every pair whose (F_i(d)F_j)|_D is nonzero loses a term, and most an orbit's
+        # term, which leaves it not symmetric
+        nonzero = {key for key, (_, _, rhs) in ref_diffop_identity(fs, 3).items() if rhs}
+        assert {key for key, (ok, _, _) in results.items() if not ok} == nonzero
+        assert sum(results[key][1] is None for key in nonzero) > len(nonzero) // 2
+
+
 class TestDiffOpIdentity:
     def test_hand_case_traces(self):
+        # d/dz applied to Tr z is Tr 1 = 2, and a_delta * 2 has the one coordinate 2 at delta
         ok, lhs, rhs = verify_diffop_identity([t(1)], 2)[0, 0]
         assert ok
-        assert lhs == alternant_delta(2) * 2
+        assert lhs == rhs == {Partition(()): GaussianRational(2)}
 
     def test_monomial_pairs_small(self):
         monos = trace_monomials(3, max_gen=3)

@@ -166,12 +166,15 @@ class TestRecordedReports:
         ("unitarity", 1): "b4caa92f52f828573c480e62a24b584d7f104f4a25f20fe662518c95d7acc4f9",
         ("unitarity", 2): "dbdeb485de3a679ba776fa3220c2602738491ec4efb0ebdf3caead98fe82c863",
         ("unitarity", 3): "8815800076a9793956b3b4a13b6cd4e8deb110b62f7013ee766cc5863099b46a",
+        ("unitarity", 4): "5a409a0b9809fe43380585032100b6ab80be2b911dcab42ff41678fd7f8c1cf1",
         ("diffop", 1): "baf53ac15789953e8e543c2f303911611b8f0ebac2b0593f7a260486cc34156d",
         ("diffop", 2): "baf53ac15789953e8e543c2f303911611b8f0ebac2b0593f7a260486cc34156d",
         ("diffop", 3): "baf53ac15789953e8e543c2f303911611b8f0ebac2b0593f7a260486cc34156d",
+        ("diffop", 4): "baf53ac15789953e8e543c2f303911611b8f0ebac2b0593f7a260486cc34156d",
         ("fourier", 1): "07e854c6b87dc6deb134b9776ab39a89c15a87a7d4a70a40246bc52afb2693dd",
         ("fourier", 2): "36012b35a3b9723d5af46b36f788b9dbaa861c2c26ee9fe4be292fc548568c97",
         ("fourier", 3): "598850cfd34c36dbfd08120445bd85a2f0cba230ff0818cb0a6cf8d463624d21",
+        ("fourier", 4): "e75440acb8ee5a1125d7134af6e26d4268c026e902184b0f4fc530be03f349ae",
         ("reproducing", 1): "2bd8ff3d75a90201de8232810104596956f9258a182ef785085aa3d95dd78ccf",
         ("reproducing", 2): "58f326d2f0cc89bab7df66808719f51f877c156a87c206418efc141e83b45376",
         ("reproducing", 3): "2a5ed71f1851a9f249c5dd4cb529bc728b49a0adc83114be238d692cf476304a",
@@ -182,6 +185,32 @@ class TestRecordedReports:
         rep = self.CALLS[suite](n)
         text = "".join(f"{c.label}\t{c.passed}\t{c.detail}\n" for c in rep.cases)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[suite, n]
+
+
+class TestNoAlternantProduct:
+    """unitarity, diffop and fourier read psi's coordinates and never build an
+    n!-term alternant or its product with F|_D: with every builder of one made
+    to raise, they still pass."""
+
+    @pytest.fixture
+    def no_alternants(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an alternant was built")
+
+        monkeypatch.setattr(symfn, "alternant", refuse)
+        monkeypatch.setattr(invariant, "alternant_delta", refuse)
+        monkeypatch.setattr(invariant, "psi_map", refuse)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("run", [suite_unitarity, suite_diffop,
+                                     lambda n: suite_fourier(n, count=5, seed=3)],
+                             ids=["unitarity", "diffop", "fourier"])
+    def test_suites_pass_without_alternants(self, no_alternants, run, n):
+        assert run(n).passed
+
+    def test_the_guard_bites(self, no_alternants):
+        with pytest.raises(AssertionError, match="an alternant was built"):
+            suite_alt_orthonormal(2, 2)
 
 
 class TestRationalGramChecksBite:
