@@ -26,4 +26,6 @@ class DegenerateSpectrumError(ValueError):
 
 
 class NotAlternatingError(ValueError):
-    """A polynomial required to be alternating fails the transposition check."""
+    """A polynomial required to be alternating is not: some orbit of its terms under
+    permutations of the variables is incomplete, repeats an exponent, or is not
+    one coefficient times the sign of each term's sort."""

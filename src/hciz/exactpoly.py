@@ -22,21 +22,17 @@ ExactPoly over MAX_EXPONENT variables, and `degree` reads only the fields
 each key uses.
 
 Coefficients are summed by component, not as GaussianRational objects.
-The kernels that add up many products (`*`, `apply_diff`,
-`apply_diff_mapped`, `map_vars` and `linear_combination`) all feed one
+The kernels that add up many products (`*`, `apply_diff` and
+`apply_diff_mapped` through `_diff_terms`, `map_vars` and
+`linear_combination`, and so `permute_vars` and `substitute`) all feed one
 private builder, `_summed_terms`: it sums the real and imaginary parts of
-each output coefficient as plain `int | Fraction` values in one dict per
-component, keyed by the packed key, and builds one GaussianRational per
-key that survives.  When every operand is real, which is the usual case,
-`*`, `apply_diff` and `linear_combination` form no imaginary product.
-`linear_combination` first scales its weights by the lcm D of their
-denominators, so sums over integer polynomials stay ints and each
-surviving coefficient is divided by D once.  The built dict keeps the
-order that adding the products one at a time gives, a key that cancels to
-zero re-entering at the end, because `eval_complex` sums the terms in that
-order.  `+` makes at most one GaussianRational sum per shared key, so it
-keeps its own per-term loop.  `substitute` sums its terms' images with
-`linear_combination`.
+each output coefficient as plain `int | Fraction` values, builds one
+GaussianRational per key that survives, and keeps the order `eval_complex`
+sums in.  When every operand is real, which is the usual case, `*`,
+`apply_diff` and `linear_combination` form no imaginary product.  `+`
+makes at most one GaussianRational sum per shared key, so it keeps its own
+per-term loop.  `map_vars` and `apply_diff_mapped` relabel keys by one
+kernel, `_relabeling`, and `permute_vars` is a checked `map_vars`.
 
 Beyond ring arithmetic the module provides the two operations the exact
 verification layer is built on: the action of a polynomial as a
@@ -168,6 +164,25 @@ def _summed_terms(products, real: bool = False, denom: int = 1) -> dict:
     if real:
         return {k: raw(Fraction(x, denom), 0) for k, x in re.items()}
     return {k: raw(Fraction(x, denom), Fraction(im.get(k, 0), denom)) for k, x in re.items()}
+
+
+def _relabeling(images: dict):
+    """(dead, relabel): the fields of the variables whose image is None, and a
+    memoized relabel(key) that moves each exponent of v to images[v], summing those
+    that meet."""
+    dead = sum(_FIELD << (_BITS * v) for v, w in images.items() if w is None)
+    relabeled: dict[int, int] = {}
+
+    def relabel(k: int) -> int:
+        key = relabeled.get(k)
+        if key is None:
+            merged: dict[int, int] = {}
+            for v, e in exponent_pairs(k):
+                merged[images[v]] = merged.get(images[v], 0) + e
+            key = relabeled[k] = _pack(merged.items())
+        return key
+
+    return dead, relabel
 
 
 def _is_real(poly: "ExactPoly") -> bool:
@@ -369,20 +384,8 @@ class ExactPoly:
         """(F(d)G).map_vars(images, n_vars_out), without forming F(d)G: a term
         z^b / z^a survives only if a and b agree on every variable whose image is
         None, so only those pairs are formed."""
-        dead = sum(_FIELD << (_BITS * v) for v, w in images.items() if w is None)
-        relabeled: dict[int, int] = {}
-
-        def relabel(k: int) -> int:
-            key = relabeled.get(k)
-            if key is None:
-                merged: dict[int, int] = {}
-                for v, e in exponent_pairs(k):
-                    merged[images[v]] = merged.get(images[v], 0) + e
-                key = relabeled[k] = _pack(merged.items())
-            return key
-
         # the constructor rejects a surviving term past n_vars_out
-        return ExactPoly(n_vars_out, self._diff_terms(g, dead, relabel))
+        return ExactPoly(n_vars_out, self._diff_terms(g, *_relabeling(images)))
 
     def _diff_terms(self, g: "ExactPoly", dead: int = 0, relabel=None) -> dict:
         """`terms` of F(d)G from the term pairs that agree on the fields set in `dead`,
@@ -427,32 +430,17 @@ class ExactPoly:
 
     def map_vars(self, images: dict, n_vars_out: int) -> "ExactPoly":
         """Relabel variables by `images[v]`; a None image kills terms using v."""
-        dead = sum(_FIELD << (_BITS * v) for v, w in images.items() if w is None)
-
-        def products():
-            for key, c in self.terms.items():
-                if key & dead:
-                    continue
-                merged: dict[int, int] = {}
-                for v, e in exponent_pairs(key):
-                    w = images[v]
-                    merged[w] = merged.get(w, 0) + e
-                k = _pack(merged.items())
-                yield k, c.re, c.im
-
+        dead, relabel = _relabeling(images)
+        products = ((relabel(k), c.re, c.im) for k, c in self.terms.items() if not k & dead)
         # the constructor rejects a surviving term past n_vars_out
-        return ExactPoly(n_vars_out, _summed_terms(products()))
+        return ExactPoly(n_vars_out, _summed_terms(products))
 
     def permute_vars(self, sigma) -> "ExactPoly":
         """Relabel variables: the new exponent at j is the old exponent at sigma[j]."""
         n = self.n_vars
-        if len(sigma) != n or sorted(sigma) != list(range(n)):
+        if sorted(sigma) != list(range(n)):
             raise DimensionMismatchError("sigma is not a permutation of the variables")
-        out = {}
-        for key, c in self.terms.items():
-            exps = exponent_vector(key, n)
-            out[_pack((j, exps[s]) for j, s in enumerate(sigma))] = c
-        return ExactPoly._raw(n, out)
+        return self.map_vars({s: j for j, s in enumerate(sigma)}, n)
 
     def substitute(self, images: dict, n_vars_out: int) -> "ExactPoly":
         """Substitute every variable v by the polynomial images[v] (over the new space)."""

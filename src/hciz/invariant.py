@@ -15,7 +15,8 @@ differential-operator checks read psi's coordinates
 Coordinates fix a_delta g only for symmetric g, so that premise is
 checked, and a check whose premise fails fails its case.  `psi_inverse`
 and the reproducing check read an alternating polynomial's own
-coefficients (`_schur_coefficients`); the inverse and the Fourier
+coordinates in the pass over its terms' orbits that checks it alternates
+(`_schur_coefficients`); the inverse and the Fourier
 reconstruction sum g_{lambda+delta} chi_lambda as one linear combination
 (`_character_sum`).  All of it is checked here with rational arithmetic
 only; the one float is the reproducing check's residual, an exact pairing
@@ -41,20 +42,20 @@ from functools import lru_cache
 
 from .errors import DimensionMismatchError, NotAlternatingError
 from .exactpoly import (
-    _BITS, MAX_EXPONENT, ExactPoly, _pack, bargmann_gram, bargmann_inner, exponent_pairs,
-    exponent_vector, linear_combination,
+    _BITS, MAX_EXPONENT, ExactPoly, _pack, bargmann_gram, bargmann_inner, exponent_vector,
+    linear_combination,
 )
 from .scalars import QQI_ZERO, GaussianRational
 from .symfn import (
     Partition,
     Scaled,
     TracePoly,
+    _orbits,
     _partition,
+    _sort_sign,
     alternant_delta,
     d_lambda,
-    is_alternating,
     norm_const_c2,
-    enumerate_partitions,
     partitions_of_weight,
     require_alternant_n,
     schur_to_power_sums,
@@ -64,8 +65,9 @@ from .symfn import (
 
 
 # the most entries `trace_power_entry` walks, n^2 fields in each of n^k index paths' keys:
-# (k, n) = (4, 16), 16.8 million, takes 0.25 s and (3, 30), 24.3 million, 0.2 s,
-# but a path costs k key additions, so (20, 2), 4.2 million, takes 2.8 s
+# (k, n) = (4, 16), 16.8 million, takes 0.25 s and (3, 30), 24.3 million, 0.2 s, but a
+# path costs k key additions, so (20, 2), 4.2 million, takes 2.1 s and (22, 2), 16.8
+# million and under the limit, 10 s (ROADMAP item 15)
 MAX_TRACE_ENTRIES = 20_000_000
 
 
@@ -160,20 +162,23 @@ def e_lambda(lam: Partition, n: int) -> Scaled:
     return Scaled(ratio, chi_lambda(lam))
 
 
-def _schur_coefficients(h: ExactPoly, n: int, max_weight: int | None = None) -> dict:
-    """{lambda: coefficient of x^{lambda+delta} in h} for |lambda| <= max_weight, zeros omitted.
+def _schur_coefficients(h: ExactPoly, n: int, max_weight: int | None = None):
+    """{lambda: coefficient of x^{lambda+delta} in h} for |lambda| <= max_weight, zeros
+    omitted, by weight and then lexicographically descending; None if h is not alternating.
 
     An alternating h is sum_lambda h_{lambda+delta} a_{lambda+delta}, and
     x^{lambda+delta} is the one term of a_{lambda+delta} with strictly
-    decreasing exponents, so these are its coordinates in the alternants.
-    They run to |lambda| = deg h - |delta|: past it every coefficient is zero.
+    decreasing exponents, so these are its coordinates in the alternants, one
+    per orbit of h's terms.
     """
-    top = max(h.degree() - n * (n - 1) // 2, 0)
+    orbits = _orbits(h, alternating=True)
+    if orbits is None:
+        return None
     out = {}
-    for lam in enumerate_partitions(top if max_weight is None else min(max_weight, top), n):
-        c = h.coefficient(lam.plus_staircase(n))
-        if not c.is_zero:
-            out[lam] = c
+    for mu in sorted(orbits, key=lambda mu: (-sum(mu), mu), reverse=True):
+        lam = Partition(m - (n - 1 - i) for i, m in enumerate(mu))
+        if max_weight is None or lam.weight <= max_weight:
+            out[lam] = orbits[mu]
     return out
 
 
@@ -195,21 +200,6 @@ def _staircase_shifts(caps: tuple) -> tuple:
     return tuple((key, sign) for _, key, sign in states)
 
 
-def _is_symmetric(g: ExactPoly) -> bool:
-    """Each group of g's terms with the same sorted exponents is a whole orbit of the
-    permutations, n! / prod_e m_e! terms for m_e exponents equal to e, with one
-    coefficient; one pass, where a check per transposition makes n - 1."""
-    orbits: dict = {}
-    for key, c in g.terms.items():
-        seen = orbits.setdefault(tuple(sorted(exponent_vector(key, g.n_vars))), [c, 0])
-        if seen[0] != c:
-            return False
-        seen[1] += 1
-    n_fact = math.factorial(g.n_vars)
-    return all(count == n_fact // math.prod(map(math.factorial, Counter(exps).values()))
-               for exps, (_, count) in orbits.items())
-
-
 def alternant_coordinates(g: ExactPoly, n: int, max_weight: int | None = None):
     """{lambda: [x^{lambda+delta}](a_delta g)} for a symmetric g in n variables, zeros
     omitted, |lambda| <= max_weight; None if g is not symmetric.
@@ -222,11 +212,12 @@ def alternant_coordinates(g: ExactPoly, n: int, max_weight: int | None = None):
     require_alternant_n(n)
     if g.n_vars != n:
         raise DimensionMismatchError(f"polynomial over {g.n_vars} variables, expected {n}")
-    if not _is_symmetric(g):
+    orbits = _orbits(g)
+    if orbits is None:
         return None
     terms = g.terms
     out = {}
-    for w in sorted({sum(e for _, e in exponent_pairs(key)) for key in terms}):
+    for w in sorted({sum(e) for e in orbits}):
         if max_weight is not None and w > max_weight:
             break
         for lam in partitions_of_weight(w, n):
@@ -260,9 +251,10 @@ def psi_inverse(g, n: int) -> Scaled:
     g = Scaled.of(g)
     if g.poly.n_vars != n:
         raise DimensionMismatchError(f"polynomial over {g.poly.n_vars} variables, expected {n}")
-    if not is_alternating(g.poly):
+    coeffs = _schur_coefficients(g.poly, n)
+    if coeffs is None:
         raise NotAlternatingError("psi_inverse needs an alternating input")
-    lift = _character_sum(_schur_coefficients(g.poly, n))
+    lift = _character_sum(coeffs)
     return Scaled(g.scale2 / norm_const_c2(n), lift)
 
 
@@ -322,17 +314,14 @@ def _diff_coordinates(terms: list, coords: dict, n: int) -> dict:
             acc = QQI_ZERO
             for alpha, c in terms:
                 beta = [m + a for m, a in zip(mu, alpha)]
-                if len(set(beta)) < n:
+                sign = _sort_sign(beta)
+                if not sign:
                     continue
                 order = sorted(beta, reverse=True)
                 # sorted(beta) - delta without its zero parts: a tuple keys a Partition
                 a = coords.get(tuple(p for i, b in enumerate(order) if (p := b - (n - 1 - i))))
-                if a is None:
-                    continue
-                # the pairs i < j in increasing order are the sort's inversions
-                flips = sum(x < y for i, x in enumerate(beta) for y in beta[i + 1:])
-                fall = vector_factorial(beta) // mu_fact
-                acc = acc + c * a * (-fall if flips & 1 else fall)
+                if a is not None:
+                    acc = acc + c * a * (sign * (vector_factorial(beta) // mu_fact))
             if not acc.is_zero:
                 out[lam] = acc
     return out
@@ -424,11 +413,12 @@ def coherent_reproducing_check(a, f: ExactPoly, max_weight: int) -> float:
     n = len(a)
     if f.n_vars != n:
         raise DimensionMismatchError(f"polynomial over {f.n_vars} variables, expected {n}")
-    if not is_alternating(f):
+    coeffs = _schur_coefficients(f, n, max_weight)
+    if coeffs is None:
         raise NotAlternatingError("the reproducing check needs an alternating polynomial")
     acc = 0j
     # <d_lambda, F> is zero unless F has the term x^{lambda+delta}
-    for lam in _schur_coefficients(f, n, max_weight):
+    for lam in coeffs:
         d = d_lambda(lam, n)
         acc += complex(d.scale2) * d.poly.eval_complex(a) * bargmann_inner(d.poly, f).to_complex()
     return abs(acc - f.eval_complex(a))

@@ -160,13 +160,13 @@ def enumerate_partitions(max_weight: int, max_parts: int) -> list:
     return out
 
 
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+def _sort_sign(exps) -> int:
+    """The sign of the permutation that sorts `exps` into decreasing order, the parity
+    of the pairs i < j with exps[i] < exps[j]; 0 if an exponent repeats."""
+    if len(set(exps)) < len(exps):
+        return 0
+    flips = sum(x < y for i, x in enumerate(exps) for y in exps[i + 1:])
+    return -1 if flips & 1 else 1
 
 
 def require_alternant_n(n: int) -> None:
@@ -184,12 +184,12 @@ def alternant(mu, n: int) -> ExactPoly:
     require_alternant_n(n)
     if any(m < 0 for m in mu):
         raise ValueError("negative exponent in alternant")
-    if len(set(mu)) != n:
+    # sgn sigma is the sort sign of mu's rearrangement over that of mu itself
+    sign = _sort_sign(mu)
+    if not sign:
         raise DegenerateExponentError(f"repeated exponents in {mu}: alternant vanishes")
-    terms = {}
-    for perm in itertools.permutations(range(n)):
-        terms[tuple(mu[perm[i]] for i in range(n))] = GaussianRational(_perm_sign(perm))
-    return ExactPoly(n, terms)
+    return ExactPoly(n, {perm: GaussianRational(sign * _sort_sign(perm))
+                         for perm in itertools.permutations(mu)})
 
 
 @lru_cache(maxsize=None)
@@ -197,17 +197,38 @@ def alternant_delta(n: int) -> ExactPoly:
     return alternant(staircase(n), n)
 
 
-def _transposition(n: int, k: int):
-    sigma = list(range(n))
-    sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
-    return sigma
+def _orbits(f: ExactPoly, alternating: bool = False):
+    """{e: f's coefficient at x^e} for the decreasing e, one per orbit of f's terms
+    under permutations of the variables; None unless f is symmetric, or alternating.
+
+    One pass groups the terms by their sorted exponents.  Each group must be a whole
+    orbit, n! / prod_e m_e! terms for m_e exponents equal to e, with one coefficient,
+    taken times the sort sign if alternating, when no exponent may repeat.
+    """
+    if isinstance(f, TracePoly):
+        raise TypeError(_NO_WHOLE_SPACE.format("a permutation of the variables"))
+    n = f.n_vars
+    orbits: dict = {}
+    for key, c in f.terms.items():
+        exps = exponent_vector(key, n)
+        if alternating:
+            sign = _sort_sign(exps)
+            if not sign:
+                return None
+            c = c if sign > 0 else -c
+        seen = orbits.setdefault(tuple(sorted(exps, reverse=True)), [c, 0])
+        if seen[0] != c:
+            return None
+        seen[1] += 1
+    n_fact = math.factorial(n)
+    if any(count != n_fact // math.prod(map(math.factorial, Counter(exps).values()))
+           for exps, (_, count) in orbits.items()):
+        return None
+    return {exps: c for exps, (c, _) in orbits.items()}
 
 
 def is_alternating(f: ExactPoly) -> bool:
-    # a TracePoly's permute_vars raises TypeError, so this never walks its space
-    return all(
-        f.permute_vars(_transposition(f.n_vars, k)) == -f for k in range(f.n_vars - 1)
-    )
+    return _orbits(f, alternating=True) is not None
 
 
 def schur_exact(lam: Partition, n: int) -> ExactPoly:

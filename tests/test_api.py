@@ -65,6 +65,17 @@ def test_division_names_are_gone(name):
     assert not hasattr(errors, name) and not hasattr(symfn, name)
 
 
+@pytest.mark.parametrize("module, name", [("symfn", "_perm_sign"), ("symfn", "_transposition"),
+                                          ("invariant", "_is_symmetric")])
+def test_permutation_names_are_gone(module, name):
+    # symmetry and alternation are one orbit walk (symfn._orbits), and a sort's
+    # sign has one helper (symfn._sort_sign)
+    import importlib
+
+    assert not hasattr(importlib.import_module(f"hciz.{module}"), name)
+    assert not hasattr(hciz, name)
+
+
 def test_patch_of_a_module_attribute_is_seen_and_undone(monkeypatch):
     # what perfbench's Tracer does: wrap numeric.kernel_series, then restore it
     orig = numeric.kernel_series

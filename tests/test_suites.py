@@ -186,6 +186,24 @@ class TestRecordedReports:
         text = "".join(f"{c.label}\t{c.passed}\t{c.detail}\n" for c in rep.cases)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[suite, n]
 
+    # a passing diffop case prints nothing, so the digests above pin only its
+    # verdicts; these pin both sides' coordinates for every pair of suite_diffop's
+    # default basis (trace monomials of weight <= 4 in t1..t3)
+    DIFFOP_VALUES = {
+        1: "cd27bd6a827d54c29432c83b122dac100c0b7ae124d9c04ad53854594c8758b4",
+        2: "13530f9cc1f997833d6e5fac3fec103bf6bae741f0fdc37eefe865cba21f7669",
+        3: "74bbfecfd2d62adaf399731d26c9001223959950c4e486142f991d486e664fef",
+        4: "00a18e3e4bb94dd03566837ca393c85630af1ee631d4c19a15882f39f827074f",
+    }
+
+    @pytest.mark.parametrize("n", sorted(DIFFOP_VALUES))
+    def test_diffop_coordinates_digest(self, n):
+        res = invariant.verify_diffop_identity([f for _, f in trace_monomials(4, 3)], n)
+        text = "".join(
+            f"{i},{j}\t{ok}\t{suites._coordinates_text(lhs)}\t{suites._coordinates_text(rhs)}\n"
+            for (i, j), (ok, lhs, rhs) in res.items())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIFFOP_VALUES[n]
+
 
 class TestNoAlternantProduct:
     """unitarity, diffop and fourier read psi's coordinates and never build an

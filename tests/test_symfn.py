@@ -13,7 +13,7 @@ from hciz.exactpoly import ExactPoly, bargmann_inner, exponent_vector
 from hciz.invariant import restrict_to_diagonal
 from hciz.numeric import homogeneous_prefixes, schur_numeric
 from hciz.scalars import GaussianRational
-from hciz.suites import random_trace_poly
+from hciz.suites import random_alternating_poly, random_trace_poly
 from hciz.symfn import (
     MAX_ALTERNANT_N,
     MAX_POWER_SUM_CLASSES,
@@ -21,6 +21,7 @@ from hciz.symfn import (
     Partition,
     Scaled,
     TracePoly,
+    _orbits,
     alternant,
     alternant_delta,
     character,
@@ -231,6 +232,15 @@ def is_symmetric(f):
     return all(f.permute_vars(p) == f for p in perms)
 
 
+def brute_is_alternating(f):
+    """f(x_sigma) == sgn(sigma) f(x) for every permutation sigma of the variables."""
+    def sign(p):
+        return (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+
+    perms = itertools.permutations(range(f.n_vars))
+    return all(f.permute_vars(p) == f * sign(p) for p in perms)
+
+
 class TestAlternant:
     def test_golden_n2(self):
         assert alternant((1, 0), 2) == x(2, 0) - x(2, 1)
@@ -290,6 +300,36 @@ class TestSymmetryPredicates:
         assert is_alternating(alternant_delta(3))
         assert not is_symmetric(x(2, 0))
         assert not is_alternating(x(2, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_alternating_agrees_with_every_permutation(self, n):
+        # random alternants, and each with one term dropped, one term's sign
+        # flipped and one coefficient scaled, which breaks alternation for n >= 2
+        rng = random.Random(40 + n)
+        tried = 0
+        while tried < 5:
+            f = random_alternating_poly(rng, n, 3)
+            if f.is_zero:
+                continue
+            tried += 1
+            key, c = rng.choice(list(f.terms.items()))
+            dropped = {k: v for k, v in f.terms.items() if k != key}
+            broken = [ExactPoly._raw(n, t) for t in
+                      (dropped, {**f.terms, key: -c}, {**f.terms, key: c * Fraction(3, 2)})]
+            assert is_alternating(f) and brute_is_alternating(f)
+            for g in broken:
+                assert is_alternating(g) == brute_is_alternating(g) == (n == 1)
+            # each orbit is read at its decreasing exponents, where a_mu has +1
+            orbits = _orbits(f, alternating=True)
+            assert orbits == {exponent_vector(k, n): v for k, v in f.terms.items()
+                              if list(exponent_vector(k, n)) == sorted(exponent_vector(k, n),
+                                                                       reverse=True)}
+
+    def test_repeated_exponent_is_not_alternating(self):
+        # each term times its sort parity is 1, and the three terms are the whole
+        # orbit of (1, 1, 0): only the repeated exponent tells it from an alternant
+        f = ExactPoly(3, {(1, 1, 0): 1, (1, 0, 1): -1, (0, 1, 1): 1})
+        assert not is_alternating(f) and not brute_is_alternating(f)
 
 
 # -- Schur polynomials -------------------------------------------------------------
