@@ -258,9 +258,48 @@ def psi_inverse(g, n: int) -> Scaled:
     return Scaled(g.scale2 / norm_const_c2(n), lift)
 
 
+def entry_gram(fs, n: int) -> dict:
+    """{(i, j): <F_i, F_j>} in the entry picture for trace polynomials, row-major.
+
+    Monomials are imaged once and paired within their weight only (Tr(z^k) has
+    degree k), one `bargmann_gram` per weight; <F_i, F_j> = sum_ab conj(f_ia) G_ab
+    f_jb follows in Gaussian integers, each F_i scaled by its common denominator.
+    """
+    fs = list(fs)
+    blocks, slot = {}, {}  # weight -> [rho]; monomial key -> (weight, position)
+    for key in dict.fromkeys(key for f in fs for key in f.terms):
+        rho = _partition(key)
+        block = blocks.setdefault(sum(rho), [])
+        slot[key] = sum(rho), len(block)
+        block.append(rho)
+    grams = {w: bargmann_gram(_monomial_image(rho, n, False) for rho in block)
+             for w, block in blocks.items()}
+    rows = []  # D, D F and G D F, by weight
+    for f in fs:
+        d = math.lcm(*(x.denominator for c in f.terms.values() for x in (c.re, c.im)))
+        row = {}  # weight -> [(position, re, im)]
+        for key, c in f.terms.items():
+            w, a = slot[key]
+            row.setdefault(w, []).append((a, int(c.re * d), int(c.im * d)))
+        rows.append((d, row, {w: [(sum(grams[w][a, b].re * x for b, x, _ in vs),
+                                   sum(grams[w][a, b].re * y for b, _, y in vs))
+                                  for a in range(len(blocks[w]))] for w, vs in row.items()}))
+    out = {}
+    for (i, (di, lhs, _)), (j, (dj, _, gv)) in itertools.product(enumerate(rows), repeat=2):
+        re = im = 0
+        for w in lhs.keys() & gv.keys():
+            for a, x, y in lhs[w]:
+                p, q = gv[w][a]
+                re += x * p + y * q
+                im += x * q - y * p
+        d = di * dj
+        out[i, j] = GaussianRational(Fraction(re, d), Fraction(im, d)) if re or im else QQI_ZERO
+    return out
+
+
 def invariant_inner(f: TracePoly, g: TracePoly, n: int) -> GaussianRational:
-    """Gaussian inner product of invariants, via the entry picture."""
-    return bargmann_inner(expand_to_entries(f, n), expand_to_entries(g, n))
+    """Gaussian inner product of invariants, in the entry picture (`entry_gram`)."""
+    return entry_gram([f, g], n)[0, 1]
 
 
 # -- identity verifiers ---------------------------------------------------------------
@@ -281,18 +320,17 @@ def verify_unitarity(fs, n: int) -> dict:
     An alternating polynomial's terms come in orbits of n! under permutations
     of the variables, each orbit with one coefficient up to sign and one a!,
     so <psi F_i, psi F_j> is c^2 n! times the pairing of their terms at the
-    strictly decreasing exponents x^{lambda+delta}, psi's coordinates.  Both
-    Gram matrices come from `bargmann_gram`, which pairs each unordered pair
-    once.  Returns {(i, j): (equal, lhs, rhs)} for every ordered pair,
-    row-major; rhs is None, and the pair fails, where an F|_D is not symmetric.
+    strictly decreasing exponents x^{lambda+delta}, psi's coordinates.  The
+    left Gram matrix comes from `entry_gram`, the right from `bargmann_gram`.
+    Returns {(i, j): (equal, lhs, rhs)} for every ordered pair, row-major; rhs
+    is None, and the pair fails, where an F|_D is not symmetric.
     """
     # the coordinates first: they check n against the alternant limit
     coords = [alternant_coordinates(restrict_to_diagonal(f, n), n) for f in fs]
-    entries = [expand_to_entries(f, n) for f in fs]
     leading = [ExactPoly._raw(n, {_pack(enumerate(lam.plus_staircase(n))): c
                                   for lam, c in (cs or {}).items()}) for cs in coords]
     scale = norm_const_c2(n) * math.factorial(n)
-    lhs, rhs = bargmann_gram(entries), bargmann_gram(leading)
+    lhs, rhs = entry_gram(fs, n), bargmann_gram(leading)
     return _gram(len(fs), lambda i, j: lhs[i, j], lambda i, j: (
         None if coords[i] is None or coords[j] is None else rhs[i, j] * scale))
 

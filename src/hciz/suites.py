@@ -58,29 +58,29 @@ def _pair_cases(keys, label: str, results: dict, detail) -> list:
     ]
 
 
-def _orthonormal(suite: str, letter: str, n: int, max_weight: int, image) -> SuiteReport:
-    """<b_lambda, b_mu> = delta_{lambda mu} exactly, each b_lambda = image(lambda) built once.
+def _orthonormal(suite: str, letter: str, n: int, max_weight: int, basis, gram) -> SuiteReport:
+    """<b_lambda, b_mu> = delta_{lambda mu} exactly, b_lambda = basis(lambda), from the
+    scales and the Gram matrix `gram` gives of the polynomials.
 
     b_lambda = sqrt(q_lambda) P_lambda, and the test is q_lambda <P_lambda, P_mu>
     == delta_{lambda mu}: with S = diag(sqrt(q)), q > 0, and g the Gram matrix
     of the P, S g S = I exactly when S^2 g = I entry by entry, so the verdicts
     are those of the scaled pairing and no square root is ever formed.  The
-    Gram matrix comes from `bargmann_gram`, which pairs each unordered pair
-    once, and only its nonzero entries are scaled by q_lambda.
+    Gram matrix pairs each unordered pair once, and only its nonzero entries
+    are scaled by q_lambda.
     """
-    from .exactpoly import bargmann_gram
     from .invariant import _gram
-    from .scalars import GaussianRational
+    from .scalars import QQI_ONE, QQI_ZERO
     from .symfn import enumerate_partitions
 
     _require_positive_n(n)
     lams = enumerate_partitions(max_weight, n)
-    images = [image(lam) for lam in lams]
-    gram = bargmann_gram(b.poly for b in images)
+    elements = [basis(lam) for lam in lams]
+    g = gram([b.poly for b in elements])
     results = _gram(
         len(lams),
-        lambda i, j: gram[i, j] * images[i].scale2 if gram[i, j] else gram[i, j],
-        lambda i, j: GaussianRational(int(i == j)),
+        lambda i, j: g[i, j] * elements[i].scale2 if g[i, j] else g[i, j],
+        lambda i, j: QQI_ONE if i == j else QQI_ZERO,
     )
     label = f"<{letter}[{{}}], {letter}[{{}}]>"
     cases = _pair_cases(lams, label, results, lambda ok, got, want: f"value {got}")
@@ -89,19 +89,20 @@ def _orthonormal(suite: str, letter: str, n: int, max_weight: int, image) -> Sui
 
 def suite_alt_orthonormal(n: int, max_weight: int = 6) -> SuiteReport:
     """<d_lambda, d_mu> = delta_{lambda mu}, exactly, on the alternating side."""
+    from .exactpoly import bargmann_gram
     from .symfn import d_lambda
 
-    return _orthonormal("alt-orthonormal", "d", n, max_weight, lambda lam: d_lambda(lam, n))
+    return _orthonormal("alt-orthonormal", "d", n, max_weight, lambda lam: d_lambda(lam, n),
+                        bargmann_gram)
 
 
 def suite_inv_orthonormal(n: int, max_weight: int = 4) -> SuiteReport:
-    """<e_lambda, e_mu> = delta_{lambda mu}, exactly, via entry expansion."""
-    from .invariant import e_lambda, expand_to_entries
+    """<e_lambda, e_mu> = delta_{lambda mu}, exactly, in the entry picture: the Gram
+    matrix of the chi_lambda from that of their trace monomials (`entry_gram`)."""
+    from .invariant import e_lambda, entry_gram
 
-    return _orthonormal(
-        "inv-orthonormal", "e", n, max_weight,
-        lambda lam: e_lambda(lam, n).map_poly(lambda p: expand_to_entries(p, n)),
-    )
+    return _orthonormal("inv-orthonormal", "e", n, max_weight, lambda lam: e_lambda(lam, n),
+                        lambda fs: entry_gram(fs, n))
 
 
 def trace_monomials(max_degree: int, max_gen: int | None = None) -> list:

@@ -15,6 +15,7 @@ from hciz.invariant import (
     alternant_coordinates,
     chi_lambda,
     e_lambda,
+    entry_gram,
     entry_to_diagonal,
     entry_var,
     expand_to_entries,
@@ -34,6 +35,7 @@ from hciz.suites import random_alternating_poly, random_trace_poly, trace_monomi
 from hciz.symfn import (
     Partition,
     Scaled,
+    _partition,
     alternant,
     alternant_delta,
     d_lambda,
@@ -499,6 +501,24 @@ class TestInvariantInner:
             g = random_trace_poly(rng, max_weight=3, n_terms=2)
             lhs = invariant_inner(f, g, 2)
             assert lhs == invariant_inner(g, f, 2).conjugate()
+
+
+class TestEntryGram:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_gram_of_the_expansions(self, n):
+        # the reference route expands every F to the entries and pairs the expansions
+        rng = random.Random(23)
+        fs = [random_trace_poly(rng, max_weight=4, n_terms=k % 5) for k in range(8)]
+        coeffs = [c for f in fs for c in f.terms.values()]
+        assert any(c.im for c in coeffs) and any(type(c.re) is Fraction for c in coeffs)
+        assert any(len({sum(_partition(key)) for key in f.terms}) > 1 for f in fs)
+        assert any(f.is_zero for f in fs)
+        for cold in (True, False):
+            if cold:
+                invariant._monomial_image.cache_clear()
+            got = entry_gram(fs, n)
+            want = bargmann_gram([expand_to_entries(f, n) for f in fs])
+            assert list(got.items()) == list(want.items())
 
 
 class TestUnitarity:

@@ -120,17 +120,24 @@ class TestExactSuites:
         assert rep.passed and len(rep.cases) == 4
 
     def test_pair_suites_image_each_element_once(self, monkeypatch):
-        expand = invariant.expand_to_entries
-        monos = sorted(f.to_text() for _, f in trace_monomials(3))
+        # the chi_lambda with at most 2 parts and weight <= 3 use all 7 monomials
+        image = invariant._monomial_image
+        monos = sorted(rho for rho, _ in trace_monomials(3))
         assert len(monos) == 7
-        seen = []
+        seen, depth = [], [0]
 
-        def counting(f, n):
-            seen.append(f.to_text())
-            return expand(f, n)
+        def counting(rho, n, diagonal):
+            # a monomial imaged in the entry picture, not the prefix it is built on
+            if not depth[0] and not diagonal:
+                seen.append(rho)
+            depth[0] += 1
+            try:
+                return image(rho, n, diagonal)
+            finally:
+                depth[0] -= 1
 
-        monkeypatch.setattr(invariant, "expand_to_entries", counting)
-        for suite in (suite_unitarity, suite_diffop):
+        monkeypatch.setattr(invariant, "_monomial_image", counting)
+        for suite in (suite_unitarity, suite_diffop, suite_inv_orthonormal):
             seen.clear()
             assert suite(2, 3).passed
             assert sorted(seen) == monos
@@ -151,6 +158,8 @@ class TestRecordedReports:
     CALLS = {
         "alt-orthonormal": suite_alt_orthonormal,
         "inv-orthonormal": suite_inv_orthonormal,
+        # the size exact-verify runs
+        "inv-orthonormal w=6": lambda n: suite_inv_orthonormal(n, max_weight=6),
         "unitarity": suite_unitarity,
         "diffop": suite_diffop,
         "fourier": lambda n: suite_fourier(n, count=5, seed=3),
@@ -163,6 +172,8 @@ class TestRecordedReports:
         ("inv-orthonormal", 1): "d4d82c1d8298b0d58c49a5405014ad417907bcec36a3a50ffe5105345d23081a",
         ("inv-orthonormal", 2): "7d7a3b547b60c26ffb1c0c53ee544218aaeb70490a02eef5f52224f8aa8863c6",
         ("inv-orthonormal", 3): "981433732f96bfcbdfef68414a04ba6fd51d16232d52b686f0cccacab402535d",
+        ("inv-orthonormal", 4): "15cf90c97675891a873ea99741d938aa1e7f3209562bd019271be6ace96d568c",
+        ("inv-orthonormal w=6", 4): "f6619745a3343f88406415a750037d83deebf25382f8c210b7d85c5417082136",
         ("unitarity", 1): "b4caa92f52f828573c480e62a24b584d7f104f4a25f20fe662518c95d7acc4f9",
         ("unitarity", 2): "dbdeb485de3a679ba776fa3220c2602738491ec4efb0ebdf3caead98fe82c863",
         ("unitarity", 3): "8815800076a9793956b3b4a13b6cd4e8deb110b62f7013ee766cc5863099b46a",
@@ -268,7 +279,8 @@ class TestRationalGramChecksBite:
 
 
 class TestGramPairsEachUnorderedPairOnce:
-    """A Gram suite of N elements calls `bargmann_inner` N(N+1)/2 times, not N^2."""
+    """A Gram of N polynomials calls `bargmann_inner` N(N+1)/2 times, not N^2; an entry-side
+    Gram (`entry_gram`) pairs the distinct monomials m_w of each weight w, m_w(m_w+1)/2 times."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -286,18 +298,20 @@ class TestGramPairsEachUnorderedPairOnce:
         return calls
 
     @pytest.mark.parametrize(
-        "run, size, grams",
+        "run, size, pairings",
         [
-            (lambda: suite_alt_orthonormal(3, 4), 11, 1),
-            (lambda: suite_inv_orthonormal(2, 4), 9, 1),
-            (lambda: suite_unitarity(2, 3), 7, 2),
+            (lambda: suite_alt_orthonormal(3, 4), 11, 11 * 12 // 2),
+            # the chi_lambda use m_w = 1, 1, 2, 3, 5 monomials at weights 0..4
+            (lambda: suite_inv_orthonormal(2, 4), 9, 1 + 1 + 3 + 6 + 15),
+            # monomials of weight 0..3 on the entry side, psi's coordinates on the other
+            (lambda: suite_unitarity(2, 3), 7, (1 + 1 + 3 + 6) + 7 * 8 // 2),
         ],
         ids=["alt-orthonormal", "inv-orthonormal", "unitarity"],
     )
-    def test_pairing_count(self, calls, run, size, grams):
+    def test_pairing_count(self, calls, run, size, pairings):
         rep = run()
         assert rep.passed and len(rep.cases) == size * size
-        assert len(calls) == grams * size * (size + 1) // 2
+        assert len(calls) == pairings
 
 
 class TestStatisticalSuites:
