@@ -6,9 +6,10 @@ by three independent routes: the closed-form ratio of a determinant of
 exponentials to Vandermonde products, Monte Carlo over Haar measure, and
 the truncated Schur-function expansion of the reproducing kernel.
 
-This is the float layer, the h recurrence and `schur_numeric` included.
-It imports no `hciz` module but `errors`, and the exact layer (`scalars`,
-`exactpoly`, `symfn`, `invariant`) imports neither it nor numpy.
+This is the float layer, the h recurrence (`_prefix_table`) and
+`schur_numeric` included.  It imports no `hciz` module but `errors`, and
+the exact layer (`scalars`, `exactpoly`, `symfn`, `invariant`) imports
+neither it nor numpy.
 
 Convention split, deliberately kept apart: `hciz_*` functions take both
 spectra holomorphically (the integral as usually written), while the
@@ -488,52 +489,45 @@ def _exp_remainder(r: float, w: int) -> float:
     return math.exp(log_bound) if log_bound < 709.0 else math.inf
 
 
-def homogeneous_prefixes(eigs, kmax: int) -> list:
-    """Row i holds h_0..h_kmax of the first i points, i = 0..n, where
-    sum_k h_k t^k = prod_i 1/(1 - x_i t).
-
-    Each point x multiplies in as h_k += x h_{k-1}, k = 1..kmax (Macdonald
-    I.2), and each row is the table after one more point.  Stable at
-    coincident points, unlike the bialternant ratio: h_k is within (n+k)
-    roundings of h_k(|x|).
-    """
-    h = [1.0 + 0j] + [0j] * kmax
-    rows = [h.copy()]
-    for x in eigs:
-        x = complex(x)
-        for k in range(1, kmax + 1):
-            h[k] += x * h[k - 1]
-        rows.append(h.copy())
-    return rows
-
-
 def schur_numeric(lam, eigs) -> complex:
-    """s_lambda at complex points, lambda a `Partition`, via det[h_{lambda_i - i + j}];
-    ValueError before its n + 1 rows of h_0..h_{lambda_1 + ell - 1} would pass
-    `MAX_SERIES_ENTRIES` entries."""
-    if lam.length > len(eigs):
-        raise DimensionMismatchError(f"partition {lam} needs more than {len(eigs)} variables")
-    ell = lam.length
-    kmax = max(lam.part(0) + ell - 1, 0)
-    if (len(eigs) + 1) * (kmax + 1) > MAX_SERIES_ENTRIES:
-        raise ValueError(f"s[{lam}] at {len(eigs)} points needs h_0..h_{kmax} in "
-                         f"{len(eigs) + 1} rows, above {MAX_SERIES_ENTRIES} entries")
-    h = homogeneous_prefixes(eigs, kmax)[-1]
-    if ell <= 1:
-        return h[lam.part(0)]
-    mat = [[h[k] if k >= 0 else 0j for k in (lam[i] - i + j for j in range(ell))]
-           for i in range(ell)]
-    return complex(np.linalg.det(np.array(mat, dtype=complex)))
+    """s_lambda at complex points, lambda a `Partition`: the minor on rows
+    lambda + delta of the unscaled (lambda_1 + n) x n `_prefix_table` (see
+    `kernel_series`); ValueError before it would pass `MAX_SERIES_ENTRIES`.
+
+    In increasing order those rows start with 0..n - ell - 1, a unit
+    triangular block with zeros to its right, so only the trailing
+    ell x ell block counts.  At ell = 1 that is the entry h_lambda_1(x),
+    read as it is: `np.linalg.det` rounds even a 1 x 1 matrix.
+    """
+    n, ell = len(eigs), lam.length
+    if ell > n:
+        raise DimensionMismatchError(f"partition {lam} needs more than {n} variables")
+    rows = lam.part(0) + n
+    if rows * n > MAX_SERIES_ENTRIES:
+        raise ValueError(f"s[{lam}] at {n} points needs a {rows} x {n} prefix table, "
+                         f"above {MAX_SERIES_ENTRIES} entries")
+    table = _prefix_table(eigs, rows, 1.0)
+    if ell == 1:
+        return complex(table[-1, -1])
+    block = table[[lam[ell - 1 - i] + n - ell + i for i in range(ell)], n - ell:]
+    return complex(np.linalg.det(block))  # 1 at ell = 0
 
 
-def _prefix_table(v, rows: int, scale: np.ndarray) -> np.ndarray:
-    """G[m, i] = h_{m-i}(v_0..v_i) sqrt(i!/m!) for m < rows (0 where m < i).
+def _prefix_table(v, rows: int, scale) -> np.ndarray:
+    """G[m, i] = h_{m-i}(v_0..v_i) scale[m, i] for m < rows (0 where m < i).
 
     Column i holds the h-values of the prefix v_0..v_i, the divided
-    differences of t^m over those points; `scale` holds sqrt(i!/m!).
+    differences of t^m over those points: one running list takes each
+    point as h_k += v_i h_{k-1} (Macdonald I.2), stable at coincident
+    points, within (n + k) roundings of h_k(|v|).  No entry is -0.0, so a
+    scale of 1.0 changes no finite one.
     """
     table = np.zeros((rows, len(v)), dtype=complex)
-    for i, h in enumerate(homogeneous_prefixes(v, rows - 1)[1:]):
+    h = [1.0 + 0j] + [0j] * (rows - 1)
+    for i, x in enumerate(v):
+        x = complex(x)
+        for k in range(1, rows):
+            h[k] += x * h[k - 1]
         table[i:, i] = h[:rows - i]
     return table * scale
 

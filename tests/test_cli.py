@@ -540,9 +540,9 @@ class TestExitCodeContract:
             # the series' exponent n s t itself is past the double range
             (["eval", "--n", "2", "--a", "3e200+1e200i,1", "--b", "1e200,2", "--methods",
               "series"], EXIT_DOMAIN, "non-finite value from series (series: OverflowError"),
-            # refused before the h recurrence holds its (n + 1) x (lambda_1 + 1) rows
+            # refused before the (lambda_1 + n) x n prefix table is built
             (["schur", "--lambda", "1000000000", "--eigs", "1"], EXIT_USAGE,
-             "needs h_0..h_1000000000 in 2 rows, above 1000000 entries"),
+             "needs a 1000000001 x 1 prefix table, above 1000000 entries"),
             # e^-31850 is below the double range: each method's 0 exits 2, not as a pass
             (["eval", "--n", "1", "--a=-700", "--b=45.5", "--methods", "series"], EXIT_DOMAIN,
              "value from series is 0 or below the smallest normal double"),

@@ -29,7 +29,6 @@ from hciz.numeric import (
     random_real_spectrum,
     sample_ginibre,
     sample_haar_unitary,
-    schur_numeric,
 )
 from hciz.symfn import Partition, alternant, staircase, vector_factorial
 
@@ -798,11 +797,28 @@ def mp_hciz(a, b, dps=80):
         return complex(math.prod(math.factorial(p) for p in range(n)) * mpmath.det(mat) / vdm)
 
 
+def jacobi_trudi_schur(lam, eigs):
+    """s_lambda(eigs) as det[h_(lambda_i - i + j)], its h-values by
+    h_k += x h_(k-1) point by point: a route apart from the prefix table
+    that `kernel_series` and `schur_numeric` read."""
+    ell = lam.length
+    kmax = max(lam.part(0) + ell - 1, 0)
+    h = [1.0 + 0j] + [0j] * kmax
+    for x in eigs:
+        for k in range(1, kmax + 1):
+            h[k] += x * h[k - 1]
+    if ell <= 1:
+        return h[lam.part(0)]
+    mat = [[h[k] if k >= 0 else 0j for k in (lam[i] - i + j for j in range(ell))]
+           for i in range(ell)]
+    return complex(np.linalg.det(np.array(mat, dtype=complex)))
+
+
 def series_box_reference(x, y, w):
     """kernel_series(x, y, max_weight=w, tol=0) one partition at a time:
     e^(n s t) times the sum over lambda_1 <= w of
     delta!/(lambda+delta)! s_lambda(x - s) s_lambda(z - t), z = conj(y), with
-    s and t the means of x and z."""
+    s and t the means of x and z, each s_lambda from `jacobi_trudi_schur`."""
     n = len(x)
     z = [complex(e).conjugate() for e in y]
     s, t = sum(x) / n, sum(z) / n
@@ -813,7 +829,7 @@ def series_box_reference(x, y, w):
     for parts in itertools.combinations_with_replacement(range(w, -1, -1), n):
         lam = Partition(parts)
         coeff = delta_fact / vector_factorial(lam.plus_staircase(n))
-        total += coeff * schur_numeric(lam, xc) * schur_numeric(lam, zc)
+        total += coeff * jacobi_trudi_schur(lam, xc) * jacobi_trudi_schur(lam, zc)
     return cmath.exp(n * s * t) * total
 
 
