@@ -50,8 +50,8 @@ class UsageError(Exception):
 class NonFiniteValueError(ArithmeticError):
     """An evaluator's value left the double range: it returned inf or nan,
     raised an ArithmeticError or returned 0 or a subnormal (`eval`), or was
-    nonzero and underflowed below the smallest normal double (`schur`); maps
-    to exit code 2."""
+    nonzero and underflowed below the smallest normal double, or cancelled
+    in its minor (`schur`); maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -382,10 +382,14 @@ def cmd_schur(args) -> int:
         value = schur_numeric(lam, eigs)
         if not cmath.isfinite(value):
             raise NonFiniteValueError(f"non-finite value of s[{lam}]")
-        # s_lambda(|x|) > 0 with no more parts than nonzero points: if it underflows, so did this
+        # s_lambda(|x|) > 0 with no more parts than nonzero points: if it underflows, so did
+        # this.  h_k(|x|) sums positive terms, but a minor (length >= 2) can also cancel to 0
+        # at both points, and no error estimate tells the two apart
         if (abs(value) < sys.float_info.min and lam.length <= sum(1 for e in eigs if e)
                 and abs(schur_numeric(lam, [abs(e) for e in eigs])) < sys.float_info.min):
-            raise NonFiniteValueError(f"s[{lam}] underflows below the smallest normal double")
+            cause = " or cancels to 0 in its minor" if lam.length >= 2 else ""
+            raise NonFiniteValueError(
+                f"s[{lam}] underflows below the smallest normal double{cause}")
         results["value"] = _cj(value)
         lines.append(f"s[{lam}]({args.eigs}) = {value!r}")
     if args.exact:

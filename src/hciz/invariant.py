@@ -5,6 +5,9 @@ the three exact pictures the verification suites compare:
     entry picture      ExactPoly over the n^2 matrix entries (row-major)
     diagonal picture   symmetric / alternating ExactPoly in n eigenvalues
 
+Each trace monomial is imaged once per picture (`_monomial_image`), and t_k's
+entry image Tr(z^k) is walked once per n and kept (`trace_power_entry`).
+
 The restriction map psi(F) = c * a_delta * F|_D carries the invariant
 picture to the alternating one and e_lambda to d_lambda.  An alternating
 polynomial is fixed by its coordinates, its coefficients at the strictly
@@ -64,10 +67,9 @@ from .symfn import (
 )
 
 
-# the most entries `trace_power_entry` walks, n^2 fields in each of n^k index paths' keys:
-# (k, n) = (4, 16), 16.8 million, takes 0.25 s and (3, 30), 24.3 million, 0.2 s, but a
-# path costs k key additions, so (20, 2), 4.2 million, takes 2.1 s and (22, 2), 16.8
-# million and under the limit, 10 s (ROADMAP item 15)
+# n^k index paths times the more of a path's n^2 key fields and its k key additions: the
+# slowest walks accepted take about 1.7 s at (k, n) = (10, 4) and 0.9 s at (12, 3) and
+# (19, 2), and (20, 2) and (13, 3) are refused before a path is walked (ROADMAP item 15)
 MAX_TRACE_ENTRIES = 20_000_000
 
 
@@ -81,9 +83,10 @@ def trace_power_entry(k: int, n: int) -> ExactPoly:
     """Tr(z^k) as a polynomial in the n^2 entries: sum over cyclic index paths."""
     if not 1 <= k <= MAX_EXPONENT or n < 1:
         raise ValueError(f"need 1 <= k <= {MAX_EXPONENT} and n >= 1")
-    if n**k * n * n > MAX_TRACE_ENTRIES:
-        raise ValueError(f"Tr(z^{k}) at n = {n} walks n^k = {n**k} index paths of n^2 = {n * n} "
-                         f"entries each, above {MAX_TRACE_ENTRIES} entries")
+    if n**k * max(n * n, k) > MAX_TRACE_ENTRIES:
+        each = f"n^2 = {n * n} entries" if k <= n * n else f"k = {k} key additions"
+        raise ValueError(f"Tr(z^{k}) at n = {n} walks n^k = {n**k} index paths of {each} each, "
+                         f"above {MAX_TRACE_ENTRIES}")
     # rows[i][j] is the key of z_{ij}, and a path's key the sum of its k entries' keys:
     # no exponent passes k <= MAX_EXPONENT, so no field carries into the next
     rows = [[_pack([(entry_var(i, j, n), 1)]) for j in range(n)] for i in range(n)]
@@ -91,23 +94,19 @@ def trace_power_entry(k: int, n: int) -> ExactPoly:
                                     for path in itertools.product(range(n), repeat=k)))
 
 
-@lru_cache(maxsize=None)
-def power_sum(k: int, n: int) -> ExactPoly:
-    """p_k = x_1^k + ... + x_n^k, the diagonal image of t_k."""
-    return ExactPoly(n, {_pack([(i, k)]): 1 for i in range(n)})
-
-
 @lru_cache(maxsize=512)
 def _monomial_image(rho: tuple, n: int, diagonal: bool) -> ExactPoly:
     """p_rho = prod_i t_(rho_i) from its partition, t_k -> p_k on the diagonal, else Tr(z^k).
 
-    Built as the cached monomial of rho without its largest part times that
+    A one-part rho is t_k's image itself, in the entries the cached Tr(z^k); a
+    longer one is the cached image of rho without its largest part times that
     part's image, so the monomials of one weight share their prefixes.
     """
     if not rho:
         return ExactPoly.one(n if diagonal else n * n)
-    image = power_sum(rho[0], n) if diagonal else trace_power_entry(rho[0], n)
-    return _monomial_image(rho[1:], n, diagonal) * image
+    image = (ExactPoly(n, {_pack([(i, rho[0])]): 1 for i in range(n)}) if diagonal
+             else trace_power_entry(rho[0], n))
+    return _monomial_image(rho[1:], n, diagonal) * image if rho[1:] else image
 
 
 def _image(f: TracePoly, n: int, diagonal: bool) -> ExactPoly:

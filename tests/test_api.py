@@ -67,11 +67,13 @@ def test_division_names_are_gone(name):
 
 @pytest.mark.parametrize("module, name", [("symfn", "_perm_sign"), ("symfn", "_transposition"),
                                           ("invariant", "_is_symmetric"),
-                                          ("numeric", "homogeneous_prefixes")])
+                                          ("numeric", "homogeneous_prefixes"),
+                                          ("invariant", "power_sum")])
 def test_permutation_names_are_gone(module, name):
     # symmetry and alternation are one orbit walk (symfn._orbits), and a sort's
     # sign has one helper (symfn._sort_sign); likewise the h recurrence runs
-    # in numeric._prefix_table alone, whose minors schur_numeric reads
+    # in numeric._prefix_table alone, whose minors schur_numeric reads, and
+    # p_k is built only as a diagonal image in invariant._monomial_image
     import importlib
 
     assert not hasattr(importlib.import_module(f"hciz.{module}"), name)

@@ -415,6 +415,9 @@ class TestExitCodeContract:
             (["schur", "--lambda", "1100", "--eigs", "0.5"], EXIT_DOMAIN, "s[1100] underflows"),
             (["schur", "--lambda", "2,1", "--eigs", "1e-110,1e-110,0"], EXIT_DOMAIN,
              "s[2,1] underflows"),
+            # a minor can cancel to 0 at x and at |x| alike: the true value is 3.03e126
+            (["schur", "--lambda", "200,100", "--eigs", "2,3,1"], EXIT_DOMAIN,
+             "s[200,100] underflows below the smallest normal double or cancels to 0"),
             (
                 ["verify", "fourier", "--n", "2", "--count", "0"],
                 EXIT_USAGE,
@@ -553,7 +556,7 @@ class TestExitCodeContract:
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "schur-underflow",
-             "schur-underflow-zero-point", "fourier-count-0",
+             "schur-underflow-zero-point", "schur-minor-cancels", "fourier-count-0",
              "reproducing-count-1", "eval-n0", "haar-n0", "unitarity-n0", "diffop-n0",
              "alt-orthonormal-n0", "inv-orthonormal-n0", "fourier-n0", "reproducing-n0",
              "unitarity-degree-1", "haar-samples-1", "reproducing-weight-0",

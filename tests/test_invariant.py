@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -186,11 +187,27 @@ class TestEntryExpansion:
                 want = want + ExactPoly.variable(n * n, entry_var(i, i, n))
             assert trace_power_entry(1, n) == want
 
-    def test_size_limit_counts_paths_times_entries(self):
+    def test_size_limit_counts_paths_times_entries(self, monkeypatch):
         # n^k index paths of n^2 entries: (6, 6) and (4, 16) pass, (3, 30) does not
         assert max(6**6 * 6**2, 16**4 * 16**2) <= invariant.MAX_TRACE_ENTRIES < 30**3 * 30**2
         with pytest.raises(ValueError, match="n = 30 walks n.k = 27000 index paths"):
             trace_power_entry(3, 30)
+
+        # past n^2 a path costs its k key additions; each size is judged before the
+        # walk's Counter is built, so no path is walked here
+        class Walked(Exception):
+            pass
+
+        def no_walk(paths):
+            raise Walked
+
+        monkeypatch.setattr(invariant, "Counter", no_walk)
+        for k, n in [(20, 2), (21, 2), (22, 2), (13, 3)]:
+            with pytest.raises(ValueError, match=f"n = {n} walks .* of k = {k} key additions each"):
+                trace_power_entry.__wrapped__(k, n)
+        for k, n in [(10, 4), (12, 3), (19, 2), (6, 6), (4, 16), (3, 27)]:
+            with pytest.raises(Walked):
+                trace_power_entry.__wrapped__(k, n)
 
     def test_walk_matches_a_dense_reference(self):
         # the reference writes one dense exponent vector per index path
@@ -292,25 +309,47 @@ class TestEntryExpansion:
                     assert restrict_to_diagonal(f, n) == f.substitute(images, n)
 
     def test_each_monomial_is_restricted_once(self, monkeypatch):
-        builds = []
-        power_sum = invariant.power_sum
+        products = []
+        mul = ExactPoly.__mul__
 
-        def counting(k, n):
-            builds.append((k, n))
-            return power_sum(k, n)
+        def counting(self, other):
+            products.append(1)
+            return mul(self, other)
 
-        # every monomial built multiplies its cached prefix by one p_k, its largest k
-        monkeypatch.setattr(invariant, "power_sum", counting)
+        # each monomial is imaged once, a one-part one with no product and every
+        # longer one as one product of its cached prefix and p_k, its largest k
+        monkeypatch.setattr(ExactPoly, "__mul__", counting)
         invariant._monomial_image.cache_clear()
-        monos = [f for _, f in trace_monomials(4)]
+        monos = trace_monomials(4)
         n = 3
-        restrict_to_diagonal(sum(monos, TracePoly.zero()), n)
-        want = [(f.max_gen(), n) for f in monos if f.max_gen()]
-        assert sorted(builds) == sorted(want)
-        builds.clear()
-        for f in monos:
-            restrict_to_diagonal(f * Fraction(3, 2), n)
-        assert builds == []
+        restrict_to_diagonal(sum((f for _, f in monos), TracePoly.zero()), n)
+        assert invariant._monomial_image.cache_info().misses == len(monos)
+        assert len(products) == sum(1 for rho, _ in monos if len(rho) > 1)
+        scaled = [f * Fraction(3, 2) for _, f in monos]
+        products.clear()
+        for f in scaled:
+            restrict_to_diagonal(f, n)
+        assert invariant._monomial_image.cache_info().misses == len(monos)
+        assert products == []
+
+    def test_one_part_image_is_the_cached_walk(self):
+        for n in (1, 2, 3):
+            for k in (1, 2, 5):
+                assert invariant._monomial_image((k,), n, False) is trace_power_entry(k, n)
+
+    def test_an_evicted_image_does_not_walk_again(self):
+        # t6 at n = 2, then enough one-term monomials at n = 1 to evict every image
+        # of n = 2 from the bounded cache, then t6 t1 at n = 2: Tr(z^6) is walked once
+        invariant._monomial_image.cache_clear()
+        trace_power_entry.cache_clear()
+        expand_to_entries(t(6), 2)
+        fill = [rho for w in range(1, 18) for rho in partitions_of_weight(w, w)][:1125]
+        assert len(fill) == 1125 > invariant._monomial_image.cache_info().maxsize
+        for rho in fill:
+            expand_to_entries(TracePoly.from_terms([(Counter(rho), 1)]), 1)
+        walks = trace_power_entry.cache_info().misses
+        expand_to_entries(t(6) * t(1), 2)
+        assert trace_power_entry.cache_info().misses == walks + 1  # Tr(z^1) at n = 2 only
 
     def test_conjugation_invariance_under_permutations(self):
         # relabeling basis vectors maps entry (i,j) to (sigma(i), sigma(j))
