@@ -126,7 +126,13 @@ def _grlex(key: int, n_vars: int):
 @lru_cache(maxsize=1 << 16)
 def _factorial(key: int) -> int:
     """a! = prod_v (exponent of v)!, cached: Gram loops and `apply_diff` meet each key often."""
-    return math.prod(math.factorial(e) for _, e in exponent_pairs(key))
+    out = 1
+    while key:
+        # skip to the field of the lowest set bit, then take that field's exponent
+        key >>= ((key & -key).bit_length() - 1) // _BITS * _BITS
+        out *= math.factorial(key & _FIELD)
+        key >>= _BITS
+    return out
 
 
 def _summed_terms(products, real: bool = False, denom: int = 1) -> dict:
@@ -534,12 +540,11 @@ def bargmann_inner(f: ExactPoly, g: ExactPoly) -> GaussianRational:
     for key, cs in small.terms.items():
         cb = big.terms.get(key)
         if cb is not None:
-            a, b = (cs, cb) if not flip else (cb, cs)
-            # conj(a) * b * a!, summed componentwise
+            # conj(cs) * cb * a!, summed componentwise; swapped operands conjugate the sum
             w = _factorial(key)
-            re += (a.re * b.re + a.im * b.im) * w
-            im += (a.re * b.im - a.im * b.re) * w
-    return GaussianRational(re, im)
+            re += (cs.re * cb.re + cs.im * cb.im) * w
+            im += (cs.re * cb.im - cs.im * cb.re) * w
+    return GaussianRational(re, -im if flip else im)
 
 
 def bargmann_gram(polys) -> dict:

@@ -69,7 +69,6 @@ def _orthonormal(suite: str, letter: str, n: int, max_weight: int, basis, gram) 
     Gram matrix pairs each unordered pair once, and only its nonzero entries
     are scaled by q_lambda.
     """
-    from .invariant import _gram
     from .scalars import QQI_ONE, QQI_ZERO
     from .symfn import enumerate_partitions
 
@@ -77,13 +76,13 @@ def _orthonormal(suite: str, letter: str, n: int, max_weight: int, basis, gram) 
     lams = enumerate_partitions(max_weight, n)
     elements = [basis(lam) for lam in lams]
     g = gram([b.poly for b in elements])
-    results = _gram(
-        len(lams),
-        lambda i, j: g[i, j] * elements[i].scale2 if g[i, j] else g[i, j],
-        lambda i, j: QQI_ONE if i == j else QQI_ZERO,
-    )
+    texts = [str(lam) for lam in lams]
     label = f"<{letter}[{{}}], {letter}[{{}}]>"
-    cases = _pair_cases(lams, label, results, lambda ok, got, want: f"value {got}")
+    cases = []
+    for (i, j), got in g.items():
+        got = got * elements[i].scale2 if got else got
+        cases.append(SuiteCase(label.format(texts[i], texts[j]),
+                               got == (QQI_ONE if i == j else QQI_ZERO), f"value {got}"))
     return _report(suite, {"n": n, "max_weight": max_weight}, cases)
 
 
@@ -224,21 +223,20 @@ def random_alternating_poly(rng: random.Random, n: int, max_weight: int) -> Exac
     """Random rational combination of alternants a_{lambda+delta}, |lambda| <= max_weight."""
     from fractions import Fraction
 
-    from .exactpoly import ExactPoly
+    from .exactpoly import linear_combination
     from .scalars import GaussianRational
     from .symfn import alternant, enumerate_partitions
 
-    lams = enumerate_partitions(max_weight, n)
-    out = ExactPoly.zero(n)
-    for lam in lams:
+    pairs = []
+    for lam in enumerate_partitions(max_weight, n):
         if rng.random() < 0.4:
             c = GaussianRational(
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
             )
             if not c.is_zero:
-                out = out + alternant(lam.plus_staircase(n), n) * c
-    return out
+                pairs.append((alternant(lam.plus_staircase(n), n), c))
+    return linear_combination(pairs, n)
 
 
 def suite_reproducing(n: int, count: int = 10, max_weight: int = 8, seed: int = 0) -> SuiteReport:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -176,6 +177,15 @@ def require_alternant_n(n: int) -> None:
             f"n = {n} is above {MAX_ALTERNANT_N}: an alternant in n variables has n! terms")
 
 
+@lru_cache(maxsize=None)
+def _signs(n: int) -> tuple:
+    """sgn p, p over itertools.permutations(range(n)): a_delta's coefficients, in two
+    shared objects (at n = 9, 362,880 references, 2.9 MB)."""
+    plus, minus = GaussianRational(1), GaussianRational(-1)
+    return tuple(plus if _sort_sign(d) > 0 else minus
+                 for d in itertools.permutations(staircase(n)))
+
+
 def alternant(mu, n: int) -> ExactPoly:
     """a_mu = det[x_i^{mu_j}] = sum_sigma sgn(sigma) prod_i x_i^{mu_{sigma(i)}}."""
     mu = tuple(int(m) for m in mu)
@@ -184,12 +194,13 @@ def alternant(mu, n: int) -> ExactPoly:
     require_alternant_n(n)
     if any(m < 0 for m in mu):
         raise ValueError("negative exponent in alternant")
-    # sgn sigma is the sort sign of mu's rearrangement over that of mu itself
-    sign = _sort_sign(mu)
-    if not sign:
+    if len(set(mu)) < n:
         raise DegenerateExponentError(f"repeated exponents in {mu}: alternant vanishes")
-    return ExactPoly(n, {perm: GaussianRational(sign * _sort_sign(perm))
-                         for perm in itertools.permutations(mu)})
+    _pack(enumerate(mu))  # the MAX_EXPONENT check
+    # term p, x^{mu o p}, has a_delta's coefficient sgn p
+    pack = struct.Struct(f"<{n}H").pack
+    return ExactPoly._raw(n, {int.from_bytes(pack(*e), "little"): c
+                              for e, c in zip(itertools.permutations(mu), _signs(n))})
 
 
 @lru_cache(maxsize=None)

@@ -2,10 +2,10 @@
 
 The exact commands and --help must start without numpy, --help also
 without dataclasses and platform, the exact `verify` commands without
-dataclasses and inspect, a one-worker
-Monte Carlo command without concurrent.futures, `eval`, `verify haar` and
-`verify ginibre` without the exact layer or fractions, and `import hciz`
-with nothing but the package and its error types.  Two commands whose setup
+dataclasses and inspect, `verify alt-orthonormal` without the invariant
+layer, a one-worker Monte Carlo command without concurrent.futures, `eval`,
+`verify haar` and `verify ginibre` without the exact layer or fractions,
+and `import hciz` with nothing but the package and its error types.  Two commands whose setup
 once grew quadratically with a size argument, and one whose cost once
 followed an argument that changes nothing, must finish within seconds, and
 so must two that the power-sum class limit refuses.
@@ -100,6 +100,14 @@ def test_exact_verify_commands_load_neither_dataclasses_nor_inspect():
     mods = set(json.loads(proc.stdout.splitlines()[-1]))
     assert "hciz.suites" in mods
     assert not {"dataclasses", "inspect"} & mods
+
+
+def test_alt_orthonormal_loads_no_invariant():
+    # its basis and Gram come from symfn and exactpoly alone
+    code, mods, _ = probe(["verify", "alt-orthonormal", "--n", "2", "--quiet"])
+    assert code == 0
+    assert "hciz.symfn" in mods
+    assert "hciz.invariant" not in mods
 
 
 def test_eval_loads_no_exact_layer():

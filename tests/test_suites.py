@@ -158,17 +158,22 @@ class TestRecordedReports:
     CALLS = {
         "alt-orthonormal": suite_alt_orthonormal,
         "inv-orthonormal": suite_inv_orthonormal,
-        # the size exact-verify runs
+        # the sizes exact-verify runs
         "inv-orthonormal w=6": lambda n: suite_inv_orthonormal(n, max_weight=6),
+        "alt-orthonormal w=8": lambda n: suite_alt_orthonormal(n, max_weight=8),
         "unitarity": suite_unitarity,
         "diffop": suite_diffop,
         "fourier": lambda n: suite_fourier(n, count=5, seed=3),
         "reproducing": lambda n: suite_reproducing(n, count=5, seed=3),
+        # exact-verify's reproducing size, at two seeds
+        "reproducing c=10 seed=1": lambda n: suite_reproducing(n, count=10, max_weight=8, seed=1),
+        "reproducing c=10 seed=2": lambda n: suite_reproducing(n, count=10, max_weight=8, seed=2),
     }
     DIGESTS = {
         ("alt-orthonormal", 1): "9600e567043f1014988f76dae7057bb08502f10fcbf15f72ddce736890603e2f",
         ("alt-orthonormal", 2): "8248e18d91dd8425658fe31cf8e84be869fb10daf04e7ff509dd6e62576ce532",
         ("alt-orthonormal", 3): "f034670cb6caabe552e83415a4131606bbc3a71a581cae3de9ca2f0f94a42b69",
+        ("alt-orthonormal w=8", 4): "4eac816986e957ff3ecc0227a58bc61835166e2869d1c83bf58c32cea096f5cb",
         ("inv-orthonormal", 1): "d4d82c1d8298b0d58c49a5405014ad417907bcec36a3a50ffe5105345d23081a",
         ("inv-orthonormal", 2): "7d7a3b547b60c26ffb1c0c53ee544218aaeb70490a02eef5f52224f8aa8863c6",
         ("inv-orthonormal", 3): "981433732f96bfcbdfef68414a04ba6fd51d16232d52b686f0cccacab402535d",
@@ -189,6 +194,10 @@ class TestRecordedReports:
         ("reproducing", 1): "2bd8ff3d75a90201de8232810104596956f9258a182ef785085aa3d95dd78ccf",
         ("reproducing", 2): "58f326d2f0cc89bab7df66808719f51f877c156a87c206418efc141e83b45376",
         ("reproducing", 3): "2a5ed71f1851a9f249c5dd4cb529bc728b49a0adc83114be238d692cf476304a",
+        ("reproducing c=10 seed=1", 3):
+            "4bcfd26e8c265f8e699accfe7e6b384cc755a765e3779a6a9d0640a2842207ed",
+        ("reproducing c=10 seed=2", 3):
+            "676497103d94bd22cf95be54b18a62c9849ea41e9af6009a59eceddcb5f81c3f",
     }
 
     @pytest.mark.parametrize("suite, n", sorted(DIGESTS), ids=lambda v: str(v))

@@ -22,6 +22,7 @@ from hciz.symfn import (
     Scaled,
     TracePoly,
     _orbits,
+    _sort_sign,
     alternant,
     alternant_delta,
     character,
@@ -276,19 +277,37 @@ class TestAlternant:
     def test_column_reorder_flips_sign(self):
         assert alternant((0, 1), 2) == -alternant((1, 0), 2)
 
-    def test_repeated_exponent_rejected(self):
-        with pytest.raises(DegenerateExponentError):
-            alternant((2, 2, 0), 3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            alternant((1, 0), 3)
+    @pytest.mark.parametrize("mu, n, error, message", [
+        ((2, 2, 0), 3, DegenerateExponentError,
+         "repeated exponents in (2, 2, 0): alternant vanishes"),
+        ((1, -1), 2, ValueError, "negative exponent in alternant"),
+        ((0, 32768), 2, ValueError, "exponent 32768 of v1 outside 0..32767"),
+        ((1, 0), 3, DimensionMismatchError, "exponent vector of length 2, expected 3"),
+    ], ids=["repeated", "negative", "past-max-exponent", "length"])
+    def test_errors(self, mu, n, error, message):
+        with pytest.raises(error) as info:
+            alternant(mu, n)
+        assert str(info.value) == message
 
     def test_size_limit(self):
         # n = 10 would build 3.6 million terms before returning
         assert MAX_ALTERNANT_N == 9
-        with pytest.raises(ValueError, match="n! terms"):
+        with pytest.raises(ValueError) as info:
             alternant(staircase(MAX_ALTERNANT_N + 1), MAX_ALTERNANT_N + 1)
+        assert str(info.value) == "n = 10 is above 9: an alternant in n variables has n! terms"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_definition_term_by_term_in_order(self, n):
+        # one term per rearrangement of mu, signed by its sort sign over mu's own, in
+        # the order of itertools.permutations, which is the order eval_complex sums in
+        decreasing = tuple(i * i + 2 * i for i in range(n))[::-1]
+        for mu in (decreasing, decreasing[::-1], decreasing[1:] + decreasing[:1]):
+            sign = _sort_sign(mu)
+            want = ExactPoly(n, {perm: GaussianRational(sign * _sort_sign(perm))
+                                 for perm in itertools.permutations(mu)})
+            got = alternant(mu, n)
+            assert got.n_vars == n
+            assert list(got.terms.items()) == list(want.terms.items())
 
     def test_derivative_pairing_equals_superfactorial(self):
         # the staircase alternant paired with itself under F(d)G|_0 gives
