@@ -22,17 +22,18 @@ ExactPoly over MAX_EXPONENT variables, and `degree` reads only the fields
 each key uses.
 
 Coefficients are summed by component, not as GaussianRational objects.
-The kernels that add up many products (`*`, `apply_diff` and
-`apply_diff_mapped` through `_diff_terms`, `map_vars` and
-`linear_combination`, and so `permute_vars` and `substitute`) all feed one
-private builder, `_summed_terms`: it sums the real and imaginary parts of
-each output coefficient as plain `int | Fraction` values, builds one
+Every operation that forms terms feeds one private builder, `_summed_terms`:
+the constructor, which sums repeated monomials; `+`, `-`, negation and
+scalar multiples through `linear_combination`, which `substitute` also
+calls; `*`; `apply_diff` and `apply_diff_mapped` through `_diff_terms`; and
+`map_vars`, so `permute_vars`.  It sums the real and imaginary parts of each
+output coefficient as plain `int | Fraction` values, builds one
 GaussianRational per key that survives, and keeps the order `eval_complex`
-sums in.  When every operand is real, which is the usual case, `*`,
-`apply_diff` and `linear_combination` form no imaginary product.  `+`
-makes at most one GaussianRational sum per shared key, so it keeps its own
-per-term loop.  `map_vars` and `apply_diff_mapped` relabel keys by one
-kernel, `_relabeling`, and `permute_vars` is a checked `map_vars`.
+sums in.  With every operand real, the usual case, `*`, `apply_diff` and
+`linear_combination` form no imaginary product.  `map_vars` and
+`apply_diff_mapped` relabel keys by one kernel, `_relabeling`, and adopt
+their summed terms after one check of the highest variable; `permute_vars`
+is a checked `map_vars`.
 
 Beyond ring arithmetic the module provides the two operations the exact
 verification layer is built on: the action of a polynomial as a
@@ -95,6 +96,13 @@ def _as_key(mono) -> int:
             raise ValueError(f"{mono} is not a monomial key")
         return mono
     return _pack(enumerate(mono))
+
+
+def _in_range(key: int, n_vars: int) -> int:
+    """`key`, or DimensionMismatchError if its highest variable is past n_vars."""
+    if (fields := _n_fields(key)) > n_vars:
+        raise DimensionMismatchError(f"variable v{fields - 1} out of range for n_vars={n_vars}")
+    return key
 
 
 def _check_exponents(terms: dict, n_vars: int) -> dict:
@@ -206,28 +214,18 @@ class ExactPoly:
     __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars: int, terms=None):
-        """`terms` maps dense exponent tuples, or packed keys, to coefficients."""
+        """`terms` maps dense exponent tuples, or packed keys, to coefficients; repeats add up."""
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
+
+        def checked(items):
             for mono, c in items:
-                key = _as_key(mono)
-                c = GaussianRational.coerce(c)
-                if _n_fields(key) > n_vars:
-                    raise DimensionMismatchError(
-                        f"variable v{_n_fields(key) - 1} out of range for n_vars={n_vars}"
-                    )
-                if not c.is_zero:
-                    prev = clean.get(key)
-                    c = c if prev is None else prev + c
-                    if c.is_zero:
-                        del clean[key]
-                    else:
-                        clean[key] = c
+                key, c = _as_key(mono), GaussianRational.coerce(c)
+                yield _in_range(key, n_vars), c.re, c.im
+
+        items = terms.items() if isinstance(terms, dict) else terms or ()
         object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _summed_terms(checked(items)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -252,8 +250,7 @@ class ExactPoly:
 
     @classmethod
     def const(cls, n_vars: int, c) -> "ExactPoly":
-        c = GaussianRational.coerce(c)
-        return cls._raw(n_vars, {} if c.is_zero else {0: c})
+        return cls(n_vars, [(0, c)])
 
     @classmethod
     def one(cls, n_vars: int) -> "ExactPoly":
@@ -300,41 +297,32 @@ class ExactPoly:
 
     # -- ring operations ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, a: int, b: int):
+        """a * self + b * other, or NotImplemented for an other that is not exact."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = ExactPoly.const(self.n_vars, other)
         elif not isinstance(other, ExactPoly):
             return NotImplemented
         self._want_same_space(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return self._like(out)
+        return self._like(linear_combination([(self, a), (other, b)], self.n_vars).terms)
+
+    def __add__(self, other):
+        return self._plus(other, 1, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, GaussianRational, ExactPoly)):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, 1, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return self._plus(other, -1, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.coerce(other)
-            if c.is_zero:
-                return self._like({})
-            return self._like({key: a * c for key, a in self.terms.items()})
+            return self._like(linear_combination([(self, other)], self.n_vars).terms)
         if not isinstance(other, ExactPoly):
             return NotImplemented
         self._want_same_space(other)
@@ -390,8 +378,9 @@ class ExactPoly:
         """(F(d)G).map_vars(images, n_vars_out), without forming F(d)G: a term
         z^b / z^a survives only if a and b agree on every variable whose image is
         None, so only those pairs are formed."""
-        # the constructor rejects a surviving term past n_vars_out
-        return ExactPoly(n_vars_out, self._diff_terms(g, *_relabeling(images)))
+        terms = self._diff_terms(g, *_relabeling(images))
+        _in_range(max(terms, default=0), n_vars_out)  # the largest key has the highest variable
+        return ExactPoly._raw(n_vars_out, terms)
 
     def _diff_terms(self, g: "ExactPoly", dead: int = 0, relabel=None) -> dict:
         """`terms` of F(d)G from the term pairs that agree on the fields set in `dead`,
@@ -438,8 +427,9 @@ class ExactPoly:
         """Relabel variables by `images[v]`; a None image kills terms using v."""
         dead, relabel = _relabeling(images)
         products = ((relabel(k), c.re, c.im) for k, c in self.terms.items() if not k & dead)
-        # the constructor rejects a surviving term past n_vars_out
-        return ExactPoly(n_vars_out, _summed_terms(products))
+        terms = _summed_terms(products)
+        _in_range(max(terms, default=0), n_vars_out)  # the largest key has the highest variable
+        return ExactPoly._raw(n_vars_out, terms)
 
     def permute_vars(self, sigma) -> "ExactPoly":
         """Relabel variables: the new exponent at j is the old exponent at sigma[j]."""

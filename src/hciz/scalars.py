@@ -12,6 +12,7 @@ its square, which is rational, so no radical ever reaches this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 
 def _as_fraction(x) -> int | Fraction:
@@ -60,16 +61,20 @@ class GaussianRational:
         raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
 
     # -- arithmetic --------------------------------------------------------
+    # an operand that is not exact gets NotImplemented, so that a polynomial on the
+    # right takes the operation through its reflected method
 
     def __add__(self, other):
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        return GaussianRational._raw(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            return self + GaussianRational(other) if isinstance(other, Rational) else NotImplemented
+        return GaussianRational._raw(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        return GaussianRational._raw(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussianRational:
+            return self - GaussianRational(other) if isinstance(other, Rational) else NotImplemented
+        return GaussianRational._raw(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
@@ -80,8 +85,9 @@ class GaussianRational:
     def __mul__(self, other):
         if type(other) is int:
             return GaussianRational._raw(self.re * other, self.im * other)
-        o = other if type(other) is GaussianRational else GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
+        if type(other) is not GaussianRational:
+            return self * GaussianRational(other) if isinstance(other, Rational) else NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
         return GaussianRational._raw(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

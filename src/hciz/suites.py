@@ -161,14 +161,14 @@ def random_trace_poly(rng: random.Random, max_weight: int = 5, n_terms: int = 4)
     from .scalars import GaussianRational
     from .symfn import partitions_of_weight
 
-    out = TracePoly.zero()
+    terms = []
     for _ in range(n_terms):
         w = rng.randint(0, max_weight)
         rho = rng.choice(list(partitions_of_weight(w, w))) if w else ()
         re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         im = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        out = out + TracePoly.from_terms([(Counter(rho), GaussianRational(re, im))])
-    return out
+        terms.append((Counter(rho), GaussianRational(re, im)))
+    return TracePoly.from_terms(terms)
 
 
 def suite_fourier(n: int, count: int = 10, max_weight: int = 5, seed: int = 0) -> SuiteReport:
@@ -234,8 +234,7 @@ def random_alternating_poly(rng: random.Random, n: int, max_weight: int) -> Exac
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
             )
-            if not c.is_zero:
-                pairs.append((alternant(lam.plus_staircase(n), n), c))
+            pairs.append((alternant(lam.plus_staircase(n), n), c))
     return linear_combination(pairs, n)
 
 

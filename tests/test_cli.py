@@ -389,6 +389,10 @@ class TestReport:
 
 _STEPS = ",".join(str(i / 1000) for i in range(16))  # 0, 0.001, ..., 0.015
 
+# the exit-2 rows of test_invalid_input_gets_its_exit_code whose error is not a
+# value past the double range, by message
+_DOMAIN_ERROR_TYPES = {"partition 1,1,1 needs more than 2 variables": "DimensionMismatchError"}
+
 
 class TestExitCodeContract:
     @pytest.mark.parametrize(
@@ -553,6 +557,11 @@ class TestExitCodeContract:
              "value from det is 0 or below the smallest normal double"),
             (["eval", "--n", "1", "--a=-700", "--b=45.5", "--methods", "mc"], EXIT_DOMAIN,
              "value from mc is 0 or below the smallest normal double"),
+            (["fourier", "--f", "t1 + - t2", "--n", "2"], EXIT_USAGE,
+             "dangling sign in 't1 + - t2'"),
+            (["schur", "--lambda", "2,1", "--exact"], EXIT_USAGE, "--exact needs --n"),
+            (["schur", "--lambda", "1,1,1", "--eigs", "1,2"], EXIT_DOMAIN,
+             "partition 1,1,1 needs more than 2 variables"),
         ],
         ids=["samples-1", "nan-eigenvalue", "n25-random", "negative-max-weight", "ginibre-n9",
              "det-nan", "schur-nan-point", "schur-overflow", "schur-underflow",
@@ -572,7 +581,8 @@ class TestExitCodeContract:
              "det-n28-superfactorial", "series-table-limit", "series-weight-search-limit",
              "det-vandermonde-underflow", "mc-variance-overflow", "mc-fsum-overflow",
              "series-exponent-overflow", "schur-recurrence-limit", "series-n1-underflow",
-             "det-n1-underflow", "mc-n1-underflow"],
+             "det-n1-underflow", "mc-n1-underflow", "fourier-dangling-sign",
+             "schur-exact-without-n", "schur-partition-too-long"],
     )
     def test_invalid_input_gets_its_exit_code(self, argv, code, message, capsys):
         with np.errstate(all="ignore"):
@@ -582,7 +592,8 @@ class TestExitCodeContract:
         if code == EXIT_USAGE:
             assert err.startswith("hciz: error: ")
         else:
-            assert json.loads(err)["error"]["type"] == "NonFiniteValueError"
+            assert json.loads(err)["error"]["type"] == _DOMAIN_ERROR_TYPES.get(
+                message, "NonFiniteValueError")
 
     @pytest.mark.parametrize(
         "argv",

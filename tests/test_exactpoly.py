@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -9,6 +11,7 @@ from hciz.errors import DimensionMismatchError
 from hciz.exactpoly import (
     MAX_EXPONENT,
     ExactPoly,
+    _as_key,
     _guards,
     bargmann_gram,
     bargmann_inner,
@@ -382,8 +385,24 @@ class TestNonExactOperands:
             assert getattr(p, name)(1.5) is NotImplemented
 
 
+class TestGaussianRationalOnTheLeft:
+    # GaussianRational's operators return NotImplemented for a polynomial, which
+    # then takes the operation through its reflected method
+    @pytest.mark.parametrize("p", [ExactPoly(2, {(1, 0): 3, (0, 0): Fraction(1, 2), (0, 2): QQI_I}),
+                                   TracePoly.from_terms([({2: 1}, Fraction(1, 2)), ({}, -1)])],
+                             ids=["ExactPoly", "TracePoly"])
+    def test_each_operator_equals_the_mirrored_form(self, p):
+        for c in (GaussianRational(1, 1), GaussianRational(2), GaussianRational(Fraction(-1, 2))):
+            assert_same(c * p, p * c)
+            assert_same(c + p, p + c)
+            assert_same(c - p, -(p - c))
+            assert type(c * p) is type(p)
+        assert_same(GaussianRational(2) - p, 2 - p)
+
+
 # the per-term GaussianRational loops the summing kernels replaced, kept as a
-# reference: same terms, and the same key order, which eval_complex sums in
+# reference: same terms, and the same key order, which eval_complex sums in; `+`,
+# negation, scalar multiples and the constructor each ran one of their own
 
 
 def ref_add(self, other):
@@ -395,7 +414,38 @@ def ref_add(self, other):
             out.pop(key, None)
         else:
             out[key] = s
-    return ExactPoly._raw(self.n_vars, out)
+    return self._like(out)
+
+
+def ref_neg(self):
+    return self._like({key: -c for key, c in self.terms.items()})
+
+
+def ref_scale(self, c):
+    c = GaussianRational.coerce(c)
+    if c.is_zero:
+        return self._like({})
+    return self._like({key: a * c for key, a in self.terms.items()})
+
+
+def ref_const(n_vars, c):
+    c = GaussianRational.coerce(c)
+    return ExactPoly._raw(n_vars, {} if c.is_zero else {0: c})
+
+
+def ref_init(cls, n_vars, items):
+    clean = {}
+    for mono, c in items:
+        key = _as_key(mono)
+        c = GaussianRational.coerce(c)
+        if not c.is_zero:
+            prev = clean.get(key)
+            c = c if prev is None else prev + c
+            if c.is_zero:
+                del clean[key]
+            else:
+                clean[key] = c
+    return cls._raw(n_vars, clean)
 
 
 def ref_mul(self, other):
@@ -478,9 +528,13 @@ def small_poly(rng, kind, n_vars=2, n_terms=6):
 
 
 def assert_same(got, want):
+    """Same type, space and terms, in the same order, with components of the same types."""
+    def components(p):
+        return [(k, type(c), type(c.re), c.re, type(c.im), c.im) for k, c in p.terms.items()]
+
+    assert type(got) is type(want)
     assert got.n_vars == want.n_vars
-    assert got.terms == want.terms
-    assert list(got.terms) == list(want.terms)
+    assert components(got) == components(want)
     assert all(type(c) is GaussianRational for c in got.terms.values())
 
 
@@ -562,6 +616,11 @@ class TestSummingKernelsAgainstReference:
         assert (x - y).map_vars({0: 2, 1: 2}, 2).is_zero
         with pytest.raises(DimensionMismatchError):
             (x + y).map_vars({0: 2, 1: 2}, 2)
+        # one check, of the highest variable among the terms that survive
+        with pytest.raises(DimensionMismatchError, match=r"^variable v3 out of range for n_vars=2$"):
+            (x + y).map_vars({0: 2, 1: 3}, 2)
+        with pytest.raises(DimensionMismatchError, match=r"^variable v3 out of range for n_vars=3$"):
+            x.apply_diff_mapped(x * y, {0: 0, 1: 3}, 3)
 
     def test_zero_weights_only(self):
         f = z(2, 0) + z(2, 1)
@@ -585,6 +644,89 @@ class TestSummingKernelsAgainstReference:
         ]
         got = linear_combination([(f, Fraction(1, 2))], 2)
         assert [(type(c.re), type(c.im)) for c in got.terms.values()] == [(int, int)] * 2
+
+
+def scalars(rng, kind):
+    """An int, a zero int, a Fraction, a GaussianRational of `kind` and a zero one."""
+    return [rng.choice([-2, -1, 1, 3]), 0, Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 4)),
+            COEFFICIENT_KINDS[kind](rng), GaussianRational(0)]
+
+
+def trace_poly(rng, kind, n_terms=5):
+    """A TracePoly in t_1..t_3 of few low exponents, so its terms collide and cancel."""
+    return TracePoly.from_terms([(Counter({rng.randint(1, 3): rng.randint(0, 2)}),
+                                  COEFFICIENT_KINDS[kind](rng)) for _ in range(n_terms)])
+
+
+class TestRingOperatorsAgainstReference:
+    """`+`, `-`, negation, scalar multiples, `sum` and the constructor give the terms of
+    the per-key loops above, in their order and with their component types."""
+
+    KINDS = sorted(COEFFICIENT_KINDS)
+
+    def check_ring(self, f, g, rng, kind):
+        n = f.n_vars
+        assert_same(f + g, ref_add(f, g))
+        assert_same(f - g, ref_add(f, ref_neg(g)))
+        assert_same(g - f, ref_add(g, ref_neg(f)))
+        assert_same(-f, ref_neg(f))
+        assert_same(f + (-f), ref_add(f, ref_neg(f)))
+        for c in scalars(rng, kind):
+            assert_same(f * c, ref_scale(f, c))
+            assert_same(f + c, ref_add(f, ref_const(n, c)))
+            assert_same(f - c, ref_add(f, ref_const(n, -c)))
+            if not isinstance(c, GaussianRational):
+                assert_same(c * f, ref_scale(f, c))
+                assert_same(c + f, ref_add(f, ref_const(n, c)))
+                assert_same(c - f, ref_add(ref_neg(f), ref_const(n, c)))
+        # sum starts from 0, so it adds 0 to f first
+        want = reduce(ref_add, [g, ref_scale(f, 2), ref_neg(g)], ref_add(f, ref_const(n, 0)))
+        assert_same(sum([f, g, f * 2, -g]), want)
+
+    @pytest.mark.parametrize("kind_f", KINDS)
+    @pytest.mark.parametrize("kind_g", KINDS)
+    def test_random_operands(self, kind_f, kind_g):
+        rng = random.Random(f"ring/{kind_f}/{kind_g}")
+        for _ in range(25):
+            self.check_ring(small_poly(rng, kind_f), small_poly(rng, kind_g), rng, kind_g)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trace_poly_operands(self, kind):
+        rng = random.Random(f"trace/{kind}")
+        for _ in range(25):
+            self.check_ring(trace_poly(rng, kind), trace_poly(rng, "complex"), rng, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_constructor_sums_repeated_and_cancelling_monomials(self, kind):
+        rng = random.Random(f"init/{kind}")
+        for _ in range(40):
+            items = []
+            for _ in range(rng.randint(0, 10)):
+                mono = tuple(rng.randint(0, 1) for _ in range(3))
+                c = COEFFICIENT_KINDS[kind](rng)
+                items.append((mono, c))
+                if rng.random() < 0.3:
+                    items.append((mono, -c))
+                if rng.random() < 0.2:
+                    items.append((_as_key(mono), rng.choice([0, 1, Fraction(-1, 2), c])))
+            assert_same(ExactPoly(3, items), ref_init(ExactPoly, 3, items))
+            assert_same(ExactPoly(3, dict(items)), ref_init(ExactPoly, 3, dict(items).items()))
+            assert_same(TracePoly(MAX_EXPONENT, items), ref_init(TracePoly, MAX_EXPONENT, items))
+
+    def test_a_cancelled_monomial_comes_back_last(self):
+        p = ExactPoly(2, [((1, 0), 1), ((0, 1), 2), ((1, 0), -1), ((1, 0), Fraction(1, 2))])
+        assert list(p.terms.items()) == [(_as_key((0, 1)), GaussianRational(2)),
+                                         (_as_key((1, 0)), GaussianRational(Fraction(1, 2)))]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_from_terms_sums_as_adding_one_term_at_a_time(self, kind):
+        # random_trace_poly builds its polynomial with one from_terms
+        rng = random.Random(f"from_terms/{kind}")
+        for _ in range(40):
+            terms = [(Counter({rng.randint(1, 3): rng.randint(0, 2)}), COEFFICIENT_KINDS[kind](rng))
+                     for _ in range(rng.randint(0, 8))]
+            want = reduce(ref_add, (TracePoly.from_terms([t]) for t in terms), TracePoly.zero())
+            assert_same(TracePoly.from_terms(terms), want)
 
 
 class TestNoScalarPerTermPair:

@@ -774,6 +774,11 @@ class TestClosedForm:
         with pytest.raises(DegenerateSpectrumError):
             hciz_determinant((0.0, 1.0), (2.0, 2.0))
 
+    def test_spectra_of_different_lengths(self):
+        with pytest.raises(DimensionMismatchError) as info:
+            hciz_determinant((1, 2), (1, 2, 3))
+        assert str(info.value) == "spectra of lengths 2 and 3"
+
     def test_gap_tol_is_adjustable(self):
         # formally still nondegenerate; tightening the tolerance admits it
         v = hciz_determinant((1.0, 1.0 + 1e-9), (0.0, 1.0), gap_tol=1e-12)
@@ -1086,6 +1091,17 @@ class TestCoherentReproducing:
     def test_rejects_nonalternating(self):
         with pytest.raises(NotAlternatingError):
             coherent_reproducing_check((0.3, -0.2), ExactPoly.monomial(2, (1, 1)), 4)
+
+    @pytest.mark.parametrize("a, f, error, message", [
+        ((), alternant((1, 0), 2), ValueError, "empty spectrum"),
+        ((0.3, float("nan")), alternant((1, 0), 2), ValueError, "non-finite eigenvalue"),
+        ((0.3, -0.2), alternant((0,), 1), DimensionMismatchError,
+         "polynomial over 1 variables, expected 2"),
+    ], ids=["empty", "nan", "one-variable-polynomial"])
+    def test_input_errors(self, a, f, error, message):
+        with pytest.raises(error) as info:
+            coherent_reproducing_check(a, f, 4)
+        assert str(info.value) == message
 
 
 class TestRandomRealSpectrum:

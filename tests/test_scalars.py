@@ -53,6 +53,16 @@ class TestGaussianRational:
         assert GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
         assert GaussianRational(0, 1) != 1
 
+    @pytest.mark.parametrize("other", ["x", 1.5, None], ids=["str", "float", "None"])
+    def test_non_exact_operands_raise_type_error(self, other):
+        a = GaussianRational(1)
+        for op in (lambda: a + other, lambda: other + a, lambda: a - other,
+                   lambda: a * other, lambda: other * a):
+            with pytest.raises(TypeError):
+                op()
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+            assert getattr(a, name)(other) is NotImplemented
+
     def test_real_values_hash_like_fractions(self):
         assert hash(GaussianRational(Fraction(3, 2))) == hash(GaussianRational(Fraction(3, 2), 0))
         d = {GaussianRational(2): "x"}

@@ -22,6 +22,7 @@ from hciz.symfn import (
     Scaled,
     TracePoly,
     _orbits,
+    _signs,
     _sort_sign,
     alternant,
     alternant_delta,
@@ -308,6 +309,15 @@ class TestAlternant:
             got = alternant(mu, n)
             assert got.n_vars == n
             assert list(got.terms.items()) == list(want.terms.items())
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sign_table_is_the_sort_sign_of_each_permutation(self, n):
+        # _signs builds block i of the permutations, those starting with i, from _signs(n - 1)
+        got = _signs(n)
+        assert [c.re for c in got] == [_sort_sign(p) for p in itertools.permutations(staircase(n))]
+        assert all(c.im == 0 for c in got)
+        assert len({id(c) for c in got}) == min(n, 2)
+        assert len({id(c) for m in range(1, 9) for c in _signs(m)}) == 2
 
     def test_derivative_pairing_equals_superfactorial(self):
         # the staircase alternant paired with itself under F(d)G|_0 gives
